@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -260,25 +259,12 @@ def _resolved_header(cfg: ExperimentConfig, obj: FiniteSumObjective, scfg: Sampl
 
 
 def _run_replicates(obj: FiniteSumObjective, scfg: SamplerConfig, x0: np.ndarray,
-                    replicates: int, workers: int, sched=None) -> list[RunTrace]:
-    traces: list[RunTrace | None] = [None] * replicates
-
-    def one(r: int) -> None:
-        if sched is not None:
-            traces[r] = samplers.run_annealed(
-                obj, scfg.variant, sched, scfg.B, scfg.m, scfg.K, scfg.seed, x0,
-                store_every=scfg.store_every, replicate=r,
-            )
-        else:
-            traces[r] = samplers.run_chain(obj, scfg, x0, replicate=r)
-
-    if workers <= 1 or replicates == 1:
-        for r in range(replicates):
-            one(r)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(one, range(replicates)))
-    return traces  # type: ignore[return-value]
+                    replicates: int, sched=None) -> list[RunTrace]:
+    if sched is not None:
+        return [samplers.run_annealed(obj, scfg.variant, sched, scfg.B, scfg.m, scfg.K, scfg.seed, x0,
+                                      store_every=scfg.store_every, replicate=r)
+                for r in range(replicates)]
+    return [samplers.run_chain(obj, scfg, x0, replicate=r) for r in range(replicates)]
 
 
 def _write_replicate_csv(path: Path, header: list[str], trace: RunTrace, obj: FiniteSumObjective) -> None:
@@ -331,7 +317,7 @@ def _summary_rows(cfg: ExperimentConfig, obj: FiniteSumObjective, scfg: SamplerC
             f_mean = float(fs.mean())
             f_se = float(fs.std(ddof=1) / math.sqrt(R)) if R > 1 else 0.0
         row = [
-            str(int(step)), str(int(step) // scfg.m), str(int(traces[0].grad_evals[i])),
+            str(int(step)), str(int(step) // traces[0].m), str(int(traces[0].grad_evals[i])),
             repr(f_mean), repr(f_se),
         ]
         if obj.F_star is not None:
@@ -373,7 +359,7 @@ def _burn_in_footer(obj: FiniteSumObjective, scfg: SamplerConfig,
     return lines
 
 
-def cmd_run(cfg: ExperimentConfig, out_dir: Path, workers: int, quiet: bool) -> int:
+def cmd_run(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     obj = build_objective(cfg)
     scfg, sched, notes = resolve_sampler(cfg, obj)
     problems = [p for p in hypothesis_report(cfg, obj, scfg, sched) if not p.startswith("note:")]
@@ -388,7 +374,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, workers: int, quiet: bool) -> 
         print(f"x0 must have dimension {obj.d}", file=sys.stderr)
         return EXIT_CONFIG
     out_dir.mkdir(parents=True, exist_ok=True)
-    traces = _run_replicates(obj, scfg, x0, run["replicates"], workers, sched=sched)
+    traces = _run_replicates(obj, scfg, x0, run["replicates"], sched=sched)
     header = _resolved_header(cfg, obj, scfg)
     for note in notes:
         header.append(f"# note: {note}")
@@ -450,7 +436,7 @@ def _metric_series(metric: str, obj: FiniteSumObjective, gamma: float,
     raise ConfigError(f"[compare] unknown metric {metric!r}")
 
 
-def cmd_compare(cfg: ExperimentConfig, out_dir: Path, workers: int, quiet: bool) -> int:
+def cmd_compare(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     if cfg.compare is None:
         print("compare needs a [compare] section", file=sys.stderr)
         return EXIT_CONFIG
@@ -481,7 +467,7 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path, workers: int, quiet: bool)
         if sched is not None:
             print("[compare] annealed configs are not supported", file=sys.stderr)
             return EXIT_CONFIG
-        traces = _run_replicates(obj, scfg, x0, run["replicates"], workers)
+        traces = _run_replicates(obj, scfg, x0, run["replicates"])
         if any(t.diverged for t in traces):
             table.append((variant, "diverged", ""))
             continue
@@ -527,7 +513,7 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path, workers: int, quiet: bool)
 # -- sweep ------------------------------------------------------------------------
 
 
-def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int, quiet: bool) -> int:
+def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     if cfg.sweep is None:
         print("sweep needs a [sweep] section", file=sys.stderr)
         return EXIT_CONFIG
@@ -572,7 +558,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int, quiet: bool) -
                 print("[sweep] annealed configs are not supported", file=sys.stderr)
                 return EXIT_CONFIG
             x0 = np.zeros(obj.d) if run.get("x0") is None else np.asarray(run["x0"], dtype=float)
-            traces = _run_replicates(obj, scfg, x0, run["replicates"], workers)
+            traces = _run_replicates(obj, scfg, x0, run["replicates"])
             if any(t.diverged for t in traces):
                 print(f"sweep point {axis}={_fmt(value)} diverged", file=sys.stderr)
                 return EXIT_DIVERGED
@@ -585,7 +571,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int, quiet: bool) -
                 fvals = np.asarray(obj.value(trace.iterates), dtype=float)
                 for i, step in enumerate(trace.steps):
                     fh.write(
-                        f"{axis},{_fmt(value)},{r},{int(step)},{int(step) // scfg.m},"
+                        f"{axis},{_fmt(value)},{r},{int(step)},{int(step) // trace.m},"
                         f"{int(trace.grad_evals[i])},{float(fvals[i])!r},\n"
                     )
             if gibbs is not None and len(traces) >= obj.d + 2:
@@ -593,7 +579,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int, quiet: bool) -
                     ens = np.stack([t.iterates[i] for t in traces])
                     kl = diagnostics.moment_kl_surrogate(ens, gibbs)
                     fh.write(
-                        f"{axis},{_fmt(value)},all,{int(step)},{int(step) // scfg.m},"
+                        f"{axis},{_fmt(value)},all,{int(step)},{int(step) // traces[0].m},"
                         f"{int(traces[0].grad_evals[i])},,{kl!r}\n"
                     )
     if not quiet:
@@ -768,7 +754,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None, help="override [run] seed")
         p.add_argument("--out", default=None, help="override [run] out directory")
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--quiet", action="store_true")
     p_theory = sub.add_parser("theory")
     p_theory.add_argument("query", nargs="*", help="e.g. xi n=16 B=4")
@@ -790,11 +775,11 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "run":
-            return cmd_run(cfg, out_dir, args.workers, args.quiet)
+            return cmd_run(cfg, out_dir, args.quiet)
         if args.command == "compare":
-            return cmd_compare(cfg, out_dir, args.workers, args.quiet)
+            return cmd_compare(cfg, out_dir, args.quiet)
         if args.command == "sweep":
-            return cmd_sweep(cfg, out_dir, args.workers, args.quiet)
+            return cmd_sweep(cfg, out_dir, args.quiet)
         if args.command == "validate-config":
             return cmd_validate(cfg)
     except (ConfigError, HypothesisViolation) as exc:

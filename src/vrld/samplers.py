@@ -3,14 +3,23 @@
 Variants: full-gradient (lmc), plain minibatch (sgld), anchored
 variance-reduced (svrg_ld), and recursive variance-reduced (sarah_ld), plus
 the annealed runner that lowers the step size and raises the inverse
-temperature once per epoch.
+temperature once per epoch.  All of them run through one step loop,
+:func:`_langevin`; the runners only set up its streams and its recorder.
 
-RNG discipline: every chain owns two Philox streams derived from
-``SeedSequence((seed, replicate, 0|1))`` - stream 0 for the per-step Gaussian
-noise, stream 1 for index subsets.  One standard-normal d-vector is drawn per
-step, before any subset.  Keeping the streams separate means variants that
-consume different numbers of subset draws still see the same noise sequence,
-which is what makes the B = n, m = 1 reduction to lmc exact.
+RNG discipline, two layouts:
+
+- Single chains (:func:`run_chain`, :func:`run_annealed`): every chain owns
+  two Philox streams derived from ``SeedSequence((seed, replicate, 0|1))`` -
+  stream 0 for the per-step Gaussian noise, stream 1 for index subsets, drawn
+  by :func:`sample_index_set`.  Keeping the streams separate means variants
+  that consume different numbers of subset draws still see the same noise
+  sequence, which is what makes the B = n, m = 1 reduction to lmc exact.
+- Ensembles (:func:`run_ensemble`): one shared stream pair,
+  ``chain_rngs(seed)``, with noise drawn as (R, d) rows and subsets as the B
+  smallest of n iid uniforms per chain, both in blocks of steps.
+
+A Philox block draw equals the same draws made one step at a time, so the
+block size never changes a stream.
 """
 
 from __future__ import annotations
@@ -44,13 +53,16 @@ __all__ = [
 ]
 
 VARIANTS = ("lmc", "sgld", "svrg_ld", "sarah_ld")
+_ANCHORED = ("svrg_ld", "sarah_ld")
+# values per pre-drawn block of noise rows or subset uniforms: a few MB
+_BLOCK_VALUES = 2_000_000
 
 
 class DivergedError(RuntimeError):
-    """A chain produced a non-finite iterate."""
+    """A chain produced a non-finite iterate or gradient."""
 
     def __init__(self, step: int, msg: str | None = None):
-        super().__init__(msg or f"non-finite iterate at step {step}")
+        super().__init__(msg or f"non-finite iterate or gradient at step {step}")
         self.step = step
 
 
@@ -65,7 +77,6 @@ class SamplerConfig:
     seed: int = 0
     store_every: int = 1
     burn_in: int = 0
-    debug_checks: bool = False
 
     def validate(self, n: int) -> None:
         if self.variant not in VARIANTS:
@@ -80,7 +91,7 @@ class SamplerConfig:
             raise ValueError("epoch length m must be >= 1")
         if self.K < 1:
             raise ValueError("total steps K must be >= 1")
-        if self.variant in ("svrg_ld", "sarah_ld") and self.K % self.m != 0:
+        if self.variant in _ANCHORED and self.K % self.m != 0:
             raise ValueError(
                 f"epoch length m={self.m} must divide K={self.K}; partial epochs are rejected"
             )
@@ -129,21 +140,13 @@ class RunTrace:
     etas: np.ndarray           # step size in effect entering each stored step
     gammas: np.ndarray
     m: int
-    final_x: np.ndarray = None
+    final_x: np.ndarray = None   # last iterate, or the last finite one if diverged
     diverged: bool = False
     diverged_step: int | None = None
 
     @property
     def total_grad_evals(self) -> int:
         return int(self.grad_evals[-1])
-
-    @property
-    def epoch_starts(self) -> np.ndarray:
-        last = int(self.steps[-1])
-        return np.arange(0, last + 1, self.m)
-
-    def epoch_of(self, step: int) -> int:
-        return step // self.m
 
 
 def chain_rngs(seed: int, replicate: int = 0) -> tuple[np.random.Generator, np.random.Generator]:
@@ -190,6 +193,66 @@ def step_sgld(obj: FiniteSumObjective, x, eta: float, gamma: float, idx, noise) 
     return new
 
 
+def _blocks(draw, total: int, span: int):
+    """The rows of ``total`` draws, made ``span`` rows at a time by ``draw(c)``."""
+    for start in range(0, total, span):
+        yield from draw(min(span, total - start))
+
+
+def _langevin(obj: FiniteSumObjective, variant: str, X, K: int, m: int,
+              schedule, noise, subset, minibatch, record):
+    """The one Langevin step loop behind every runner.
+
+    X is one chain's (d,) state or an (R, d) ensemble.  Epoch s is the m
+    steps from s*m and runs at ``schedule(s) = (eta, gamma)``.  Each step
+    takes one ``noise()`` row shaped like X and, where its estimator needs
+    one, one ``subset()`` for ``minibatch(X, idx)``: lmc takes the full
+    gradient at every step (m = 1) and sgld a minibatch; svrg_ld and sarah_ld
+    take the full gradient at each epoch start, then the anchored or the
+    recursive estimate at 2B evaluations.  ``record(k, X, grad_evals, eta,
+    gamma)`` sees every iterate k >= 1; grad_evals is the per-chain count of
+    component gradients so far.
+
+    Returns the last finite iterate and the divergence step, None if all K
+    steps ran: the first iterate that is non-finite or has a non-finite
+    gradient estimate.
+    """
+    plain = variant == "sgld"
+    recursive = variant == "sarah_ld"
+    count = 0
+    # overflow is the divergence signal, checked below, not a warning condition
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K):
+            s, l = divmod(k, m)
+            if l == 0:
+                eta, gamma = schedule(s)
+                scale = math.sqrt(2.0 * eta / gamma)
+            eps = noise()
+            try:
+                if plain:
+                    idx = subset()
+                    V = minibatch(X, idx)
+                    count += idx.shape[-1]
+                elif l == 0:
+                    V = obj.gradient(X)
+                    count += obj.n
+                else:
+                    idx = subset()
+                    V = minibatch(X, idx) - minibatch(ref, idx) + V_ref
+                    count += 2 * idx.shape[-1]
+            except NumericalDomainError:
+                return X, k
+            new = X - eta * V + scale * eps
+            # a finite sum proves every entry finite, at half the cost of isfinite
+            if not math.isfinite(new.sum()) and not np.isfinite(new).all():
+                return X, k + 1 if np.isfinite(V).all() else k
+            if recursive or l == 0:
+                ref, V_ref = X, V
+            X = new
+            record(k + 1, X, count, eta, gamma)
+    return X, None
+
+
 class _TraceBuilder:
     def __init__(self, variant: str, x0: np.ndarray, K: int, m: int, store_every: int):
         self.variant = variant
@@ -210,7 +273,7 @@ class _TraceBuilder:
             self.etas.append(eta)
             self.gammas.append(gamma)
 
-    def build(self, final_x, diverged: bool = False, diverged_step: int | None = None) -> RunTrace:
+    def build(self, final_x, diverged_step: int | None) -> RunTrace:
         return RunTrace(
             variant=self.variant,
             steps=np.asarray(self.steps, dtype=int),
@@ -220,147 +283,81 @@ class _TraceBuilder:
             gammas=np.asarray(self.gammas, dtype=float),
             m=self.m,
             final_x=np.array(final_x, dtype=float),
-            diverged=diverged,
+            diverged=diverged_step is not None,
             diverged_step=diverged_step,
         )
 
 
-def _finite_or_none(x) -> bool:
-    return bool(np.all(np.isfinite(x)))
+def _run_single(obj: FiniteSumObjective, variant: str, x0, K: int, m: int, B: int, seed: int,
+                schedule, store_every: int, replicate: int) -> RunTrace:
+    """One chain on the per-replicate streams of :func:`chain_rngs`."""
+    noise_rng, index_rng = chain_rngs(seed, replicate)
+    n, d = obj.n, obj.d
+    m = m if variant in _ANCHORED else 1
+    x = np.array(x0, dtype=float)
+    tb = _TraceBuilder(variant, x, K, m, store_every)
+    span = max(1, _BLOCK_VALUES // max(d, n))
+    x, diverged_step = _langevin(
+        obj, variant, x, K, m, schedule,
+        _blocks(lambda c: noise_rng.standard_normal((c, d)), K, span).__next__,
+        lambda: sample_index_set(n, B, index_rng),
+        obj.minibatch_gradient, tb.record,
+    )
+    return tb.build(x, diverged_step)
+
+
+def run_chain(obj: FiniteSumObjective, cfg: SamplerConfig, x0, replicate: int = 0) -> RunTrace:
+    """K steps of ``cfg.variant`` from x0 at constant (eta, gamma).
+
+    Per step: lmc costs n component evaluations and sgld B; an anchored or
+    recursive epoch of m steps costs n + 2B(m - 1).  A non-finite iterate or
+    gradient ends the run with ``diverged`` set instead of raising.
+    """
+    cfg.validate(obj.n)
+    return _run_single(obj, cfg.variant, x0, cfg.K, cfg.m, cfg.B, cfg.seed,
+                       lambda s: (cfg.eta, cfg.gamma), cfg.store_every, replicate)
+
+
+def _of_variant(cfg: SamplerConfig, variant: str) -> SamplerConfig:
+    if cfg.variant != variant:
+        raise ValueError(f"config variant {cfg.variant!r} is not {variant}")
+    return cfg
 
 
 def run_lmc(obj: FiniteSumObjective, cfg: SamplerConfig, x0, replicate: int = 0) -> RunTrace:
     """K full-gradient Langevin steps; n component evaluations per step."""
-    cfg.validate(obj.n)
-    noise_rng, _ = chain_rngs(cfg.seed, replicate)
-    x = np.array(x0, dtype=float)
-    tb = _TraceBuilder("lmc", x, cfg.K, 1, cfg.store_every)
-    count = 0
-    for k in range(cfg.K):
-        eps = noise_rng.standard_normal(obj.d)
-        try:
-            x = _langevin_update(x, obj.gradient(x), cfg.eta, cfg.gamma, eps)
-        except NumericalDomainError:
-            return tb.build(tb.iterates[-1], diverged=True, diverged_step=k)
-        count += obj.n
-        if not _finite_or_none(x):
-            return tb.build(tb.iterates[-1], diverged=True, diverged_step=k + 1)
-        tb.record(k + 1, x, count, cfg.eta, cfg.gamma)
-    return tb.build(x)
+    return run_chain(obj, _of_variant(cfg, "lmc"), x0, replicate)
 
 
 def run_sgld(obj: FiniteSumObjective, cfg: SamplerConfig, x0, replicate: int = 0) -> RunTrace:
     """K minibatch steps; B component evaluations per step."""
-    cfg.validate(obj.n)
-    noise_rng, index_rng = chain_rngs(cfg.seed, replicate)
-    x = np.array(x0, dtype=float)
-    tb = _TraceBuilder("sgld", x, cfg.K, 1, cfg.store_every)
-    count = 0
-    for k in range(cfg.K):
-        eps = noise_rng.standard_normal(obj.d)
-        idx = sample_index_set(obj.n, cfg.B, index_rng)
-        try:
-            x = _langevin_update(x, obj.minibatch_gradient(x, idx), cfg.eta, cfg.gamma, eps)
-        except NumericalDomainError:
-            return tb.build(tb.iterates[-1], diverged=True, diverged_step=k)
-        count += cfg.B
-        if not _finite_or_none(x):
-            return tb.build(tb.iterates[-1], diverged=True, diverged_step=k + 1)
-        tb.record(k + 1, x, count, cfg.eta, cfg.gamma)
-    return tb.build(x)
-
-
-def _run_anchored(
-    obj: FiniteSumObjective,
-    variant: str,
-    x0,
-    K: int,
-    m: int,
-    B: int,
-    seed: int,
-    eta_of,
-    gamma_of,
-    store_every: int,
-    debug_checks: bool,
-    replicate: int = 0,
-) -> RunTrace:
-    """Shared engine for the anchored and recursive variance-reduced chains.
-
-    Epoch s (steps sm .. sm+m-1): the anchor step applies the full gradient
-    of the epoch's reference point, costing n; each of the m-1 inner steps
-    draws noise, then a subset, and costs 2B component evaluations.
-    """
-    noise_rng, index_rng = chain_rngs(seed, replicate)
-    x = np.array(x0, dtype=float)
-    tb = _TraceBuilder(variant, x, K, m, store_every)
-    count = 0
-    recursive = variant == "sarah_ld"
-    try:
-        for s in range(K // m):
-            eta, gamma = eta_of(s), gamma_of(s)
-            anchor = x
-            v_anchor = obj.gradient(anchor)
-            eps = noise_rng.standard_normal(obj.d)
-            x = _langevin_update(x, v_anchor, eta, gamma, eps)
-            count += obj.n
-            k = s * m + 1
-            if not _finite_or_none(x):
-                return tb.build(tb.iterates[-1], diverged=True, diverged_step=k)
-            tb.record(k, x, count, eta, gamma)
-            v_prev = v_anchor
-            x_prev = anchor
-            increments = np.zeros_like(x) if debug_checks else None
-            for l in range(1, m):
-                k = s * m + l
-                eps = noise_rng.standard_normal(obj.d)
-                idx = sample_index_set(obj.n, B, index_rng)
-                if recursive:
-                    inc = obj.minibatch_gradient(x, idx) - obj.minibatch_gradient(x_prev, idx)
-                    v = inc + v_prev
-                    if debug_checks:
-                        increments += inc
-                        gap = np.linalg.norm(v - increments - v_anchor)
-                        assert gap <= 1e-12 * (1.0 + np.linalg.norm(v)), (
-                            f"recursive estimator lost its telescoping anchor at step {k}: gap={gap}"
-                        )
-                else:
-                    v = obj.minibatch_gradient(x, idx) - obj.minibatch_gradient(anchor, idx) + v_anchor
-                count += 2 * B
-                x_prev = x
-                x = _langevin_update(x, v, eta, gamma, eps)
-                v_prev = v
-                if not _finite_or_none(x):
-                    return tb.build(tb.iterates[-1], diverged=True, diverged_step=k + 1)
-                tb.record(k + 1, x, count, eta, gamma)
-    except NumericalDomainError:
-        return tb.build(tb.iterates[-1], diverged=True, diverged_step=int(tb.steps[-1]))
-    return tb.build(x)
+    return run_chain(obj, _of_variant(cfg, "sgld"), x0, replicate)
 
 
 def run_svrg_ld(obj: FiniteSumObjective, cfg: SamplerConfig, x0, replicate: int = 0) -> RunTrace:
     """Anchored variance-reduced chain: the reference point refreshes every m
     steps, and inner steps correct the minibatch gradient by the anchored
     control variate."""
-    cfg.validate(obj.n)
-    if cfg.variant not in ("svrg_ld",):
-        raise ValueError(f"config variant {cfg.variant!r} is not svrg_ld")
-    return _run_anchored(
-        obj, "svrg_ld", x0, cfg.K, cfg.m, cfg.B, cfg.seed,
-        lambda s: cfg.eta, lambda s: cfg.gamma, cfg.store_every, cfg.debug_checks, replicate,
-    )
+    return run_chain(obj, _of_variant(cfg, "svrg_ld"), x0, replicate)
 
 
 def run_sarah_ld(obj: FiniteSumObjective, cfg: SamplerConfig, x0, replicate: int = 0) -> RunTrace:
     """Recursive variance-reduced chain: the gradient estimate accumulates
     minibatch increments between consecutive iterates, resetting to the full
     gradient at each epoch start."""
-    cfg.validate(obj.n)
-    if cfg.variant not in ("sarah_ld",):
-        raise ValueError(f"config variant {cfg.variant!r} is not sarah_ld")
-    return _run_anchored(
-        obj, "sarah_ld", x0, cfg.K, cfg.m, cfg.B, cfg.seed,
-        lambda s: cfg.eta, lambda s: cfg.gamma, cfg.store_every, cfg.debug_checks, replicate,
-    )
+    return run_chain(obj, _of_variant(cfg, "sarah_ld"), x0, replicate)
+
+
+def _check_annealed(variant: str) -> None:
+    if variant not in _ANCHORED:
+        raise ValueError("annealed runs support svrg_ld and sarah_ld")
+
+
+def _check_sizes(obj: FiniteSumObjective, variant: str, B: int, m: int, K: int) -> None:
+    if variant in _ANCHORED and K % m != 0:
+        raise ValueError(f"epoch length m={m} must divide K={K}")
+    if not 1 <= B <= obj.n:
+        raise ValueError(f"need 1 <= B <= n={obj.n}")
 
 
 def run_annealed(
@@ -373,30 +370,14 @@ def run_annealed(
     seed: int,
     x0,
     store_every: int = 1,
-    debug_checks: bool = False,
     replicate: int = 0,
 ) -> RunTrace:
     """Variance-reduced chain with per-epoch (eta_s, gamma_s) from the
     schedule; epoch s uses them for both the drift and the noise scale."""
-    if variant not in ("svrg_ld", "sarah_ld"):
-        raise ValueError("annealed runner supports svrg_ld and sarah_ld")
-    if K % m != 0:
-        raise ValueError(f"epoch length m={m} must divide K={K}")
-    if not 1 <= B <= obj.n:
-        raise ValueError(f"need 1 <= B <= n={obj.n}")
-    return _run_anchored(
-        obj, variant, x0, K, m, B, seed, sched.eta, sched.gamma, store_every, debug_checks, replicate
-    )
-
-
-def run_chain(obj: FiniteSumObjective, cfg: SamplerConfig, x0, replicate: int = 0) -> RunTrace:
-    runner = {
-        "lmc": run_lmc,
-        "sgld": run_sgld,
-        "svrg_ld": run_svrg_ld,
-        "sarah_ld": run_sarah_ld,
-    }[cfg.variant]
-    return runner(obj, cfg, x0, replicate)
+    _check_annealed(variant)
+    _check_sizes(obj, variant, B, m, K)
+    return _run_single(obj, variant, x0, K, m, B, seed,
+                       lambda s: (sched.eta(s), sched.gamma(s)), store_every, replicate)
 
 
 def grad_evals_at(variant: str, k: int, n: int, B: int, m: int) -> int:
@@ -439,19 +420,20 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Run n_chains independent chains of one variant, vectorised over chains.
 
-    Statistically equivalent to independent single-chain runs but draws from a
-    single pair of Philox streams in documented blocks (noise and index
-    uniforms for a bounded span of steps at a time; subsets per chain come
-    from ranking iid uniforms row-wise).  Deterministic in
-    (seed, n_chains, shapes).  Intended for the replicate-heavy desk
-    experiments; single chains keep the per-replicate stream rule of
-    :func:`chain_rngs`.
+    Statistically equivalent to independent single-chain runs but draws from
+    the single stream pair ``chain_rngs(seed)``: noise as (R, d) rows, and
+    each chain's subset as the B smallest of n iid uniforms, both in blocks of
+    steps bounded to a few MB.  Deterministic in (seed, n_chains, shapes).
+    Intended for the replicate-heavy desk experiments; single chains keep the
+    per-replicate stream rule of :func:`chain_rngs`.  Raises
+    :class:`DivergedError` at the first non-finite iterate or gradient.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    if variant in ("svrg_ld", "sarah_ld") and K % m != 0:
-        raise ValueError(f"epoch length m={m} must divide K={K}")
-    if sched is None and (eta is None or gamma is None):
+    _check_sizes(obj, variant, B, m, K)
+    if sched is not None:
+        _check_annealed(variant)
+    elif eta is None or gamma is None:
         raise ValueError("need eta and gamma (or a schedule)")
     R, d, n = n_chains, obj.d, obj.n
     noise_rng, index_rng = chain_rngs(seed)
@@ -467,83 +449,24 @@ def run_ensemble(
         raise ValueError("checkpoints exceed K")
     out = EnsembleResult(variant=variant, K=K)
 
-    def eta_gamma(s: int) -> tuple[float, float]:
-        if sched is not None:
-            return sched.eta(s), sched.gamma(s)
-        return eta, gamma
-
-    def snapshot(k: int) -> None:
+    def record(k: int, X, count: int, *_) -> None:
         if k in wanted:
             out.checkpoints[k] = X.copy()
-            out.grad_evals[k] = grad_evals_at(variant, k, n, B, m)
+            out.grad_evals[k] = count
 
-    snapshot(0)
-    # bound each pre-drawn block to a few MB regardless of ensemble size
-    span = max(1, 2_000_000 // max(1, R * max(d, n)))
-    if variant in ("lmc", "sgld"):
-        e0, g0 = eta_gamma(0)
-        scale = math.sqrt(2.0 * e0 / g0)
-        for start in range(0, K, span):
-            stop = min(start + span, K)
-            EPS = noise_rng.standard_normal((stop - start, R, d))
-            if variant == "sgld":
-                U = index_rng.random((stop - start, R, n))
-                IDX = np.argpartition(U, B - 1, axis=-1)[..., :B]
-            for j, k in enumerate(range(start, stop)):
-                if variant == "lmc":
-                    V = obj.gradient(X)
-                else:
-                    V = obj.minibatch_gradient_rows(X, IDX[j])
-                with np.errstate(over="ignore", invalid="ignore"):
-                    X = X - e0 * V + scale * EPS[j]
-                if not np.all(np.isfinite(X)):
-                    raise DivergedError(step=k + 1)
-                snapshot(k + 1)
-    else:
-        recursive = variant == "sarah_ld"
-        epochs = K // m
-        epoch_span = max(1, span // m)
-        s = 0
-        while s < epochs:
-            c = min(epoch_span, epochs - s)
-            EPS = noise_rng.standard_normal((c, m, R, d))
-            if m > 1:
-                U = index_rng.random((c, m - 1, R, n))
-                IDX = np.argpartition(U, B - 1, axis=-1)[..., :B]
-            for e in range(c):
-                e_s, g_s = eta_gamma(s + e)
-                scale = math.sqrt(2.0 * e_s / g_s)
-                anchor = X
-                V_anchor = obj.gradient(anchor)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    X = X - e_s * V_anchor + scale * EPS[e, 0]
-                if not np.all(np.isfinite(X)):
-                    raise DivergedError(step=(s + e) * m + 1)
-                snapshot((s + e) * m + 1)
-                V_prev = V_anchor
-                X_prev = anchor
-                for l in range(1, m):
-                    idx = IDX[e, l - 1]
-                    if recursive:
-                        V = (
-                            obj.minibatch_gradient_rows(X, idx)
-                            - obj.minibatch_gradient_rows(X_prev, idx)
-                            + V_prev
-                        )
-                    else:
-                        V = (
-                            obj.minibatch_gradient_rows(X, idx)
-                            - obj.minibatch_gradient_rows(anchor, idx)
-                            + V_anchor
-                        )
-                    X_prev = X
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        X = X - e_s * V + scale * EPS[e, l]
-                    V_prev = V
-                    k = (s + e) * m + l + 1
-                    if not np.all(np.isfinite(X)):
-                        raise DivergedError(step=k)
-                    snapshot(k)
-            s += c
+    record(0, X, 0)
+    m = m if variant in _ANCHORED else 1
+    span = max(1, _BLOCK_VALUES // max(1, R * max(d, n)))
+    subsets = K if variant == "sgld" else K - K // m
+    X, diverged_step = _langevin(
+        obj, variant, X, K, m,
+        (lambda s: (sched.eta(s), sched.gamma(s))) if sched is not None else (lambda s: (eta, gamma)),
+        _blocks(lambda c: noise_rng.standard_normal((c, R, d)), K, span).__next__,
+        _blocks(lambda c: np.argpartition(index_rng.random((c, R, n)), B - 1, axis=-1)[..., :B],
+                subsets, span).__next__,
+        obj.minibatch_gradient_rows, record,
+    )
+    if diverged_step is not None:
+        raise DivergedError(diverged_step)
     out.final = X
     return out

@@ -10,7 +10,9 @@ import vrld
 from vrld import diagnostics
 from vrld.potentials import make_builtin
 from vrld.samplers import (
+    VARIANTS,
     AnnealSchedule,
+    DivergedError,
     SamplerConfig,
     chain_rngs,
     grad_evals_at,
@@ -172,13 +174,6 @@ class TestVarianceReducedEstimators:
             )
             assert res["gap"] <= 1e-12 * (1 + np.linalg.norm(res["target"]))
 
-    def test_recursive_telescoping_runtime_check(self):
-        obj = heterogeneous(n=6)
-        cfg = SamplerConfig(
-            variant="sarah_ld", eta=0.002, B=2, m=6, K=24, seed=13, debug_checks=True
-        )
-        vrld.run_sarah_ld(obj, cfg, np.zeros(obj.d))  # internal assertion must hold
-
     def test_anchored_estimator_exact_at_anchor(self):
         """With x at the anchor the correction vanishes for any subset."""
         obj = heterogeneous(n=6)
@@ -205,6 +200,47 @@ class TestDivergence:
         with pytest.raises(vrld.samplers.DivergedError):
             run_ensemble(obj, "lmc", 4, 2000, eta=1e8, gamma=1.0, seed=0,
                          x0=np.ones(obj.d), checkpoints=[2000])
+
+    # From x0 = 30 with eta = 0.9 the quartic's gradient first overflows at
+    # iterate 4, whatever the estimator: the components are identical.
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_chain_reports_the_exact_step_for_any_stride(self, variant):
+        obj = make_builtin("double_well", {"a": 1.0, "n_copies": 8})
+        kw = dict(variant=variant, eta=0.9, B=4, m=4, K=400, seed=0)
+        dense = run_chain(obj, SamplerConfig(**kw), np.array([30.0]))
+        for store_every in (1, 10):
+            t = run_chain(obj, SamplerConfig(store_every=store_every, **kw), np.array([30.0]))
+            assert t.diverged and t.diverged_step == 4
+            assert np.all(np.isfinite(t.final_x))
+            np.testing.assert_array_equal(t.final_x, dense.iterates[4])
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_ensemble_reports_the_chain_step(self, variant):
+        obj = make_builtin("double_well", {"a": 1.0, "n_copies": 8})
+        with pytest.raises(DivergedError) as info:
+            run_ensemble(obj, variant, 4, 400, eta=0.9, gamma=1.0, B=4, m=4, x0=np.array([30.0]))
+        assert info.value.step == 4
+
+
+class TestNoInputIgnored:
+    @pytest.mark.parametrize("variant", ["lmc", "sgld"])
+    def test_ensemble_schedule_needs_an_epoch_variant(self, variant):
+        sched = AnnealSchedule(eta_bar=0.01, gamma_bar=1.0, sigma=3.0, mu=13.0, g=math.e)
+        with pytest.raises(ValueError, match="svrg_ld and sarah_ld"):
+            run_ensemble(quadratic(n=16), variant, 8, 40, B=4, sched=sched)
+
+    @pytest.mark.parametrize("B", [0, -3, 9])
+    def test_ensemble_batch_out_of_range(self, B):
+        with pytest.raises(ValueError, match="1 <= B"):
+            run_ensemble(quadratic(n=8), "svrg_ld", 4, 8, eta=0.01, gamma=1.0, B=B, m=4)
+
+    @pytest.mark.parametrize("runner", [vrld.run_lmc, vrld.run_sgld, vrld.run_svrg_ld, vrld.run_sarah_ld])
+    def test_runner_rejects_another_variant(self, runner):
+        own = runner.__name__.removeprefix("run_")
+        for other in VARIANTS:
+            if other != own:
+                with pytest.raises(ValueError, match="is not"):
+                    runner(quadratic(), SamplerConfig(variant=other, eta=0.01, B=2, m=2, K=4), np.zeros(2))
 
 
 class TestConfigValidation:
@@ -306,3 +342,154 @@ class TestEnsemble:
         res = run_ensemble(obj, "sarah_ld", 10, 12, eta=0.001, gamma=1.0, B=4, m=4,
                            seed=1, checkpoints=[12])
         assert res.grad_evals[12] == grad_evals_at("sarah_ld", 12, obj.n, 4, 4)
+
+
+# -- reference transcription ------------------------------------------------------
+#
+# Plain per-variant updates, the reference the runners are held to bitwise.
+# Single chains draw one noise vector per step from stream 0 of chain_rngs and,
+# where the estimator needs one, one subset from stream 1; ensembles draw from
+# chain_rngs(seed) in blocks of whole epochs, bounded to a few MB, with each
+# chain's subset the B smallest of n iid uniforms.
+
+
+def reference_chain(obj, variant, x0, K, m, B, seed, schedule, store_every, replicate):
+    noise_rng, index_rng = chain_rngs(seed, replicate)
+    if variant in ("lmc", "sgld"):
+        m = 1
+    x = np.array(x0, dtype=float)
+    stored = [(0, x, 0, math.nan, math.nan)]
+    count = 0
+    for k in range(K):
+        eta, gamma = schedule(k // m)
+        eps = noise_rng.standard_normal(obj.d)
+        if variant == "lmc":
+            v = obj.gradient(x)
+            count += obj.n
+        elif variant == "sgld":
+            v = obj.minibatch_gradient(x, sample_index_set(obj.n, B, index_rng))
+            count += B
+        elif k % m == 0:
+            v = anchor_v = obj.gradient(x)
+            anchor = x
+            count += obj.n
+        else:
+            idx = sample_index_set(obj.n, B, index_rng)
+            if variant == "svrg_ld":
+                v = obj.minibatch_gradient(x, idx) - obj.minibatch_gradient(anchor, idx) + anchor_v
+            else:
+                v = obj.minibatch_gradient(x, idx) - obj.minibatch_gradient(x_prev, idx) + v_prev
+            count += 2 * B
+        x_prev, v_prev = x, v
+        x = x - eta * v + math.sqrt(2.0 * eta / gamma) * eps
+        if (k + 1) % store_every == 0 or k + 1 == K:
+            stored.append((k + 1, x, count, eta, gamma))
+    return stored, x, m
+
+
+def reference_ensemble(obj, variant, R, K, m, B, seed, schedule, X, wanted):
+    noise_rng, index_rng = chain_rngs(seed)
+    n, d = obj.n, obj.d
+    if variant in ("lmc", "sgld"):
+        m = 1
+    subsets_per_epoch = {"lmc": 0, "sgld": 1}.get(variant, m - 1)
+    epochs_per_block = max(1, max(1, 2_000_000 // (R * max(d, n))) // m)
+    out = {0: (X, 0)} if 0 in wanted else {}
+    count = 0
+    for s0 in range(0, K // m, epochs_per_block):
+        c = min(epochs_per_block, K // m - s0)
+        EPS = noise_rng.standard_normal((c, m, R, d))
+        if subsets_per_epoch:
+            U = index_rng.random((c, subsets_per_epoch, R, n))
+            IDX = np.argpartition(U, B - 1, axis=-1)[..., :B]
+        for e in range(c):
+            eta, gamma = schedule(s0 + e)
+            for l in range(m):
+                if variant == "lmc":
+                    V = obj.gradient(X)
+                    count += n
+                elif variant == "sgld":
+                    V = obj.minibatch_gradient_rows(X, IDX[e, 0])
+                    count += B
+                elif l == 0:
+                    V = anchor_V = obj.gradient(X)
+                    anchor = X
+                    count += n
+                else:
+                    idx = IDX[e, l - 1]
+                    ref, ref_V = (anchor, anchor_V) if variant == "svrg_ld" else (X_prev, V_prev)
+                    V = obj.minibatch_gradient_rows(X, idx) - obj.minibatch_gradient_rows(ref, idx) + ref_V
+                    count += 2 * B
+                X_prev, V_prev = X, V
+                X = X - eta * V + math.sqrt(2.0 * eta / gamma) * EPS[e, l]
+                k = (s0 + e) * m + l + 1
+                if k in wanted:
+                    out[k] = (X, count)
+    return out, X
+
+
+def assert_bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def logistic(n=12, d=3, seed=4):
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, d))
+    labels = (rng.random(n) < 0.5).astype(float)
+    return make_builtin("logistic_l2", {"rows": rows, "labels": labels, "lam": 0.5})
+
+
+class TestReferenceEquivalence:
+    SCHED = AnnealSchedule(eta_bar=0.02, gamma_bar=1.0, sigma=3.0, mu=13.0, g=math.e)
+
+    def check_trace(self, trace, ref):
+        stored, final, m = ref
+        assert trace.m == m and not trace.diverged
+        assert trace.steps.tolist() == [row[0] for row in stored]
+        assert_bitwise(trace.iterates, [row[1] for row in stored])
+        assert trace.grad_evals.tolist() == [row[2] for row in stored]
+        assert_bitwise(trace.etas, [row[3] for row in stored])
+        assert_bitwise(trace.gammas, [row[4] for row in stored])
+        assert_bitwise(trace.final_x, final)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_runners_match_reference(self, variant):
+        for obj in (logistic(), heterogeneous(n=6)):
+            x0 = np.full(obj.d, 0.3)
+            for B, m, K in ((3, 3, 42), (obj.n, 1, 30)):
+                for store_every in (1, 7):
+                    for replicate in (0, 2):
+                        cfg = SamplerConfig(variant=variant, eta=0.01, gamma=2.0, B=B, m=m, K=K,
+                                            seed=9, store_every=store_every)
+                        self.check_trace(
+                            run_chain(obj, cfg, x0, replicate=replicate),
+                            reference_chain(obj, variant, x0, K, m, B, 9, lambda s: (0.01, 2.0),
+                                            store_every, replicate),
+                        )
+                        if variant in ("svrg_ld", "sarah_ld"):
+                            sched = self.SCHED
+                            self.check_trace(
+                                run_annealed(obj, variant, sched, B, m, K, 11, x0,
+                                             store_every=store_every, replicate=replicate),
+                                reference_chain(obj, variant, x0, K, m, B, 11,
+                                                lambda s: (sched.eta(s), sched.gamma(s)),
+                                                store_every, replicate),
+                            )
+        # n = 64 makes the R = 3000 ensembles span several blocks
+        for obj in (logistic(), quadratic(n=64)):
+            for R, K, B, m in ((1, 30, 3, 3), (5, 60, obj.n, 1), (3000, 24, 5, 3), (3000, 24, 5, 8)):
+                X0 = np.random.default_rng(R).standard_normal((R, obj.d))
+                wanted = [0, 7, K]
+                scheds = [None, self.SCHED] if variant in ("svrg_ld", "sarah_ld") else [None]
+                for sched in scheds:
+                    schedule = ((lambda s: (0.01, 2.0)) if sched is None
+                                else (lambda s: (sched.eta(s), sched.gamma(s))))
+                    res = run_ensemble(obj, variant, R, K, eta=0.01, gamma=2.0, B=B, m=m, seed=3,
+                                       x0=X0, checkpoints=wanted, sched=sched)
+                    ref, final = reference_ensemble(obj, variant, R, K, m, B, 3, schedule, X0, wanted)
+                    assert sorted(res.checkpoints) == sorted(ref) == sorted(res.grad_evals)
+                    for k, (X, count) in ref.items():
+                        assert_bitwise(res.checkpoints[k], X)
+                        assert res.grad_evals[k] == count
+                    assert_bitwise(res.final, final)
