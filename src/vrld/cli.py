@@ -191,8 +191,13 @@ def resolve_sampler(
     else:
         if s.get("eta") is None or s.get("steps") is None:
             raise ConfigError("[sampler] needs eta and steps (or auto = true)")
+        m = s["epoch"]
+        if variant in ("lmc", "sgld") and m != 1:
+            # kept legal: compare runs every variant from one [sampler] section
+            notes.append(f"[sampler] epoch = {m} does not apply to {variant}; resolved m = 1")
+            m = 1
         resolved = SamplerConfig(
-            variant=variant, eta=s["eta"], gamma=s["gamma"], B=s["batch"], m=s["epoch"],
+            variant=variant, eta=s["eta"], gamma=s["gamma"], B=s["batch"], m=m,
             K=s["steps"], seed=run["seed"], store_every=run["thin"], burn_in=run["burn_in"],
         )
     try:
@@ -521,6 +526,10 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     values = cfg.sweep["values"]
     if axis not in ("eta", "gamma", "b", "m", "n"):
         print(f"[sweep] axis must be eta, gamma, B, m, or n, got {axis!r}", file=sys.stderr)
+        return EXIT_CONFIG
+    if axis == "m" and cfg.sampler["variant"].lower() in ("lmc", "sgld"):
+        print(f"[sweep] axis m needs svrg_ld or sarah_ld; {cfg.sampler['variant']} has no epochs",
+              file=sys.stderr)
         return EXIT_CONFIG
     run = cfg.run
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -96,13 +96,11 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "thin": ("int", 1),
         "out": ("str", "runs"),
         "x0": ("floats", None),
-        "checkpoint_every": ("int", None),
     },
     "compare": {
         "variants": ("strs", _REQUIRED),
         "metric": ("str", "suboptimality"),
         "threshold": ("float", _REQUIRED),
-        "groups": ("int", 4),
     },
     "sweep": {
         "axis": ("str", _REQUIRED),

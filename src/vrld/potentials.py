@@ -29,6 +29,11 @@ __all__ = [
 ]
 
 
+# values per block of leading rows that ``value`` hands to a closed-form
+# evaluator, which builds an (rows, n, d) temporary at most: a few MB
+_BLOCK_VALUES = 1 << 18
+
+
 class NumericalDomainError(ArithmeticError):
     """A gradient or value came back non-finite."""
 
@@ -62,6 +67,9 @@ class FiniteSumObjective:
     The evaluation counter tallies component-gradient evaluations: a full
     gradient costs n, a minibatch of size B costs B.  Closed-form fast paths
     (``grad_fn``, ``minibatch_fn``, ``rows_fn``) keep the same accounting.
+    A full gradient without ``grad_fn`` is ``minibatch_fn`` over all n
+    components, the very call a full-batch minibatch makes; the loop over
+    components runs only where neither kernel is given.
     Evaluators are pure functions of x and are vectorised over leading axes,
     so the objective itself stays immutable apart from the counter.
     """
@@ -107,6 +115,7 @@ class FiniteSumObjective:
         self._grad_fn = grad_fn
         self._minibatch_fn = minibatch_fn
         self._rows_fn = rows_fn
+        self._all = np.arange(n)
         self.estimated_constants = frozenset(estimated_constants)
         self.meta = dict(meta or {})
         self._grad_evals = 0
@@ -132,11 +141,21 @@ class FiniteSumObjective:
         return self._component_value(i, np.asarray(x, dtype=float))
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        """F(x), vectorised over leading axes of x."""
+        """F(x), vectorised over leading axes of x.
+
+        A closed-form ``value_fn`` runs over blocks of leading rows, so a long
+        trace never builds an unbounded (rows, n) temporary; it reduces each
+        row on its own, so the blocks join to the single-call result bitwise.
+        """
         x = np.asarray(x, dtype=float)
-        if self._value_fn is not None:
+        if self._value_fn is None:
+            return sum(self._component_value(i, x) for i in range(self.n)) / self.n
+        flat = x.reshape(-1, self.d)
+        span = max(1, _BLOCK_VALUES // (self.n * self.d))
+        if flat.shape[0] <= span:
             return self._value_fn(x)
-        return sum(self._component_value(i, x) for i in range(self.n)) / self.n
+        out = np.concatenate([self._value_fn(flat[i:i + span]) for i in range(0, flat.shape[0], span)])
+        return out.reshape(x.shape[:-1])
 
     def component_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
         """grad f_i(x); counts one component-gradient evaluation."""
@@ -154,6 +173,8 @@ class FiniteSumObjective:
         self._count(self.n * (int(x.size // self.d) or 1))
         if self._grad_fn is not None:
             g = self._grad_fn(x)
+        elif self._minibatch_fn is not None:
+            g = self._minibatch_fn(x, self._all)
         else:
             g = sum(self._component_grad(i, x) for i in range(self.n)) / self.n
         if not np.all(np.isfinite(g)):
@@ -165,10 +186,12 @@ class FiniteSumObjective:
         idx = np.asarray(idx, dtype=int)
         if idx.ndim != 1 or idx.size == 0:
             raise ValueError("index set must be a nonempty 1-d sequence")
-        if np.unique(idx).size != idx.size:
-            raise ValueError(f"index set contains duplicates: {idx.tolist()}")
-        if idx.min() < 0 or idx.max() >= self.n:
-            raise ValueError(f"index set out of range [0, {self.n}): {idx.tolist()}")
+        # python ints: a set and min/max cost a fraction of np.unique here
+        ids = idx.tolist()
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"index set contains duplicates: {ids}")
+        if min(ids) < 0 or max(ids) >= self.n:
+            raise ValueError(f"index set out of range [0, {self.n}): {ids}")
         x = np.asarray(x, dtype=float)
         self._count(int(idx.size) * (int(x.size // self.d) or 1))
         if self._minibatch_fn is not None:
@@ -392,7 +415,8 @@ def _gaussian_mixture(params: dict) -> FiniteSumObjective:
     norm_const = 0.5 * d * math.log(2.0 * math.pi * s2)
 
     def comp_value(i, x):
-        t = np.tensordot(x, mu, axes=([-1], [0])) / s2
+        # einsum, not a BLAS dot, so that each row's sum is the same in any batch
+        t = np.einsum("...d,d->...", x, mu) / s2
         # log cosh computed stably: |t| + log1p(exp(-2|t|)) - log 2
         logcosh = np.abs(t) + np.log1p(np.exp(-2.0 * np.abs(t))) - math.log(2.0)
         return (np.sum(x * x, axis=-1) + mu2) / (2.0 * s2) - logcosh + norm_const
@@ -469,10 +493,16 @@ def _logistic_l2(params: dict) -> FiniteSumObjective:
         sig = 1.0 / (1.0 + np.exp(t))  # sigmoid(-t)
         return (-sig * y[i])[..., None] * rows[i] + lam * x
 
+    def value_fn(x):
+        # einsum, not matmul: BLAS sums a row differently with the batch size,
+        # and blocked evaluation must agree with one call
+        t = np.einsum("...d,nd->...n", x, rows) * y
+        return np.logaddexp(0.0, -t).mean(axis=-1) + 0.5 * lam * np.sum(x * x, axis=-1)
+
     def minibatch_fn(x, idx):
-        t = (np.tensordot(x, rows[idx].T, axes=([-1], [0]))) * y[idx]
-        sig = 1.0 / (1.0 + np.exp(t))
-        return (-(sig * y[idx])[..., None] * rows[idx]).mean(axis=-2) + lam * x
+        A, yb = rows[idx], y[idx]
+        sig = 1.0 / (1.0 + np.exp((x @ A.T) * yb))  # sigmoid(-margin)
+        return ((sig * yb) @ A) * (-1.0 / idx.shape[0]) + lam * x
 
     def rows_fn(X, IDX):
         A = rows[IDX]  # (R, B, d)
@@ -489,6 +519,7 @@ def _logistic_l2(params: dict) -> FiniteSumObjective:
         L=L,
         M=lam / 2.0,
         b=float(row_norm2.max()) / (2.0 * lam) + lam / 2.0,
+        value_fn=value_fn,
         minibatch_fn=minibatch_fn,
         rows_fn=rows_fn,
         meta={"lam": lam},

@@ -151,6 +151,7 @@ def test_c05_moment_oracle_vs_simulation(acceptance):
     assert ok
 
 
+@pytest.mark.slow
 def test_c06_bias_scaling_in_step_size(acceptance):
     """Eta sweep {0.005, 0.01, 0.02, 0.04} of the anchored chain on the
     quadratic (n = 64, B = m = 8, alpha = gamma = 1): every stationary
@@ -215,6 +216,7 @@ def test_c06_bias_scaling_in_step_size(acceptance):
     )
 
 
+@pytest.mark.slow
 def test_c07_geometric_decay_envelope(acceptance):
     """The measured moment-KL stays below exp(-alpha eta k / gamma) H0 + bias
     at every checkpoint of an anchored-chain run started from a Gaussian law."""
@@ -306,6 +308,7 @@ def test_c09_end_to_end_quarter_eps_property(acceptance):
     )
 
 
+@pytest.mark.slow
 def test_c10_optimization_desk_experiment(acceptance):
     """Double-well optimization run configured entirely by the closed forms:
     gamma from the accuracy recipe at eps = 0.5, the recipe step size, and the

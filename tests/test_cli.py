@@ -66,6 +66,13 @@ class TestConfigFormat:
         with pytest.raises(ConfigError, match="missing required key 'name'"):
             parse_config_text("[potential]\nn = 4\nd = 1\n[sampler]\nvariant = lmc\n")
 
+    @pytest.mark.parametrize("section,line", [("run", "checkpoint_every = 5"), ("compare", "groups = 4")])
+    def test_unused_keys_are_unknown(self, section, line):
+        text = BASE_CFG.format(out="runs") + "\n[compare]\nvariants = lmc, sgld\nthreshold = 1.0\n"
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+        with pytest.raises(ConfigError, match=f"unknown key '{line.split()[0]}'"):
+            parse_config_text(text)
+
     def test_inapplicable_potential_key(self):
         with pytest.raises(ConfigError, match="does not apply"):
             parse_config_text(
@@ -136,6 +143,21 @@ class TestValidateConfig:
         cfg = write_cfg(tmp_path, text)
         assert main(["validate-config", "--config", str(cfg)]) == 2
         assert "step cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant", ["lmc", "sgld"])
+    def test_epoch_resolves_to_one_without_epochs(self, tmp_path, capsys, variant):
+        """[sampler] epoch is shared with compare, so it stays legal, but a
+        variant without epochs resolves it to m = 1 and says so."""
+        out = tmp_path / "r"
+        text = BASE_CFG.format(out=out).replace("variant = svrg_ld", f"variant = {variant}")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["validate-config", "--config", str(cfg)]) == 0
+        printed = capsys.readouterr().out
+        assert " m=1 " in printed and "epoch = 4 does not apply" in printed
+        assert main(["run", "--config", str(cfg), "--quiet"]) == 0
+        header = (out / "summary.csv").read_text().splitlines()
+        assert "# resolved.m = 1" in header
+        assert any(l.startswith("# note:") and "epoch = 4 does not apply" in l for l in header)
 
     def test_partial_epoch_rejected(self, tmp_path, capsys):
         text = BASE_CFG.format(out=tmp_path / "r").replace("steps = 120", "steps = 122")
@@ -322,6 +344,14 @@ class TestSweepCommand:
         run_f = [r[3] for r in rep0]
         sweep_f = [r[6] for r in sweep]
         assert run_f == sweep_f
+
+    @pytest.mark.parametrize("variant", ["lmc", "sgld"])
+    def test_epoch_axis_needs_an_epoch_variant(self, tmp_path, capsys, variant):
+        text = BASE_CFG.format(out=tmp_path / "r").replace("variant = svrg_ld", f"variant = {variant}")
+        cfg = write_cfg(tmp_path, text + "\n[sweep]\naxis = m\nvalues = 2, 4\n")
+        assert main(["sweep", "--config", str(cfg), "--quiet"]) == 2
+        assert "axis m" in capsys.readouterr().err
+        assert not (tmp_path / "r" / "sweep.csv").exists()
 
     def test_full_batch_single_epoch_sweep_reproduces_lmc(self, tmp_path):
         """Sweeping B to n with m = 1 lands on the full-gradient chain."""

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vrld import potentials
 from vrld.potentials import (
     BUILTIN_NAMES,
     FiniteSumObjective,
@@ -108,9 +109,49 @@ class TestMinibatchGradient:
         with pytest.raises(ValueError, match="out of range"):
             minibatch_gradient(self.obj, np.zeros(1), [0, 5])
 
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            minibatch_gradient(self.obj, np.zeros(1), [-1, 0])
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             minibatch_gradient(self.obj, np.zeros(1), [])
+
+    def test_two_dimensional_rejected(self):
+        with pytest.raises(ValueError, match="1-d"):
+            minibatch_gradient(self.obj, np.zeros(1), [[0], [1]])
+
+
+class TestVectorisedOracle:
+    """The closed-form and vectorised evaluators against the component loop."""
+
+    @pytest.mark.parametrize("k", range(len(builtin_zoo())))
+    @pytest.mark.parametrize("R", [None, 5])
+    def test_gradient_and_value_are_component_sums(self, k, R):
+        obj = builtin_zoo()[k]
+        rng = np.random.default_rng(17 + k)
+        x = rng.standard_normal(obj.d if R is None else (R, obj.d))
+        grad = sum(obj.component_gradient(i, x) for i in range(obj.n)) / obj.n
+        value = sum(obj.component_value(i, x) for i in range(obj.n)) / obj.n
+        g, v = obj.gradient(x), obj.value(x)
+        assert g.shape == x.shape and np.shape(v) == x.shape[:-1], obj.name
+        gap = np.linalg.norm(g - grad, axis=-1)
+        assert np.all(gap <= 1e-12 * np.linalg.norm(grad, axis=-1)), obj.name
+        assert np.all(np.abs(v - value) <= 1e-12 * np.abs(value)), obj.name
+
+    @pytest.mark.parametrize("k", range(len(builtin_zoo())))
+    def test_blocked_value_equals_row_by_row(self, k, monkeypatch):
+        obj = builtin_zoo()[k]
+        monkeypatch.setattr(potentials, "_BLOCK_VALUES", 7 * obj.n * obj.d)
+        blocks = []
+        value_fn = obj._value_fn
+        monkeypatch.setattr(obj, "_value_fn", lambda x: blocks.append(len(x)) or value_fn(x))
+        trace = np.random.default_rng(k).standard_normal((40, 3, obj.d))
+        blocked = obj.value(trace)
+        assert blocks == [7] * 17 + [1], obj.name
+        rows = np.array([[obj.value(x) for x in step] for step in trace])
+        assert blocked.shape == (40, 3) and np.array_equal(blocked, rows), obj.name
+        assert np.array_equal(blocked, value_fn(trace)), obj.name
 
 
 class TestMakeBuiltin:

@@ -126,6 +126,16 @@ class TestDegenerateReduction:
         assert np.array_equal(t_lmc.iterates, t_svrg.iterates)
         assert np.array_equal(t_lmc.iterates, t_sarah.iterates)
 
+    def test_full_batch_single_epoch_matches_lmc_bitwise_on_logistic(self):
+        """Without a closed-form full gradient, lmc and a B = n minibatch make one oracle call."""
+        rng = np.random.default_rng(4)
+        obj = make_builtin("logistic_l2", {
+            "rows": rng.standard_normal((24, 3)), "labels": (rng.random(24) > 0.5).astype(float), "lam": 0.2})
+        kw = dict(eta=0.05, gamma=1.0, B=obj.n, m=1, K=300, seed=11)
+        t_lmc, *others = [run_chain(obj, SamplerConfig(variant=v, **kw), np.ones(obj.d)) for v in VARIANTS]
+        for t in others:
+            assert np.array_equal(t_lmc.iterates, t.iterates), t.variant
+
 
 class TestGradientAccounting:
     def test_epoch_increment_exact(self):
