@@ -272,30 +272,45 @@ def _run_replicates(obj: FiniteSumObjective, scfg: SamplerConfig, x0: np.ndarray
     return [samplers.run_chain(obj, scfg, x0, replicate=r) for r in range(replicates)]
 
 
-def _write_replicate_csv(path: Path, header: list[str], trace: RunTrace, obj: FiniteSumObjective) -> None:
-    coords = obj.d <= 16
-    cols = ["step", "epoch", "grad_evals", "f"]
+def _values(obj: FiniteSumObjective, traces: list[RunTrace]) -> list[np.ndarray]:
+    """F along each trace, computed once; a huge iterate reads inf or nan, silently."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [np.asarray(obj.value(t.iterates), dtype=float) for t in traces]
+
+
+def _cells(values, blank_nan: bool = False) -> list[str]:
+    """Round-trip cells of an int or float column; nan reads blank (no value) if asked."""
+    return ["" if blank_nan and v != v else repr(v) for v in np.asarray(values).tolist()]
+
+
+def _lines(columns) -> str:
+    """CSV rows from equal-length columns of cells, each row ending in a newline."""
+    return "".join(",".join(row) + "\n" for row in zip(*columns))
+
+
+def _write_csv(path: Path, header: list[str], columns: dict[str, list[str]], footer: list[str] = ()) -> None:
+    """Comment lines, the column names, the rows, then footer comment lines."""
+    path.write_text(_lines([[*header, ",".join(columns)]]) + _lines(columns.values()) + _lines([footer]),
+                    encoding="utf-8")
+
+
+def _trace_columns(trace: RunTrace) -> dict[str, list[str]]:
+    return {"step": _cells(trace.steps), "epoch": _cells(trace.steps // trace.m),
+            "grad_evals": _cells(trace.grad_evals)}
+
+
+def _replicate_columns(obj: FiniteSumObjective, trace: RunTrace, fvals: np.ndarray) -> dict[str, list[str]]:
+    cols = {**_trace_columns(trace), "f": _cells(fvals)}
     if obj.F_star is not None:
-        cols.append("suboptimality")
-    if coords:
-        cols.extend(f"x{j}" for j in range(obj.d))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(header) + "\n")
-        fh.write(",".join(cols) + "\n")
-        with np.errstate(over="ignore", invalid="ignore"):
-            fvals = np.asarray(obj.value(trace.iterates), dtype=float)
-        for i, step in enumerate(trace.steps):
-            row = [str(int(step)), str(int(step) // trace.m), str(int(trace.grad_evals[i])), repr(float(fvals[i]))]
-            if obj.F_star is not None:
-                row.append(repr(float(fvals[i]) - obj.F_star))
-            if coords:
-                row.extend(repr(float(v)) for v in trace.iterates[i])
-            fh.write(",".join(row) + "\n")
+        cols["suboptimality"] = _cells(fvals - obj.F_star)
+    if obj.d <= 16:
+        cols.update((f"x{j}", _cells(trace.iterates[:, j])) for j in range(obj.d))
+    return cols
 
 
-def _summary_rows(cfg: ExperimentConfig, obj: FiniteSumObjective, scfg: SamplerConfig,
-                  traces: list[RunTrace], annealed: bool = False) -> tuple[list[str], list[list[str]]]:
-    steps = traces[0].steps
+def _summary_columns(cfg: ExperimentConfig, obj: FiniteSumObjective, scfg: SamplerConfig,
+                     traces: list[RunTrace], fvals: list[np.ndarray],
+                     annealed: bool = False) -> dict[str, list[str]]:
     R = len(traces)
     th = cfg.theory or {}
     alpha, H0 = th.get("alpha"), th.get("H0")
@@ -306,61 +321,38 @@ def _summary_rows(cfg: ExperimentConfig, obj: FiniteSumObjective, scfg: SamplerC
         and scfg.variant in ("svrg_ld", "sarah_ld")
         and not hypothesis_report(cfg, obj, scfg)
     )
-    cols = ["step", "epoch", "grad_evals", "mean_f", "se_f"]
-    if obj.F_star is not None:
-        cols += ["suboptimality", "se_suboptimality"]
-    if gibbs is not None and R >= obj.d + 2:
-        cols += ["kl_surrogate", "w2_surrogate"]
-    if bounds_ok:
-        cols += ["bound_kl_total", "bound_kl_decay", "bound_kl_bias"]
-    rows: list[list[str]] = []
+    # (T, R): each step's replicates are one contiguous row, reduced on its own
+    all_f = np.stack(fvals, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        all_f = np.stack([np.asarray(obj.value(t.iterates), dtype=float) for t in traces])
-    for i, step in enumerate(steps):
-        fs = all_f[:, i]
-        with np.errstate(over="ignore", invalid="ignore"):
-            f_mean = float(fs.mean())
-            f_se = float(fs.std(ddof=1) / math.sqrt(R)) if R > 1 else 0.0
-        row = [
-            str(int(step)), str(int(step) // traces[0].m), str(int(traces[0].grad_evals[i])),
-            repr(f_mean), repr(f_se),
-        ]
-        if obj.F_star is not None:
-            row += [repr(f_mean - obj.F_star), repr(f_se)]
-        if gibbs is not None and R >= obj.d + 2:
-            ens = np.stack([t.iterates[i] for t in traces])
-            if np.all(np.isfinite(ens)) and np.abs(ens).max() < 1e100:
-                row += [
-                    repr(diagnostics.moment_kl_surrogate(ens, gibbs)),
-                    repr(diagnostics.moment_w2_surrogate(ens, gibbs)),
-                ]
-            else:
-                row += ["", ""]
-        if bounds_ok:
-            kb = theory.kl_bound(
-                scfg.variant, H0, int(step), scfg.eta, scfg.gamma, alpha,
-                obj.d, obj.L, obj.n, scfg.B, scfg.m,
-            )
-            row += [repr(kb.total), repr(kb.decay), repr(kb.bias)]
-        rows.append(row)
-    return cols, rows
+        f_mean = all_f.mean(axis=1)
+        se = _cells(all_f.std(axis=1, ddof=1) / math.sqrt(R) if R > 1 else np.zeros(len(all_f)))
+    cols = {**_trace_columns(traces[0]), "mean_f": _cells(f_mean), "se_f": se}
+    if obj.F_star is not None:
+        cols.update(suboptimality=_cells(f_mean - obj.F_star), se_suboptimality=se)
+    if gibbs is not None and R >= obj.d + 2:
+        kl, w2 = diagnostics.moment_surrogates(np.stack([t.iterates for t in traces], axis=1), gibbs)
+        cols.update(kl_surrogate=_cells(kl, blank_nan=True), w2_surrogate=_cells(w2, blank_nan=True))
+    if bounds_ok:
+        kbs = [theory.kl_bound(scfg.variant, H0, step, scfg.eta, scfg.gamma, alpha,
+                               obj.d, obj.L, obj.n, scfg.B, scfg.m) for step in traces[0].steps.tolist()]
+        for part in ("total", "decay", "bias"):
+            cols[f"bound_kl_{part}"] = [repr(getattr(kb, part)) for kb in kbs]
+    return cols
 
 
-def _burn_in_footer(obj: FiniteSumObjective, scfg: SamplerConfig,
-                    traces: list[RunTrace]) -> list[str]:
+def _burn_in_footer(obj: FiniteSumObjective, scfg: SamplerConfig, steps: np.ndarray,
+                    fvals: list[np.ndarray]) -> list[str]:
     """Time-averaged statistics over the stored post-burn-in steps, pooled
     across replicates."""
-    keep = traces[0].steps >= scfg.burn_in
+    keep = steps >= scfg.burn_in
     if not np.any(keep):
         return [f"# post_burn_in = none (burn_in={scfg.burn_in} exceeds stored steps)"]
     with np.errstate(over="ignore", invalid="ignore"):
-        pooled = np.concatenate(
-            [np.asarray(obj.value(t.iterates[keep]), dtype=float) for t in traces]
-        )
+        mean_f = float(np.concatenate([f[keep] for f in fvals]).mean())
     lines = [f"# post_burn_in_steps = {int(keep.sum())} per replicate (burn_in={scfg.burn_in})",
-             f"# post_burn_in_mean_f = {_fmt(float(pooled.mean()))}"]
+             f"# post_burn_in_mean_f = {_fmt(mean_f)}"]
     if obj.F_star is not None:
-        lines.append(f"# post_burn_in_suboptimality = {_fmt(float(pooled.mean()) - obj.F_star)}")
+        lines.append(f"# post_burn_in_suboptimality = {_fmt(mean_f - obj.F_star)}")
     return lines
 
 
@@ -383,16 +375,13 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     header = _resolved_header(cfg, obj, scfg)
     for note in notes:
         header.append(f"# note: {note}")
-    for r, trace in enumerate(traces):
-        _write_replicate_csv(out_dir / f"replicate_{r:03d}.csv", header + [f"# replicate = {r}"], trace, obj)
-    cols, rows = _summary_rows(cfg, obj, scfg, traces, annealed=sched is not None)
-    with open(out_dir / "summary.csv", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(header) + "\n")
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-        for line in _burn_in_footer(obj, scfg, traces):
-            fh.write(line + "\n")
+    fvals = _values(obj, traces)
+    for r, (trace, f) in enumerate(zip(traces, fvals)):
+        _write_csv(out_dir / f"replicate_{r:03d}.csv", header + [f"# replicate = {r}"],
+                   _replicate_columns(obj, trace, f))
+    _write_csv(out_dir / "summary.csv", header,
+               _summary_columns(cfg, obj, scfg, traces, fvals, annealed=sched is not None),
+               _burn_in_footer(obj, scfg, traces[0].steps, fvals))
     diverged = [r for r, t in enumerate(traces) if t.diverged]
     if not quiet:
         print(f"wrote {len(traces)} replicate trace(s) and summary.csv to {out_dir}")
@@ -416,7 +405,7 @@ def _metric_series(metric: str, obj: FiniteSumObjective, gamma: float,
     by bootstrap resamples of the replicates (for the SE)."""
     steps = traces[0].steps
     if metric in ("suboptimality", "mean_f"):
-        vals = np.stack([np.asarray(obj.value(t.iterates), dtype=float) for t in traces])
+        vals = np.stack(_values(obj, traces))
         if metric == "suboptimality":
             if obj.F_star is None:
                 raise ConfigError("[compare] suboptimality metric needs a potential with F_star")
@@ -429,15 +418,11 @@ def _metric_series(metric: str, obj: FiniteSumObjective, gamma: float,
         R = len(traces)
         if R < obj.d + 2:
             raise ConfigError(f"[compare] kl_surrogate needs at least {obj.d + 2} replicates, got {R}")
-        ensembles = np.stack([t.iterates for t in traces])  # (R, steps, d)
+        ensembles = np.stack([t.iterates for t in traces], axis=1)  # (steps, R, d)
         rng = np.random.default_rng(0)
         rows = [np.arange(R)] + [rng.integers(0, R, size=R) for _ in range(n_boot)]
-        vals = np.empty((len(rows), steps.size))
-        for gi, ids in enumerate(rows):
-            sub = ensembles[ids]
-            for i in range(steps.size):
-                vals[gi, i] = diagnostics.moment_kl_surrogate(sub[:, i], gibbs)
-        return steps, vals
+        # a checkpoint with no value (nan) never counts as below the threshold
+        return steps, np.stack([diagnostics.moment_surrogates(ensembles[:, ids], gibbs)[0] for ids in rows])
     raise ConfigError(f"[compare] unknown metric {metric!r}")
 
 
@@ -576,21 +561,14 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
                 fh.write("# " + ", ".join(f"{k}={_fmt(v)}" for k, v in cfg.sweep.items()) + "\n")
                 fh.write("axis,value,replicate,step,epoch,grad_evals,f,kl_surrogate\n")
                 wrote_header = True
-            for r, trace in enumerate(traces):
-                fvals = np.asarray(obj.value(trace.iterates), dtype=float)
-                for i, step in enumerate(trace.steps):
-                    fh.write(
-                        f"{axis},{_fmt(value)},{r},{int(step)},{int(step) // trace.m},"
-                        f"{int(trace.grad_evals[i])},{float(fvals[i])!r},\n"
-                    )
+            label = [axis, _fmt(value)]
+            for r, (trace, f) in enumerate(zip(traces, _values(obj, traces))):
+                fh.write(_lines([[c] * f.size for c in label + [str(r)]]
+                                + [*_trace_columns(trace).values(), _cells(f), [""] * f.size]))
             if gibbs is not None and len(traces) >= obj.d + 2:
-                for i, step in enumerate(traces[0].steps):
-                    ens = np.stack([t.iterates[i] for t in traces])
-                    kl = diagnostics.moment_kl_surrogate(ens, gibbs)
-                    fh.write(
-                        f"{axis},{_fmt(value)},all,{int(step)},{int(step) // traces[0].m},"
-                        f"{int(traces[0].grad_evals[i])},,{kl!r}\n"
-                    )
+                kl, _ = diagnostics.moment_surrogates(np.stack([t.iterates for t in traces], axis=1), gibbs)
+                fh.write(_lines([[c] * kl.size for c in label + ["all"]]
+                                + [*_trace_columns(traces[0]).values(), [""] * kl.size, _cells(kl, blank_nan=True)]))
     if not quiet:
         print(f"wrote {path}")
     return EXIT_OK

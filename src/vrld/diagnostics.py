@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 from scipy import integrate
 
-from .potentials import FiniteSumObjective, GaussianMoments
+from .potentials import _BLOCK_VALUES, FiniteSumObjective, GaussianMoments
 from .theory import minibatch_variance_factor
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "moments_of",
     "moment_kl_surrogate",
     "moment_w2_surrogate",
+    "moment_surrogates",
     "suboptimality",
     "svrg_subset_mean",
     "sarah_increment_mean",
@@ -109,32 +110,39 @@ def lmc_stationary_covariance(eta: float, gamma: float, d: int) -> np.ndarray:
     return np.eye(d) / (gamma * (1.0 - eta / 2.0))
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over leading axes, summed along the last axis: unlike BLAS or a
+    3-operand einsum, a row's result does not depend on the rows beside it."""
+    return (a[..., :, None, :] * np.swapaxes(b, -1, -2)[..., None, :, :]).sum(axis=-1)
+
+
+def _divergences(mean: np.ndarray, cov: np.ndarray, target: GaussianMoments) -> tuple[np.ndarray, np.ndarray]:
+    """KL(N(mean_t, cov_t) || target) and Bures W2, W2^2 = ||m - mq||^2 +
+    tr(S + Sq - 2 (Sq^1/2 S Sq^1/2)^1/2), for each t of a (T, d) / (T, d, d) stack."""
+    w, V = np.linalg.eigh(target.cov)
+    root = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
+    prec = np.linalg.inv(target.cov)
+    dm = mean - target.mean
+    quad = (dm * (prec * dm[:, None, :]).sum(axis=-1)).sum(axis=-1)
+    trace = (prec * np.swapaxes(cov, 1, 2)).sum(axis=-1).sum(axis=-1)
+    kl = 0.5 * (trace + quad - target.d + np.linalg.slogdet(target.cov)[1] - np.linalg.slogdet(cov)[1])
+    cross = np.sqrt(np.clip(np.linalg.eigvalsh(_matmul(_matmul(root, cov), root)), 0.0, None)).sum(axis=-1)
+    w2sq = (dm * dm).sum(axis=-1) + np.trace(cov, axis1=1, axis2=2) + np.trace(target.cov) - 2.0 * cross
+    return np.maximum(kl, 0.0), np.sqrt(np.maximum(w2sq, 0.0))
+
+
 def kl_gaussians(p: GaussianMoments, q: GaussianMoments) -> float:
     """KL(N(mp, Sp) || N(mq, Sq)) in closed form; nonnegative, zero iff equal."""
     if p.d != q.d:
         raise ValueError("dimension mismatch")
-    dm = q.mean - p.mean
-    sol = np.linalg.solve(q.cov, p.cov)
-    quad = float(dm @ np.linalg.solve(q.cov, dm))
-    _, logdet_q = np.linalg.slogdet(q.cov)
-    _, logdet_p = np.linalg.slogdet(p.cov)
-    kl = 0.5 * (np.trace(sol) + quad - p.d + logdet_q - logdet_p)
-    return max(float(kl), 0.0)
+    return float(_divergences(p.mean[None], p.cov[None], q)[0][0])
 
 
 def w2_gaussians(p: GaussianMoments, q: GaussianMoments) -> float:
-    """Bures 2-Wasserstein distance between Gaussians:
-    W2^2 = ||mp - mq||^2 + tr(Sp + Sq - 2 (Sq^1/2 Sp Sq^1/2)^1/2)."""
+    """Bures 2-Wasserstein distance between Gaussians (see :func:`_divergences`)."""
     if p.d != q.d:
         raise ValueError("dimension mismatch")
-    w, V = np.linalg.eigh(q.cov)
-    w = np.clip(w, 0.0, None)
-    root_q = (V * np.sqrt(w)) @ V.T
-    inner = root_q @ p.cov @ root_q
-    cross = np.sum(np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None)))
-    dm = p.mean - q.mean
-    w2sq = float(dm @ dm + np.trace(p.cov) + np.trace(q.cov) - 2.0 * cross)
-    return math.sqrt(max(w2sq, 0.0))
+    return float(_divergences(p.mean[None], p.cov[None], q)[1][0])
 
 
 def w2_empirical_1d(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -166,14 +174,26 @@ def gibbs_moments(obj: FiniteSumObjective, gamma: float) -> GaussianMoments | No
     return GaussianMoments(mean=obj.x_star, cov=np.eye(obj.d) / (gamma * s_mean))
 
 
+def _moments(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean (T, d) and covariance (T, d, d) of each checkpoint of a (T, R, d)
+    stack, symmetrised, and lifted to eigenvalue 1e-12 where it is not PD."""
+    mean = X.mean(axis=1)
+    centered = X - mean[:, None, :]
+    cov = _matmul(np.swapaxes(centered, 1, 2), centered) * (1.0 / (X.shape[1] - 1))
+    cov = 0.5 * (cov + cov.swapaxes(1, 2))
+    # tiny jitter guards the PD requirement for near-degenerate ensembles,
+    # such as step 0, where every replicate sits at x0
+    eig_min = np.linalg.eigvalsh(cov).min(axis=1)
+    cov += np.where(eig_min <= 0, 1e-12 - eig_min, 0.0)[:, None, None] * np.eye(X.shape[2])
+    return mean, cov
+
+
 def moments_of(samples: np.ndarray) -> GaussianMoments:
-    stats = SampleStats.from_samples(samples)
-    cov = 0.5 * (stats.cov + stats.cov.T)
-    # tiny jitter guards the PD requirement for near-degenerate ensembles
-    eig_min = np.linalg.eigvalsh(cov).min()
-    if eig_min <= 0:
-        cov = cov + (1e-12 - eig_min) * np.eye(cov.shape[0])
-    return GaussianMoments(mean=stats.mean, cov=cov)
+    X = np.atleast_2d(np.asarray(samples, dtype=float))
+    if X.shape[0] < 2:
+        raise ValueError("need at least two samples")
+    mean, cov = _moments(X[None])
+    return GaussianMoments(mean=mean[0], cov=cov[0])
 
 
 def moment_kl_surrogate(samples: np.ndarray, target: GaussianMoments) -> float:
@@ -185,6 +205,27 @@ def moment_kl_surrogate(samples: np.ndarray, target: GaussianMoments) -> float:
 
 def moment_w2_surrogate(samples: np.ndarray, target: GaussianMoments) -> float:
     return w2_gaussians(moments_of(samples), target)
+
+
+def moment_surrogates(iterates: np.ndarray, target: GaussianMoments) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`moment_kl_surrogate` and :func:`moment_w2_surrogate` at every
+    checkpoint of a (T, R, d) stack of R replicates, in blocks of a few MB
+    that join bitwise.  A checkpoint with an entry that is non-finite or of
+    magnitude >= 1e100 has no value: it reads nan in both arrays."""
+    X = np.asarray(iterates, dtype=float)
+    if X.ndim != 3 or X.shape[1] < 2 or X.shape[2] != target.d:
+        raise ValueError(f"need a (T, R >= 2, {target.d}) stack of iterates, got shape {X.shape}")
+    T, R, d = X.shape
+    kl, w2 = np.full(T, np.nan), np.full(T, np.nan)
+    span = max(1, _BLOCK_VALUES // (max(R, d) * d * d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t0 in range(0, T, span):
+            block = X[t0:t0 + span]
+            ok = np.isfinite(block).all(axis=(1, 2)) & (np.abs(block).max(axis=(1, 2)) < 1e100)
+            if ok.any():
+                mean, cov = _moments(np.ascontiguousarray(block[ok]))
+                kl[t0:t0 + span][ok], w2[t0:t0 + span][ok] = _divergences(mean, cov, target)
+    return kl, w2
 
 
 # -- suboptimality -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the configuration format and the command-line surface."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,18 @@ class TestRunCommand:
         cfg = write_cfg(tmp_path, "[potential]\nname = nope\n[sampler]\nvariant = lmc\n")
         assert main(["run", "--config", str(cfg), "--quiet"]) == 2
 
+    def test_objective_value_runs_once_per_replicate(self, tmp_path, monkeypatch):
+        """The replicate CSVs, the summary and the burn-in footer share one F
+        evaluation per replicate trace."""
+        from vrld.potentials import FiniteSumObjective
+
+        calls = []
+        value = FiniteSumObjective.value
+        monkeypatch.setattr(FiniteSumObjective, "value", lambda self, x: calls.append(1) or value(self, x))
+        cfg = write_cfg(tmp_path, BASE_CFG.format(out=tmp_path / "r"))
+        assert main(["run", "--config", str(cfg), "--quiet"]) == 0
+        assert len(calls) == 5
+
     def test_epoch_column_agrees_between_files(self, tmp_path):
         """The replicate and summary CSVs take the epoch column from one source."""
         out = tmp_path / "r"
@@ -369,3 +382,27 @@ class TestSweepCommand:
         lmc_f = [l.split(",")[3] for l in (out_l / "replicate_000.csv").read_text().splitlines()
                  if l and not l.startswith("#") and not l.startswith("step")]
         assert sweep_f == lmc_f
+
+    def test_huge_iterates_give_blank_cells_like_run(self, tmp_path):
+        """A sweep whose ensemble grows past 1e100 without diverging writes no
+        value (a blank cell) there, by the rule summary.csv follows, and no
+        nan or warning."""
+        out = tmp_path / "r"
+        text = (
+            "[potential]\nname = gaussian_quadratic\nn = 8\nd = 1\nseed = 0\n"
+            "[sampler]\nvariant = lmc\neta = 2.5\ngamma = 1.0\nsteps = 900\n"
+            f"[run]\nreplicates = 4\nseed = 1\nx0 = 1.0\nout = {out}\n"
+            "[sweep]\naxis = eta\nvalues = 2.5\n"
+        )
+        cfg = write_cfg(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["sweep", "--config", str(cfg), "--quiet"]) == 0
+            assert main(["run", "--config", str(cfg), "--quiet"]) == 0
+        sweep_kl = [l.split(",")[7] for l in (out / "sweep.csv").read_text().splitlines()
+                    if l.startswith("eta,2.5,all,")]
+        header, *rows = [l.split(",") for l in (out / "summary.csv").read_text().splitlines()
+                         if l and not l.startswith("#")]
+        run_kl = [r[header.index("kl_surrogate")] for r in rows]
+        assert "nan" not in sweep_kl and "" in sweep_kl and sweep_kl[0] != ""
+        assert [c == "" for c in sweep_kl] == [c == "" for c in run_kl]

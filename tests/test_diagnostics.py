@@ -260,3 +260,84 @@ class TestSampleStats:
         X = rng.standard_normal((100, 3))
         mom = dg.moments_of(X)
         assert np.linalg.eigvalsh(mom.cov).min() > 0
+
+
+def _kl_reference(p, q):
+    """KL by solves, one checkpoint at a time: the per-checkpoint formula the
+    batched kernel replaced."""
+    dm = q.mean - p.mean
+    quad = float(dm @ np.linalg.solve(q.cov, dm))
+    kl = 0.5 * (np.trace(np.linalg.solve(q.cov, p.cov)) + quad - p.d
+                + np.linalg.slogdet(q.cov)[1] - np.linalg.slogdet(p.cov)[1])
+    return max(float(kl), 0.0)
+
+
+def _w2_reference(p, q):
+    w, V = np.linalg.eigh(q.cov)
+    root_q = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
+    cross = np.sum(np.sqrt(np.clip(np.linalg.eigvalsh(root_q @ p.cov @ root_q), 0.0, None)))
+    dm = p.mean - q.mean
+    return math.sqrt(max(float(dm @ dm + np.trace(p.cov) + np.trace(q.cov) - 2.0 * cross), 0.0))
+
+
+def _moments_reference(X):
+    cov = np.cov(X, rowvar=False, ddof=1).reshape(X.shape[1], X.shape[1])
+    cov = 0.5 * (cov + cov.T)
+    eig_min = np.linalg.eigvalsh(cov).min()
+    if eig_min <= 0:
+        cov = cov + (1e-12 - eig_min) * np.eye(cov.shape[0])
+    return GaussianMoments(X.mean(axis=0), cov)
+
+
+def _stack(d, R=9, T=40, seed=0):
+    """Random (T, R, d) checkpoints with a degenerate one (every replicate at
+    one point, the jitter path) and two with no value (huge, non-finite)."""
+    rng = np.random.default_rng(seed + d)
+    X = rng.standard_normal((T, R, d)) * rng.uniform(0.2, 3.0, (T, 1, d)) + rng.standard_normal((T, 1, d))
+    X[0] = 0.75
+    X[5, 2, 0] = 1e120
+    X[6, 1, -1] = np.inf
+    A = rng.standard_normal((d, d))
+    return X, GaussianMoments(rng.standard_normal(d), A @ A.T + 0.3 * np.eye(d))
+
+
+class TestMomentSurrogates:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_per_checkpoint_formulas(self, d):
+        X, target = _stack(d)
+        kl, w2 = dg.moment_surrogates(X, target)
+        assert kl.shape == w2.shape == (X.shape[0],)
+        for t in range(X.shape[0]):
+            if t in (5, 6):
+                assert math.isnan(kl[t]) and math.isnan(w2[t])
+                continue
+            p = _moments_reference(X[t])
+            assert kl[t] == pytest.approx(_kl_reference(p, target), rel=1e-12, abs=0)
+            assert w2[t] == pytest.approx(_w2_reference(p, target), rel=1e-12, abs=0)
+            assert dg.kl_gaussians(p, target) == pytest.approx(kl[t], rel=1e-12, abs=0)
+            assert dg.w2_gaussians(p, target) == pytest.approx(w2[t], rel=1e-12, abs=0)
+            # one formula: the T = 1 wrappers are the batched kernel's row
+            assert dg.moment_kl_surrogate(X[t], target) == kl[t]
+            assert dg.moment_w2_surrogate(X[t], target) == w2[t]
+
+    def test_degenerate_checkpoint_takes_the_jitter(self):
+        X, target = _stack(2)
+        mom = dg.moments_of(X[0])
+        np.testing.assert_array_equal(mom.cov, 1e-12 * np.eye(2))
+        assert dg.moment_surrogates(X, target)[0][0] == dg.kl_gaussians(mom, target)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("span", [1, 3, 7])
+    def test_blocked_equals_one_call(self, d, span, monkeypatch):
+        X, target = _stack(d, T=50)
+        whole = dg.moment_surrogates(X, target)
+        monkeypatch.setattr(dg, "_BLOCK_VALUES", span * X.shape[1] * d * d)
+        blocked = dg.moment_surrogates(X, target)
+        for a, b in zip(whole, blocked):
+            assert np.array_equal(a, b, equal_nan=True)
+
+    def test_rejects_a_stack_of_the_wrong_shape(self):
+        target = GaussianMoments(np.zeros(2), np.eye(2))
+        for shape in ((4, 2), (4, 1, 2), (4, 5, 3)):
+            with pytest.raises(ValueError, match="stack of iterates"):
+                dg.moment_surrogates(np.zeros(shape), target)
