@@ -277,8 +277,9 @@ def _gaussian_quadratic(params: dict) -> FiniteSumObjective:
         return s[i] * (x - centers[i])
 
     def value_fn(x):
-        diffs = x[..., None, :] - centers
-        return 0.5 * np.mean(s * np.sum(diffs**2, axis=-1), axis=-1)
+        # F(x) = F* + mean(s)/2 ||x - x*||^2: O(d) per row and exact at x*
+        diff = x - x_star
+        return F_star + 0.5 * s_mean * np.sum(diff * diff, axis=-1)
 
     def grad_fn(x):
         return s_mean * x - u
