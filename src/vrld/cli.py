@@ -299,15 +299,6 @@ def _trace_columns(trace: RunTrace) -> dict[str, list[str]]:
             "grad_evals": _cells(trace.grad_evals)}
 
 
-def _replicate_columns(obj: FiniteSumObjective, trace: RunTrace, fvals: np.ndarray) -> dict[str, list[str]]:
-    cols = {**_trace_columns(trace), "f": _cells(fvals)}
-    if obj.F_star is not None:
-        cols["suboptimality"] = _cells(fvals - obj.F_star)
-    if obj.d <= 16:
-        cols.update((f"x{j}", _cells(trace.iterates[:, j])) for j in range(obj.d))
-    return cols
-
-
 def _summary_columns(cfg: ExperimentConfig, obj: FiniteSumObjective, scfg: SamplerConfig,
                      traces: list[RunTrace], fvals: list[np.ndarray],
                      annealed: bool = False) -> dict[str, list[str]]:
@@ -377,8 +368,12 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
         header.append(f"# note: {note}")
     fvals = _values(obj, traces)
     for r, (trace, f) in enumerate(zip(traces, fvals)):
-        _write_csv(out_dir / f"replicate_{r:03d}.csv", header + [f"# replicate = {r}"],
-                   _replicate_columns(obj, trace, f))
+        cols = {**_trace_columns(trace), "f": _cells(f)}
+        if obj.F_star is not None:
+            cols["suboptimality"] = _cells(f - obj.F_star)
+        if obj.d <= 16:
+            cols.update((f"x{j}", _cells(trace.iterates[:, j])) for j in range(obj.d))
+        _write_csv(out_dir / f"replicate_{r:03d}.csv", header + [f"# replicate = {r}"], cols)
     _write_csv(out_dir / "summary.csv", header,
                _summary_columns(cfg, obj, scfg, traces, fvals, annealed=sched is not None),
                _burn_in_footer(obj, scfg, traces[0].steps, fvals))
