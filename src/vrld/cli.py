@@ -280,7 +280,7 @@ def _values(obj: FiniteSumObjective, traces: list[RunTrace]) -> list[np.ndarray]
 
 def _cells(values, blank_nan: bool = False) -> list[str]:
     """Round-trip cells of an int or float column; nan reads blank (no value) if asked."""
-    return ["" if blank_nan and v != v else repr(v) for v in np.asarray(values).tolist()]
+    return ["" if blank_nan and math.isnan(v) else repr(v) for v in np.asarray(values).tolist()]
 
 
 def _lines(columns) -> str:

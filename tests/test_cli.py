@@ -6,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from vrld.cli import main
+from vrld.cli import _metric_series, build_objective, main, resolve_sampler
 from vrld.config import ConfigError, parse_config_text
+from vrld.samplers import run_chain
 
 
 BASE_CFG = """
@@ -322,6 +323,21 @@ class TestAnnealedRun:
 
 
 class TestCompareCommand:
+    def test_kl_series_has_no_value_where_iterates_are_huge(self):
+        """compare's full-ensemble kl_surrogate series is nan, so never below a
+        threshold, exactly at the checkpoints with |x| >= 1e100; a bootstrap
+        resample can only lose values there."""
+        cfg = parse_config_text(HUGE_CFG.format(out="r"))
+        obj = build_objective(cfg)
+        scfg, _, _ = resolve_sampler(cfg, obj)
+        traces = [run_chain(obj, scfg, np.array([1.0]), replicate=r) for r in range(4)]
+        _, vals = _metric_series("kl_surrogate", obj, scfg.gamma, traces)
+        huge = np.abs(np.stack([t.iterates for t in traces], axis=1)).max(axis=(1, 2)) >= 1e100
+        assert huge.any() and not huge.all()
+        assert np.array_equal(np.isnan(vals[0]), huge)
+        assert not np.isnan(vals[1:, ~huge]).any()
+
+
     def test_identical_variants_identical_columns(self, tmp_path):
         text = BASE_CFG.format(out=tmp_path / "r") + (
             "\n[compare]\nvariants = svrg_ld, svrg_ld\nmetric = kl_surrogate\nthreshold = 3.0\n"
@@ -340,6 +356,33 @@ class TestCompareCommand:
         assert main(["compare", "--config", str(cfg), "--quiet"]) == 0
         content = (tmp_path / "r" / "compare.csv").read_text()
         assert "not_reached" in content
+
+
+# lmc at eta = 2.5 on a unit quadratic: the iterates grow by 1.5x per step,
+# past 1e100 long before they overflow
+HUGE_CFG = """
+[potential]
+name = gaussian_quadratic
+n = 8
+d = 1
+seed = 0
+
+[sampler]
+variant = lmc
+eta = 2.5
+gamma = 1.0
+steps = 900
+
+[run]
+replicates = 4
+seed = 1
+x0 = 1.0
+out = {out}
+
+[sweep]
+axis = eta
+values = 2.5
+"""
 
 
 class TestSweepCommand:
@@ -388,13 +431,7 @@ class TestSweepCommand:
         value (a blank cell) there, by the rule summary.csv follows, and no
         nan or warning."""
         out = tmp_path / "r"
-        text = (
-            "[potential]\nname = gaussian_quadratic\nn = 8\nd = 1\nseed = 0\n"
-            "[sampler]\nvariant = lmc\neta = 2.5\ngamma = 1.0\nsteps = 900\n"
-            f"[run]\nreplicates = 4\nseed = 1\nx0 = 1.0\nout = {out}\n"
-            "[sweep]\naxis = eta\nvalues = 2.5\n"
-        )
-        cfg = write_cfg(tmp_path, text)
+        cfg = write_cfg(tmp_path, HUGE_CFG.format(out=out))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["sweep", "--config", str(cfg), "--quiet"]) == 0
