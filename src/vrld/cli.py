@@ -312,7 +312,7 @@ def _summary_columns(cfg: ExperimentConfig, obj: FiniteSumObjective, scfg: Sampl
         and scfg.variant in ("svrg_ld", "sarah_ld")
         and not hypothesis_report(cfg, obj, scfg)
     )
-    # (T, R): each step's replicates are one contiguous row, reduced on its own
+    # (T, R) rows: a step's mean/se equal its own 1-d reduction bitwise; axis 0 would not
     all_f = np.stack(fvals, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         f_mean = all_f.mean(axis=1)
