@@ -17,12 +17,11 @@ from .samplers import (
     run_chain,
     run_ensemble,
     run_lmc,
+    run_replicates,
     run_sarah_ld,
     run_sgld,
     run_svrg_ld,
     sample_index_set,
-    step_lmc,
-    step_sgld,
 )
 
 __version__ = "0.1.0"
@@ -43,9 +42,8 @@ __all__ = [
     "run_sarah_ld",
     "run_annealed",
     "run_chain",
+    "run_replicates",
     "run_ensemble",
     "sample_index_set",
-    "step_lmc",
-    "step_sgld",
     "__version__",
 ]

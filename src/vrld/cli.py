@@ -263,15 +263,6 @@ def _resolved_header(cfg: ExperimentConfig, obj: FiniteSumObjective, scfg: Sampl
     return lines
 
 
-def _run_replicates(obj: FiniteSumObjective, scfg: SamplerConfig, x0: np.ndarray,
-                    replicates: int, sched=None) -> list[RunTrace]:
-    if sched is not None:
-        return [samplers.run_annealed(obj, scfg.variant, sched, scfg.B, scfg.m, scfg.K, scfg.seed, x0,
-                                      store_every=scfg.store_every, replicate=r)
-                for r in range(replicates)]
-    return [samplers.run_chain(obj, scfg, x0, replicate=r) for r in range(replicates)]
-
-
 def _values(obj: FiniteSumObjective, traces: list[RunTrace]) -> list[np.ndarray]:
     """F along each trace, computed once; a huge iterate reads inf or nan, silently."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -302,7 +293,7 @@ def _trace_columns(trace: RunTrace) -> dict[str, list[str]]:
 def _summary_columns(cfg: ExperimentConfig, obj: FiniteSumObjective, scfg: SamplerConfig,
                      traces: list[RunTrace], fvals: list[np.ndarray],
                      annealed: bool = False) -> dict[str, list[str]]:
-    R = len(traces)
+    R, steps = len(traces), samplers.stored_steps(scfg.K, scfg.store_every)
     th = cfg.theory or {}
     alpha, H0 = th.get("alpha"), th.get("H0")
     gibbs = diagnostics.gibbs_moments(obj, scfg.gamma)
@@ -312,34 +303,42 @@ def _summary_columns(cfg: ExperimentConfig, obj: FiniteSumObjective, scfg: Sampl
         and scfg.variant in ("svrg_ld", "sarah_ld")
         and not hypothesis_report(cfg, obj, scfg)
     )
+    # every stored step, with nan (no value, a blank cell) where a replicate has stopped;
     # (T, R) rows: a step's mean/se equal its own 1-d reduction bitwise; axis 0 would not
-    all_f = np.stack(fvals, axis=1)
+    all_f = np.full((steps.size, R), np.nan)
+    iterates = np.full((steps.size, R, obj.d), np.nan)
+    for r, (trace, f) in enumerate(zip(traces, fvals)):
+        all_f[:f.size, r], iterates[:f.size, r] = f, trace.iterates
     with np.errstate(over="ignore", invalid="ignore"):
         f_mean = all_f.mean(axis=1)
-        se = _cells(all_f.std(axis=1, ddof=1) / math.sqrt(R) if R > 1 else np.zeros(len(all_f)))
-    cols = {**_trace_columns(traces[0]), "mean_f": _cells(f_mean), "se_f": se}
+        se = _cells(all_f.std(axis=1, ddof=1) / math.sqrt(R) if R > 1 else np.zeros(len(all_f)), blank_nan=True)
+    cols = {"step": _cells(steps), "epoch": _cells(steps // scfg.m),
+            "grad_evals": [str(samplers.grad_evals_at(scfg.variant, k, obj.n, scfg.B, scfg.m))
+                           for k in steps.tolist()],
+            "mean_f": _cells(f_mean, blank_nan=True), "se_f": se}
     if obj.F_star is not None:
-        cols.update(suboptimality=_cells(f_mean - obj.F_star), se_suboptimality=se)
+        cols.update(suboptimality=_cells(f_mean - obj.F_star, blank_nan=True), se_suboptimality=se)
     if gibbs is not None and R >= obj.d + 2:
-        kl, w2 = diagnostics.moment_surrogates(np.stack([t.iterates for t in traces], axis=1), gibbs)
+        kl, w2 = diagnostics.moment_surrogates(iterates, gibbs)
         cols.update(kl_surrogate=_cells(kl, blank_nan=True), w2_surrogate=_cells(w2, blank_nan=True))
     if bounds_ok:
-        kbs = [theory.kl_bound(scfg.variant, H0, step, scfg.eta, scfg.gamma, alpha,
-                               obj.d, obj.L, obj.n, scfg.B, scfg.m) for step in traces[0].steps.tolist()]
-        for part in ("total", "decay", "bias"):
-            cols[f"bound_kl_{part}"] = [repr(getattr(kb, part)) for kb in kbs]
+        # kl_bound checks the hypotheses and gives the bias; only the decay depends on the step
+        bias = theory.kl_bound(scfg.variant, H0, 0, scfg.eta, scfg.gamma, alpha,
+                               obj.d, obj.L, obj.n, scfg.B, scfg.m).bias
+        decay = [theory.kl_decay(H0, k, scfg.eta, scfg.gamma, alpha) for k in steps.tolist()]
+        cols.update(bound_kl_total=[repr(x + bias) for x in decay], bound_kl_decay=[repr(x) for x in decay],
+                    bound_kl_bias=[repr(bias)] * steps.size)
     return cols
 
 
-def _burn_in_footer(obj: FiniteSumObjective, scfg: SamplerConfig, steps: np.ndarray,
-                    fvals: list[np.ndarray]) -> list[str]:
+def _burn_in_footer(obj: FiniteSumObjective, scfg: SamplerConfig, fvals: list[np.ndarray]) -> list[str]:
     """Time-averaged statistics over the stored post-burn-in steps, pooled
-    across replicates."""
-    keep = steps >= scfg.burn_in
+    across replicates over the steps each one reached."""
+    keep = samplers.stored_steps(scfg.K, scfg.store_every) >= scfg.burn_in
     if not np.any(keep):
         return [f"# post_burn_in = none (burn_in={scfg.burn_in} exceeds stored steps)"]
     with np.errstate(over="ignore", invalid="ignore"):
-        mean_f = float(np.concatenate([f[keep] for f in fvals]).mean())
+        mean_f = float(np.concatenate([f[keep[:f.size]] for f in fvals]).mean())
     lines = [f"# post_burn_in_steps = {int(keep.sum())} per replicate (burn_in={scfg.burn_in})",
              f"# post_burn_in_mean_f = {_fmt(mean_f)}"]
     if obj.F_star is not None:
@@ -362,7 +361,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
         print(f"x0 must have dimension {obj.d}", file=sys.stderr)
         return EXIT_CONFIG
     out_dir.mkdir(parents=True, exist_ok=True)
-    traces = _run_replicates(obj, scfg, x0, run["replicates"], sched=sched)
+    traces = samplers.run_replicates(obj, scfg, x0, run["replicates"], sched=sched)
     header = _resolved_header(cfg, obj, scfg)
     for note in notes:
         header.append(f"# note: {note}")
@@ -376,7 +375,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
         _write_csv(out_dir / f"replicate_{r:03d}.csv", header + [f"# replicate = {r}"], cols)
     _write_csv(out_dir / "summary.csv", header,
                _summary_columns(cfg, obj, scfg, traces, fvals, annealed=sched is not None),
-               _burn_in_footer(obj, scfg, traces[0].steps, fvals))
+               _burn_in_footer(obj, scfg, fvals))
     diverged = [r for r, t in enumerate(traces) if t.diverged]
     if not quiet:
         print(f"wrote {len(traces)} replicate trace(s) and summary.csv to {out_dir}")
@@ -452,7 +451,7 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
         if sched is not None:
             print("[compare] annealed configs are not supported", file=sys.stderr)
             return EXIT_CONFIG
-        traces = _run_replicates(obj, scfg, x0, run["replicates"])
+        traces = samplers.run_replicates(obj, scfg, x0, run["replicates"])
         if any(t.diverged for t in traces):
             table.append((variant, "diverged", ""))
             continue
@@ -547,7 +546,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
                 print("[sweep] annealed configs are not supported", file=sys.stderr)
                 return EXIT_CONFIG
             x0 = np.zeros(obj.d) if run.get("x0") is None else np.asarray(run["x0"], dtype=float)
-            traces = _run_replicates(obj, scfg, x0, run["replicates"])
+            traces = samplers.run_replicates(obj, scfg, x0, run["replicates"])
             if any(t.diverged for t in traces):
                 print(f"sweep point {axis}={_fmt(value)} diverged", file=sys.stderr)
                 return EXIT_DIVERGED

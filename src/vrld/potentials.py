@@ -1,7 +1,7 @@
 """Finite-sum potentials F(x) = (1/n) * sum_i f_i(x) with per-component gradients.
 
 Every objective carries its regularity metadata (smoothness constant L,
-dissipativity pair (M, b), known minimum) and a thread-safe counter of
+dissipativity pair (M, b), known minimum) and a counter of
 component-gradient evaluations.  Constants that were estimated on a grid
 rather than derived analytically are listed in ``estimated_constants`` and
 must not be fed silently into theory-mode computations.
@@ -10,7 +10,6 @@ must not be fed silently into theory-mode computations.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -29,8 +28,8 @@ __all__ = [
 ]
 
 
-# values per block of leading rows that ``value`` hands to a closed-form
-# evaluator, which builds an (rows, n, d) temporary at most: a few MB
+# values per block of leading rows that ``value`` or a full gradient hands to
+# a kernel, which builds an (rows, n, d) temporary at most: a few MB
 _BLOCK_VALUES = 1 << 18
 
 
@@ -65,11 +64,14 @@ class FiniteSumObjective:
     """F(x) = (1/n) sum_i f_i(x) with component-level access.
 
     The evaluation counter tallies component-gradient evaluations: a full
-    gradient costs n, a minibatch of size B costs B.  Closed-form fast paths
-    (``grad_fn``, ``minibatch_fn``, ``rows_fn``) keep the same accounting.
-    A full gradient without ``grad_fn`` is ``minibatch_fn`` over all n
-    components, the very call a full-batch minibatch makes; the loop over
-    components runs only where neither kernel is given.
+    gradient costs n, a minibatch of size B costs B.  Each objective has one
+    row kernel, ``rows_fn(X, IDX)``: row r of an (R, d) X gets the minibatch
+    gradient over the index row IDX[r].  A minibatch gradient is that kernel
+    on one row, and a full gradient without ``grad_fn`` is that kernel over
+    all n components, the very call a full-batch minibatch makes; without
+    ``rows_fn`` the kernel loops over components.  ``full_kernel`` and
+    ``rows_kernel`` are the two evaluators without counting or checks, for a
+    step loop that counts for itself and reports with ``add_grad_evals``.
     Evaluators are pure functions of x and are vectorised over leading axes,
     so the objective itself stays immutable apart from the counter.
     """
@@ -89,7 +91,6 @@ class FiniteSumObjective:
         x_star: np.ndarray | None = None,
         value_fn: Callable[[np.ndarray], np.ndarray] | None = None,
         grad_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-        minibatch_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
         rows_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
         estimated_constants: frozenset[str] = frozenset(),
         meta: dict | None = None,
@@ -112,14 +113,12 @@ class FiniteSumObjective:
         self.F_star = F_star
         self.x_star = None if x_star is None else np.asarray(x_star, dtype=float)
         self._value_fn = value_fn
-        self._grad_fn = grad_fn
-        self._minibatch_fn = minibatch_fn
-        self._rows_fn = rows_fn
         self._all = np.arange(n)
+        self.rows_kernel = rows_fn if rows_fn is not None else self._component_rows
+        self.full_kernel = grad_fn if grad_fn is not None else lambda x: self._rows_at(x, self._all)
         self.estimated_constants = frozenset(estimated_constants)
         self.meta = dict(meta or {})
         self._grad_evals = 0
-        self._lock = threading.Lock()
 
     # -- evaluation counter -------------------------------------------------
 
@@ -128,14 +127,25 @@ class FiniteSumObjective:
         return self._grad_evals
 
     def reset_grad_evals(self) -> None:
-        with self._lock:
-            self._grad_evals = 0
+        self._grad_evals = 0
 
-    def _count(self, k: int) -> None:
-        with self._lock:
-            self._grad_evals += k
+    def add_grad_evals(self, k: int) -> None:
+        """Count k evaluations made through the uncounted kernels."""
+        self._grad_evals += k
 
     # -- evaluators ---------------------------------------------------------
+
+    def _component_rows(self, X: np.ndarray, IDX: np.ndarray) -> np.ndarray:
+        # the loop over components, for an objective with no row kernel
+        return np.array([sum(self._component_grad(int(i), x) for i in idx) / len(idx)
+                         for x, idx in zip(X, IDX)]).reshape(X.shape)
+
+    def _rows_at(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """The row kernel at every row of x, each over the same index set, in
+        blocks of rows of a few MB; rows are independent, so blocks join bitwise."""
+        flat, span = x.reshape(-1, self.d), max(1, _BLOCK_VALUES // (idx.size * self.d))
+        return np.concatenate([self.rows_kernel(X, np.broadcast_to(idx, (len(X), idx.size)))
+                               for X in np.split(flat, range(span, len(flat), span))]).reshape(x.shape)
 
     def component_value(self, i: int, x: np.ndarray) -> np.ndarray:
         return self._component_value(i, np.asarray(x, dtype=float))
@@ -161,7 +171,7 @@ class FiniteSumObjective:
         """grad f_i(x); counts one component-gradient evaluation."""
         if not 0 <= i < self.n:
             raise IndexError(f"component index {i} out of range for n={self.n}")
-        self._count(int(np.asarray(x).size // self.d) or 1)
+        self.add_grad_evals(int(np.asarray(x).size // self.d) or 1)
         g = self._component_grad(i, np.asarray(x, dtype=float))
         if not np.all(np.isfinite(g)):
             raise NumericalDomainError(f"component gradient {i} is non-finite")
@@ -170,13 +180,8 @@ class FiniteSumObjective:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """Full gradient (1/n) sum_i grad f_i(x); counts n evaluations."""
         x = np.asarray(x, dtype=float)
-        self._count(self.n * (int(x.size // self.d) or 1))
-        if self._grad_fn is not None:
-            g = self._grad_fn(x)
-        elif self._minibatch_fn is not None:
-            g = self._minibatch_fn(x, self._all)
-        else:
-            g = sum(self._component_grad(i, x) for i in range(self.n)) / self.n
+        self.add_grad_evals(self.n * (int(x.size // self.d) or 1))
+        g = self.full_kernel(x)
         if not np.all(np.isfinite(g)):
             raise NumericalDomainError("full gradient is non-finite")
         return g
@@ -193,30 +198,18 @@ class FiniteSumObjective:
         if min(ids) < 0 or max(ids) >= self.n:
             raise ValueError(f"index set out of range [0, {self.n}): {ids}")
         x = np.asarray(x, dtype=float)
-        self._count(int(idx.size) * (int(x.size // self.d) or 1))
-        if self._minibatch_fn is not None:
-            g = self._minibatch_fn(x, idx)
-        else:
-            g = sum(self._component_grad(int(i), x) for i in idx) / idx.size
+        self.add_grad_evals(int(idx.size) * (int(x.size // self.d) or 1))
+        g = self._rows_at(x, idx)
         if not np.all(np.isfinite(g)):
             raise NumericalDomainError("minibatch gradient is non-finite")
         return g
 
     def minibatch_gradient_rows(self, X: np.ndarray, IDX: np.ndarray) -> np.ndarray:
-        """Row-wise minibatch gradients for an ensemble of chains.
-
-        X has shape (R, d) and IDX shape (R, B); row r gets the minibatch
-        gradient over IDX[r].  Counts R*B component evaluations.
-        """
-        X = np.asarray(X, dtype=float)
+        """The row kernel at an (R, d) X and its (R, B) index rows IDX; counts
+        R*B component evaluations."""
         IDX = np.asarray(IDX, dtype=int)
-        self._count(int(IDX.size))
-        if self._rows_fn is not None:
-            return self._rows_fn(X, IDX)
-        out = np.empty_like(X)
-        for r in range(X.shape[0]):
-            out[r] = sum(self._component_grad(int(i), X[r]) for i in IDX[r]) / IDX.shape[1]
-        return out
+        self.add_grad_evals(int(IDX.size))
+        return self.rows_kernel(np.asarray(X, dtype=float), IDX)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FiniteSumObjective({self.name!r}, n={self.n}, d={self.d}, L={self.L})"
@@ -284,9 +277,6 @@ def _gaussian_quadratic(params: dict) -> FiniteSumObjective:
     def grad_fn(x):
         return s_mean * x - u
 
-    def minibatch_fn(x, idx):
-        return np.mean(s[idx]) * x - (s[idx, None] * centers[idx]).mean(axis=0)
-
     def rows_fn(X, IDX):
         sb = s[IDX]  # (R, B)
         return sb.mean(axis=1)[:, None] * X - (sb[:, :, None] * centers[IDX]).mean(axis=1)
@@ -304,7 +294,6 @@ def _gaussian_quadratic(params: dict) -> FiniteSumObjective:
         x_star=x_star,
         value_fn=value_fn,
         grad_fn=grad_fn,
-        minibatch_fn=minibatch_fn,
         rows_fn=rows_fn,
         meta={"centers": centers, "scales": s},
     )
@@ -350,9 +339,6 @@ def _double_well(params: dict) -> FiniteSumObjective:
         def comp_grad(i, x):
             return quartic_grad(x)
 
-        def grad_fn(x):
-            return quartic_grad(x)
-
         x_star = np.array([a])
     else:
 
@@ -365,10 +351,10 @@ def _double_well(params: dict) -> FiniteSumObjective:
             g[..., 1] = x[..., 1]
             return g
 
-        def grad_fn(x):
-            return comp_grad(0, x)
-
         x_star = np.array([a, 0.0])
+
+    def grad_fn(x):
+        return comp_grad(0, x)
 
     def value_fn(x):
         return comp_value(0, x)
@@ -390,7 +376,6 @@ def _double_well(params: dict) -> FiniteSumObjective:
         x_star=x_star,
         value_fn=value_fn,
         grad_fn=grad_fn,
-        minibatch_fn=lambda x, idx: grad_fn(x),
         rows_fn=rows_fn,
         estimated_constants=frozenset({"L"}),
         meta={"a": a, "box": r},
@@ -423,7 +408,7 @@ def _gaussian_mixture(params: dict) -> FiniteSumObjective:
         return (np.sum(x * x, axis=-1) + mu2) / (2.0 * s2) - logcosh + norm_const
 
     def comp_grad(i, x):
-        t = np.tensordot(x, mu, axes=([-1], [0])) / s2
+        t = np.einsum("...d,d->...", x, mu) / s2
         return (x - np.tanh(t)[..., None] * mu) / s2
 
     def grad_fn(x):
@@ -440,7 +425,6 @@ def _gaussian_mixture(params: dict) -> FiniteSumObjective:
         b=max(mu2, s2) / (2.0 * s2),
         value_fn=lambda x: comp_value(0, x),
         grad_fn=grad_fn,
-        minibatch_fn=lambda x, idx: grad_fn(x),
         rows_fn=lambda X, IDX: grad_fn(X),
         meta={"mu": mu, "sigma": sigma},
     )
@@ -500,15 +484,11 @@ def _logistic_l2(params: dict) -> FiniteSumObjective:
         t = np.einsum("...d,nd->...n", x, rows) * y
         return np.logaddexp(0.0, -t).mean(axis=-1) + 0.5 * lam * np.sum(x * x, axis=-1)
 
-    def minibatch_fn(x, idx):
-        A, yb = rows[idx], y[idx]
-        sig = 1.0 / (1.0 + np.exp((x @ A.T) * yb))  # sigmoid(-margin)
-        return ((sig * yb) @ A) * (-1.0 / idx.shape[0]) + lam * x
-
     def rows_fn(X, IDX):
         A = rows[IDX]  # (R, B, d)
+        # einsum, not matmul, so that a row's gradient is the same in any batch
         t = np.einsum("rbd,rd->rb", A, X) * y[IDX]
-        sig = 1.0 / (1.0 + np.exp(t))
+        sig = 1.0 / (1.0 + np.exp(t))  # sigmoid(-margin)
         return -((sig * y[IDX])[:, :, None] * A).mean(axis=1) + lam * X
 
     return FiniteSumObjective(
@@ -521,7 +501,6 @@ def _logistic_l2(params: dict) -> FiniteSumObjective:
         M=lam / 2.0,
         b=float(row_norm2.max()) / (2.0 * lam) + lam / 2.0,
         value_fn=value_fn,
-        minibatch_fn=minibatch_fn,
         rows_fn=rows_fn,
         meta={"lam": lam},
     )

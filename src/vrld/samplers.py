@@ -4,16 +4,20 @@ Variants: full-gradient (lmc), plain minibatch (sgld), anchored
 variance-reduced (svrg_ld), and recursive variance-reduced (sarah_ld), plus
 the annealed runner that lowers the step size and raises the inverse
 temperature once per epoch.  All of them run through one step loop,
-:func:`_langevin`; the runners only set up its streams and its recorder.
+:func:`_langevin`, on an (R, d) state; the runners only set up its streams
+and its recorder.
 
 RNG discipline, two layouts:
 
-- Single chains (:func:`run_chain`, :func:`run_annealed`): every chain owns
-  two Philox streams derived from ``SeedSequence((seed, replicate, 0|1))`` -
-  stream 0 for the per-step Gaussian noise, stream 1 for index subsets, drawn
-  by :func:`sample_index_set`.  Keeping the streams separate means variants
-  that consume different numbers of subset draws still see the same noise
-  sequence, which is what makes the B = n, m = 1 reduction to lmc exact.
+- Replicates (:func:`run_replicates`, and :func:`run_chain` and
+  :func:`run_annealed`, its one-replicate case): replicate r owns two Philox
+  streams derived from ``SeedSequence((seed, r, 0|1))`` - stream 0 for its
+  Gaussian noise, stream 1 for its index subsets, drawn by
+  :func:`sample_index_set`.  Each step stacks the replicates' own draws, so
+  replicate r is the same chain whatever R is.  Keeping the streams separate
+  means variants that consume different numbers of subset draws still see
+  the same noise sequence, which is what makes the B = n, m = 1 reduction to
+  lmc exact.
 - Ensembles (:func:`run_ensemble`): one shared stream pair,
   ``chain_rngs(seed)``, with noise drawn as (R, d) rows and subsets as the B
   smallest of n iid uniforms per chain, both in blocks of steps.
@@ -29,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .potentials import FiniteSumObjective, NumericalDomainError
+from .potentials import FiniteSumObjective
 
 __all__ = [
     "VARIANTS",
@@ -39,14 +43,14 @@ __all__ = [
     "DivergedError",
     "chain_rngs",
     "sample_index_set",
-    "step_lmc",
-    "step_sgld",
+    "stored_steps",
     "run_lmc",
     "run_sgld",
     "run_svrg_ld",
     "run_sarah_ld",
     "run_annealed",
     "run_chain",
+    "run_replicates",
     "grad_evals_at",
     "EnsembleResult",
     "run_ensemble",
@@ -171,139 +175,154 @@ def sample_index_set(n: int, B: int, rng: np.random.Generator) -> np.ndarray:
     return np.sort(rng.choice(n, size=B, replace=False))
 
 
-def _langevin_update(x, v, eta: float, gamma: float, noise):
-    # overflow here is the divergence signal, not a warning condition
-    with np.errstate(over="ignore", invalid="ignore"):
-        return x - eta * v + math.sqrt(2.0 * eta / gamma) * noise
-
-
-def step_lmc(obj: FiniteSumObjective, x, eta: float, gamma: float, noise) -> np.ndarray:
-    """One full-gradient step x - eta grad F(x) + sqrt(2 eta / gamma) noise."""
-    new = _langevin_update(x, obj.gradient(x), eta, gamma, np.asarray(noise, dtype=float))
-    if not np.all(np.isfinite(new)):
-        raise DivergedError(step=0)
-    return new
-
-
-def step_sgld(obj: FiniteSumObjective, x, eta: float, gamma: float, idx, noise) -> np.ndarray:
-    """One minibatch step using the subset idx in place of the full gradient."""
-    new = _langevin_update(x, obj.minibatch_gradient(x, idx), eta, gamma, np.asarray(noise, dtype=float))
-    if not np.all(np.isfinite(new)):
-        raise DivergedError(step=0)
-    return new
-
-
 def _blocks(draw, total: int, span: int):
     """The rows of ``total`` draws, made ``span`` rows at a time by ``draw(c)``."""
     for start in range(0, total, span):
         yield from draw(min(span, total - start))
 
 
+def stored_steps(K: int, store_every: int) -> np.ndarray:
+    """The steps a K-step trace stores: 0, every ``store_every``-th, and K."""
+    return np.unique(np.r_[0:K + 1:store_every, K])
+
+
 def _langevin(obj: FiniteSumObjective, variant: str, X, K: int, m: int,
-              schedule, noise, subset, minibatch, record):
+              schedule, noise, subset, record, diverged):
     """The one Langevin step loop behind every runner.
 
-    X is one chain's (d,) state or an (R, d) ensemble.  Epoch s is the m
+    X is the (R, d) state of R chains that step together.  Epoch s is the m
     steps from s*m and runs at ``schedule(s) = (eta, gamma)``.  Each step
     takes one ``noise()`` row shaped like X and, where its estimator needs
-    one, one ``subset()`` for ``minibatch(X, idx)``: lmc takes the full
+    them, ``subset()`` index rows for the row kernel: lmc takes the full
     gradient at every step (m = 1) and sgld a minibatch; svrg_ld and sarah_ld
     take the full gradient at each epoch start, then the anchored or the
     recursive estimate at 2B evaluations.  ``record(k, X, grad_evals, eta,
     gamma)`` sees every iterate k >= 1; grad_evals is the per-chain count of
-    component gradients so far.
+    component gradients so far.  The kernels run uncounted, and the count of
+    every chain is added to the objective once, at the end.
 
-    Returns the last finite iterate and the divergence step, None if all K
-    steps ran: the first iterate that is non-finite or has a non-finite
-    gradient estimate.
+    A chain stops at its first iterate that is non-finite or has a non-finite
+    gradient estimate: step k + 1, or k when the estimate at iterate k is the
+    non-finite one.  ``diverged(bad, steps, last)`` hears of the chains that
+    stop in one pass, a mask over the rows of X, with their steps and last
+    finite iterates; they leave the state and the others step on.  Returns
+    the final state.
     """
+    full, rows = obj.full_kernel, obj.rows_kernel
     plain = variant == "sgld"
     recursive = variant == "sarah_ld"
-    count = 0
-    # overflow is the divergence signal, checked below, not a warning condition
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(K):
-            s, l = divmod(k, m)
-            if l == 0:
-                eta, gamma = schedule(s)
-                scale = math.sqrt(2.0 * eta / gamma)
-            eps = noise()
-            try:
+    count = stopped = 0
+    ref = V_ref = X  # the anchor and its estimate, set at each epoch start
+    try:
+        # overflow is the divergence signal, checked below, not a warning condition
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(K):
+                s, l = divmod(k, m)
+                if l == 0:
+                    eta, gamma = schedule(s)
+                    scale = math.sqrt(2.0 * eta / gamma)
+                eps = noise()
                 if plain:
                     idx = subset()
-                    V = minibatch(X, idx)
+                    V = rows(X, idx)
                     count += idx.shape[-1]
                 elif l == 0:
-                    V = obj.gradient(X)
+                    V = full(X)
                     count += obj.n
                 else:
                     idx = subset()
-                    V = minibatch(X, idx) - minibatch(ref, idx) + V_ref
+                    # both terms of the control variate from one kernel call
+                    G = rows(np.concatenate((X, ref)), np.concatenate((idx, idx)))
+                    V = G[:len(X)] - G[len(X):] + V_ref
                     count += 2 * idx.shape[-1]
-            except NumericalDomainError:
-                return X, k
-            new = X - eta * V + scale * eps
-            # a finite sum proves every entry finite, at half the cost of isfinite
-            if not math.isfinite(new.sum()) and not np.isfinite(new).all():
-                return X, k + 1 if np.isfinite(V).all() else k
-            if recursive or l == 0:
-                ref, V_ref = X, V
-            X = new
-            record(k + 1, X, count, eta, gamma)
-    return X, None
+                new = X - eta * V + scale * eps
+                idx = None  # a subset row keeps its block alive: free it before the next draw
+                # a finite sum proves every entry finite, at half the cost of isfinite
+                if not math.isfinite(new.sum()):
+                    bad = ~np.isfinite(new).all(axis=1)
+                    if bad.any():
+                        diverged(bad, np.where(np.isfinite(V[bad]).all(axis=1), k + 1, k), X[bad])
+                        keep = ~bad
+                        stopped += count * int(bad.sum())
+                        X, V, new, ref, V_ref = X[keep], V[keep], new[keep], ref[keep], V_ref[keep]
+                        if not len(X):
+                            break
+                if recursive or l == 0:
+                    ref, V_ref = X, V
+                X = new
+                record(k + 1, X, count, eta, gamma)
+        return X
+    finally:
+        obj.add_grad_evals(stopped + count * len(X))
 
 
-class _TraceBuilder:
-    def __init__(self, variant: str, x0: np.ndarray, K: int, m: int, store_every: int):
-        self.variant = variant
-        self.m = m
-        self.store_every = store_every
-        self.K = K
-        self.steps = [0]
-        self.iterates = [np.array(x0, dtype=float)]
-        self.grad_evals = [0]
-        self.etas = [math.nan]
-        self.gammas = [math.nan]
-
-    def record(self, k: int, x, count: int, eta: float, gamma: float) -> None:
-        if k % self.store_every == 0 or k == self.K:
-            self.steps.append(k)
-            self.iterates.append(np.array(x, dtype=float))
-            self.grad_evals.append(count)
-            self.etas.append(eta)
-            self.gammas.append(gamma)
-
-    def build(self, final_x, diverged_step: int | None) -> RunTrace:
-        return RunTrace(
-            variant=self.variant,
-            steps=np.asarray(self.steps, dtype=int),
-            iterates=np.asarray(self.iterates, dtype=float),
-            grad_evals=np.asarray(self.grad_evals, dtype=np.int64),
-            etas=np.asarray(self.etas, dtype=float),
-            gammas=np.asarray(self.gammas, dtype=float),
-            m=self.m,
-            final_x=np.array(final_x, dtype=float),
-            diverged=diverged_step is not None,
-            diverged_step=diverged_step,
-        )
-
-
-def _run_single(obj: FiniteSumObjective, variant: str, x0, K: int, m: int, B: int, seed: int,
-                schedule, store_every: int, replicate: int) -> RunTrace:
-    """One chain on the per-replicate streams of :func:`chain_rngs`."""
-    noise_rng, index_rng = chain_rngs(seed, replicate)
-    n, d = obj.n, obj.d
+def _replicates(obj: FiniteSumObjective, variant: str, x0, K: int, m: int, B: int, seed: int,
+                store_every: int, schedule, replicates) -> list[RunTrace]:
+    """The chains ``replicates`` on their :func:`chain_rngs` streams, stepped
+    as one (R, d) state: each step stacks every live replicate's noise row and
+    index set, read from its own streams."""
+    n, d, R = obj.n, obj.d, len(replicates)
+    streams = [chain_rngs(seed, r) for r in replicates]
     m = m if variant in _ANCHORED else 1
-    x = np.array(x0, dtype=float)
-    tb = _TraceBuilder(variant, x, K, m, store_every)
-    span = max(1, _BLOCK_VALUES // max(d, n))
-    x, diverged_step = _langevin(
-        obj, variant, x, K, m, schedule,
-        _blocks(lambda c: noise_rng.standard_normal((c, d)), K, span).__next__,
-        lambda: sample_index_set(n, B, index_rng),
-        obj.minibatch_gradient, tb.record,
-    )
-    return tb.build(x, diverged_step)
+    span = max(1, _BLOCK_VALUES // (R * max(d, n)))
+    noise_rows = _blocks(lambda c: np.stack([g.standard_normal((c, d)) for g, _ in streams], axis=1), K, span)
+    steps = stored_steps(K, store_every)
+    final = np.tile(np.asarray(x0, dtype=float), (R, 1))
+    iterates = np.full((steps.size, R, d), np.nan)
+    iterates[0] = final
+    grad_evals = np.zeros(steps.size, dtype=np.int64)
+    etas, gammas = np.full(steps.size, np.nan), np.full(steps.size, np.nan)
+    kept, stops = [steps.size] * R, [None] * R
+    live = list(range(R))  # the replicates still stepping, in state order
+    t = 0
+
+    def noise():
+        eps = next(noise_rows)
+        return eps if len(live) == R else eps[live]
+
+    def subset():
+        return np.array([sample_index_set(n, B, streams[r][1]) for r in live])
+
+    def record(k, X, count, eta, gamma):
+        nonlocal t
+        if k % store_every == 0 or k == K:
+            t += 1
+            iterates[t, live] = X
+            grad_evals[t], etas[t], gammas[t] = count, eta, gamma
+
+    def diverged(bad, at, last):
+        nonlocal live
+        gone = [r for r, b in zip(live, bad.tolist()) if b]
+        live = [r for r, b in zip(live, bad.tolist()) if not b]
+        for r, step, x in zip(gone, at.tolist(), last):
+            kept[r], stops[r], final[r] = t + 1, step, x
+
+    final[live] = _langevin(obj, variant, final, K, m, schedule, noise, subset, record, diverged)
+    return [
+        RunTrace(variant=variant, steps=steps[:T].copy(), iterates=iterates[:T, r].copy(),
+                 grad_evals=grad_evals[:T].copy(), etas=etas[:T].copy(), gammas=gammas[:T].copy(),
+                 m=m, final_x=final[r].copy(), diverged=stops[r] is not None, diverged_step=stops[r])
+        for r, T in enumerate(kept)
+    ]
+
+
+def run_replicates(obj: FiniteSumObjective, cfg: SamplerConfig, x0, R: int,
+                   sched: AnnealSchedule | None = None) -> list[RunTrace]:
+    """Replicates 0..R-1 of ``cfg`` from x0, run as one (R, d) state.
+
+    Replicate r reads only its own :func:`chain_rngs` streams, so it is
+    ``run_chain(obj, cfg, x0, replicate=r)`` bit for bit, or with ``sched``
+    the :func:`run_annealed` chain at cfg's sizes.  A replicate that diverges
+    stops at its own step, as a single chain does, while the others step on.
+    """
+    cfg.validate(obj.n)
+    if sched is not None:
+        _check_annealed(cfg.variant)
+    if R < 1:
+        raise ValueError(f"need at least one replicate, got R={R}")
+    return _replicates(obj, cfg.variant, x0, cfg.K, cfg.m, cfg.B, cfg.seed, cfg.store_every,
+                       (lambda s: (cfg.eta, cfg.gamma)) if sched is None else
+                       (lambda s: (sched.eta(s), sched.gamma(s))), range(R))
 
 
 def run_chain(obj: FiniteSumObjective, cfg: SamplerConfig, x0, replicate: int = 0) -> RunTrace:
@@ -314,8 +333,8 @@ def run_chain(obj: FiniteSumObjective, cfg: SamplerConfig, x0, replicate: int = 
     gradient ends the run with ``diverged`` set instead of raising.
     """
     cfg.validate(obj.n)
-    return _run_single(obj, cfg.variant, x0, cfg.K, cfg.m, cfg.B, cfg.seed,
-                       lambda s: (cfg.eta, cfg.gamma), cfg.store_every, replicate)
+    return _replicates(obj, cfg.variant, x0, cfg.K, cfg.m, cfg.B, cfg.seed, cfg.store_every,
+                       lambda s: (cfg.eta, cfg.gamma), [replicate])[0]
 
 
 def _of_variant(cfg: SamplerConfig, variant: str) -> SamplerConfig:
@@ -376,8 +395,8 @@ def run_annealed(
     schedule; epoch s uses them for both the drift and the noise scale."""
     _check_annealed(variant)
     _check_sizes(obj, variant, B, m, K)
-    return _run_single(obj, variant, x0, K, m, B, seed,
-                       lambda s: (sched.eta(s), sched.gamma(s)), store_every, replicate)
+    return _replicates(obj, variant, x0, K, m, B, seed, store_every,
+                       lambda s: (sched.eta(s), sched.gamma(s)), [replicate])[0]
 
 
 def grad_evals_at(variant: str, k: int, n: int, B: int, m: int) -> int:
@@ -454,19 +473,19 @@ def run_ensemble(
             out.checkpoints[k] = X.copy()
             out.grad_evals[k] = count
 
+    def diverged(bad, steps, last):
+        raise DivergedError(int(steps.min()))
+
     record(0, X, 0)
     m = m if variant in _ANCHORED else 1
     span = max(1, _BLOCK_VALUES // max(1, R * max(d, n)))
     subsets = K if variant == "sgld" else K - K // m
-    X, diverged_step = _langevin(
+    out.final = _langevin(
         obj, variant, X, K, m,
         (lambda s: (sched.eta(s), sched.gamma(s))) if sched is not None else (lambda s: (eta, gamma)),
         _blocks(lambda c: noise_rng.standard_normal((c, R, d)), K, span).__next__,
         _blocks(lambda c: np.argpartition(index_rng.random((c, R, n)), B - 1, axis=-1)[..., :B],
                 subsets, span).__next__,
-        obj.minibatch_gradient_rows, record,
+        record, diverged,
     )
-    if diverged_step is not None:
-        raise DivergedError(diverged_step)
-    out.final = X
     return out

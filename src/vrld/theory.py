@@ -24,6 +24,7 @@ __all__ = [
     "step_size_cap",
     "bias_term",
     "bias_term_coarse",
+    "kl_decay",
     "kl_bound",
     "KlBound",
     "eta_for_eps",
@@ -136,6 +137,12 @@ def bias_term_coarse(eta: float, gamma: float, d: int, L: float, alpha: float) -
     return 224.0 * eta * gamma * d * L * L / (3.0 * alpha)
 
 
+def kl_decay(H0: float, k: int, eta: float, gamma: float, alpha: float) -> float:
+    """The decay part exp(-alpha eta k / gamma) H0 of :func:`kl_bound`, the
+    only part that depends on k; evaluated without hypothesis checks."""
+    return math.exp(-alpha * eta * k / gamma) * H0
+
+
 @dataclass(frozen=True)
 class KlBound:
     decay: float
@@ -176,9 +183,9 @@ def kl_bound(
     )
     if variant == SVRG:
         _require(B >= m, f"hypothesis B >= m violated: B={B}, m={m}")
-    decay = math.exp(-alpha * eta * k / gamma) * H0
     bias = bias_term(variant, eta, gamma, d, L, alpha, n, B, m)
-    return KlBound(decay=decay, bias=bias, bias_coarse=bias_term_coarse(eta, gamma, d, L, alpha))
+    return KlBound(decay=kl_decay(H0, k, eta, gamma, alpha), bias=bias,
+                   bias_coarse=bias_term_coarse(eta, gamma, d, L, alpha))
 
 
 def eta_for_eps(

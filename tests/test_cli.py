@@ -6,9 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
+from vrld import theory
 from vrld.cli import _metric_series, build_objective, main, resolve_sampler
 from vrld.config import ConfigError, parse_config_text
-from vrld.samplers import run_chain
+from vrld.potentials import make_builtin
+from vrld.samplers import SamplerConfig, run_chain
 
 
 BASE_CFG = """
@@ -35,6 +37,27 @@ H0 = 8.0
 replicates = 5
 seed = 99
 thin = 20
+out = {out}
+"""
+
+
+# the replicates of this double well run diverge at four different steps
+UNEVEN_CFG = """
+[potential]
+name = double_well
+a = 1.0
+n_copies = 8
+
+[sampler]
+variant = sgld
+eta = 0.45
+batch = 2
+steps = 400
+
+[run]
+replicates = 6
+seed = 3
+x0 = 2.5
 out = {out}
 """
 
@@ -204,6 +227,19 @@ class TestRunCommand:
         head = [l for l in (out / "summary.csv").read_text().splitlines() if l.startswith("step")][0]
         assert "bound_kl_total" in head and "kl_surrogate" in head
 
+    def test_bound_overlay_equals_kl_bound_at_every_step(self, tmp_path):
+        """The overlay checks the hypotheses once, yet prints the very strings
+        a kl_bound call at each stored step gives."""
+        out = tmp_path / "r"
+        cfg = write_cfg(tmp_path, BASE_CFG.format(out=out).replace("thin = 20", "thin = 1"))
+        assert main(["run", "--config", str(cfg), "--quiet"]) == 0
+        rows = [l.split(",") for l in (out / "summary.csv").read_text().splitlines()
+                if l and not l.startswith("#")]
+        col = {name: [row[j] for row in rows[1:]] for j, name in enumerate(rows[0])}
+        bounds = [theory.kl_bound("svrg_ld", 8.0, k, 0.005, 1.0, 1.0, 2, 1.0, 16, 4, 4) for k in range(121)]
+        for part in ("total", "decay", "bias"):
+            assert col[f"bound_kl_{part}"] == [repr(getattr(b, part)) for b in bounds]
+
     def test_auto_mode_picks_sqrt_n(self, tmp_path):
         """Auto mode with n = 16 resolves B = m = 4."""
         text = BASE_CFG.format(out=tmp_path / "r")
@@ -225,6 +261,31 @@ class TestRunCommand:
         text = text.replace("[theory]\nalpha = 1.0\nH0 = 8.0\n", "")
         cfg = write_cfg(tmp_path, text)
         assert main(["run", "--config", str(cfg), "--quiet"]) == 3
+
+    def test_uneven_divergence_writes_the_summary(self, tmp_path):
+        """Replicates that diverge at different steps (here 7, 8, 30 and 33)
+        still give a summary on the full step grid, blank where a replicate
+        has no value, and replicate CSVs that are their own chains."""
+        out = tmp_path / "r"
+        cfg = write_cfg(tmp_path, UNEVEN_CFG.format(out=out))
+        assert main(["run", "--config", str(cfg), "--quiet"]) == 3
+        obj = make_builtin("double_well", {"a": 1.0, "n_copies": 8})
+        scfg = SamplerConfig(variant="sgld", eta=0.45, B=2, K=400, seed=3)
+        traces = [run_chain(obj, scfg, np.array([2.5]), replicate=r) for r in range(6)]
+        assert sorted({t.diverged_step for t in traces}) == [7, 8, 30, 33]
+        for r, t in enumerate(traces):
+            rows = [l.split(",") for l in (out / f"replicate_{r:03d}.csv").read_text().splitlines()
+                    if l and not l.startswith("#")]
+            assert [int(row[0]) for row in rows[1:]] == t.steps.tolist()
+            assert [float(row[rows[0].index("x0")]) for row in rows[1:]] == t.iterates[:, 0].tolist()
+        rows = [l.split(",") for l in (out / "summary.csv").read_text().splitlines()
+                if l and not l.startswith("#")]
+        col = {name: [row[j] for row in rows[1:]] for j, name in enumerate(rows[0])}
+        assert col["step"] == [str(k) for k in range(401)]
+        shortest = min(len(t.steps) for t in traces)
+        assert all(c != "" for c in col["mean_f"][:shortest])
+        assert all(c == "" for name in ("mean_f", "se_f", "suboptimality") for c in col[name][shortest:])
+        assert not any("nan" in row for row in rows)
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path, "[potential]\nname = nope\n[sampler]\nvariant = lmc\n")

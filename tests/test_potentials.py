@@ -154,6 +154,21 @@ class TestVectorisedOracle:
         assert np.array_equal(blocked, value_fn(trace)), obj.name
 
 
+    def test_blocked_full_gradient_equals_row_by_row(self, monkeypatch):
+        """Without a closed-form gradient the row kernel runs over all n
+        components in blocks of rows, which join bitwise."""
+        obj = builtin_zoo()[-1]
+        monkeypatch.setattr(potentials, "_BLOCK_VALUES", 7 * obj.n * obj.d)
+        blocks = []
+        rows_kernel = obj.rows_kernel
+        monkeypatch.setattr(obj, "rows_kernel", lambda X, IDX: blocks.append(len(X)) or rows_kernel(X, IDX))
+        trace = np.random.default_rng(5).standard_normal((40, 3, obj.d))
+        blocked = obj.gradient(trace)
+        assert blocks == [7] * 17 + [1]
+        rows = np.array([[obj.gradient(x) for x in step] for step in trace])
+        assert blocked.shape == trace.shape and np.array_equal(blocked, rows)
+
+
 class TestMakeBuiltin:
     def test_names(self):
         assert set(BUILTIN_NAMES) == {
@@ -273,12 +288,3 @@ class TestEvaluationCounter:
         obj.reset_grad_evals()
         obj.minibatch_gradient_rows(np.zeros((5, 2)), np.tile([0, 1], (5, 1)))
         assert obj.grad_evals == 10
-
-    def test_thread_safe_increments(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        obj = make_builtin("gaussian_quadratic", {"n": 3, "d": 1, "seed": 0})
-        obj.reset_grad_evals()
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            list(pool.map(lambda _: obj.gradient(np.zeros(1)), range(200)))
-        assert obj.grad_evals == 600

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 import vrld
@@ -19,9 +21,8 @@ from vrld.samplers import (
     run_annealed,
     run_chain,
     run_ensemble,
+    run_replicates,
     sample_index_set,
-    step_lmc,
-    step_sgld,
 )
 
 
@@ -35,37 +36,23 @@ def heterogeneous(n=6, d=2, seed=5):
 
 
 class TestSteps:
-    def test_lmc_fixed_point_without_noise(self):
-        obj = quadratic()
-        x = obj.x_star
-        np.testing.assert_allclose(
-            step_lmc(obj, x, 0.1, 1.0, np.zeros(obj.d)), x, atol=1e-15
-        )
-
     def test_lmc_contraction_spot_value(self):
+        """One lmc step from 1 toward the center 0 lands at 0.9 plus the
+        chain's first noise draw scaled by sqrt(2 eta / gamma)."""
         obj = make_builtin("gaussian_quadratic", {"centers": [[0.0]]})
-        new = step_lmc(obj, np.array([1.0]), 0.1, 1.0, np.zeros(1))
-        np.testing.assert_allclose(new, [0.9], rtol=1e-15)
-
-    def test_sgld_full_index_equals_lmc(self):
-        obj = quadratic()
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(obj.d)
-        eps = rng.standard_normal(obj.d)
-        np.testing.assert_allclose(
-            step_sgld(obj, x, 0.05, 2.0, np.arange(obj.n), eps),
-            step_lmc(obj, x, 0.05, 2.0, eps),
-            rtol=1e-15,
-        )
+        trace = run_chain(obj, SamplerConfig(variant="lmc", eta=0.1, K=1, seed=4), np.array([1.0]))
+        eps = chain_rngs(4)[0].standard_normal(1)
+        np.testing.assert_allclose(trace.final_x, 0.9 + math.sqrt(0.2) * eps, rtol=1e-15)
 
     def test_sgld_singleton_average_is_lmc_step(self):
+        """On the same noise, a one-step sgld chain on the subset {i} misses
+        the lmc step by eta (grad F - grad f_i); the two misses cancel."""
         obj = make_builtin("gaussian_quadratic", {"centers": [[1.0], [-1.0]]})
-        x = np.array([0.4])
-        eps = np.array([0.7])
-        avg = 0.5 * (
-            step_sgld(obj, x, 0.1, 1.0, [0], eps) + step_sgld(obj, x, 0.1, 1.0, [1], eps)
-        )
-        np.testing.assert_allclose(avg, step_lmc(obj, x, 0.1, 1.0, eps), rtol=1e-14)
+        kw = dict(eta=0.1, gamma=1.0, B=1, K=1, seed=0)
+        sgld = run_replicates(obj, SamplerConfig(variant="sgld", **kw), np.array([0.4]), 8)
+        lmc = run_replicates(obj, SamplerConfig(variant="lmc", **kw), np.array([0.4]), 8)
+        misses = {round(float(s.final_x[0] - l.final_x[0]), 12) for s, l in zip(sgld, lmc)}
+        assert len(misses) == 2 and abs(sum(misses)) <= 1e-12
 
 
 class TestIndexSampling:
@@ -503,3 +490,67 @@ class TestReferenceEquivalence:
                         assert_bitwise(res.checkpoints[k], X)
                         assert res.grad_evals[k] == count
                     assert_bitwise(res.final, final)
+
+
+# -- the replicate engine, for any sizes --------------------------------------------
+
+
+@st.composite
+def engine_sizes(draw):
+    variant = draw(st.sampled_from(VARIANTS))
+    n = draw(st.integers(1, 8))
+    B = draw(st.integers(1, n))
+    m = draw(st.integers(1, 4))  # lmc and sgld run without epochs whatever m is
+    K = m * draw(st.integers(1, 6))
+    return variant, n, B, m, K, draw(st.integers(1, 5)), draw(st.integers(1, 9)), draw(st.integers(0, 2**16))
+
+
+class TestReplicateEngine:
+    @given(engine_sizes(), st.sampled_from(["quadratic", "logistic"]))
+    def test_each_replicate_is_its_reference_chain(self, sizes, kind):
+        """Replicate r of one (R, d) run equals the reference transcription of
+        replicate r bitwise, and the count is exact per step and in total."""
+        variant, n, B, m, K, store_every, R, seed = sizes
+        obj = heterogeneous(n=n) if kind == "quadratic" else logistic(n=n)
+        x0 = np.full(obj.d, 0.3)
+        cfg = SamplerConfig(variant=variant, eta=0.01, gamma=2.0, B=B, m=m, K=K, seed=seed,
+                            store_every=store_every)
+        traces = run_replicates(obj, cfg, x0, R)
+        assert obj.grad_evals == sum(t.total_grad_evals for t in traces)
+        for r, trace in enumerate(traces):
+            TestReferenceEquivalence().check_trace(
+                trace, reference_chain(obj, variant, x0, K, m, B, seed, lambda s: (0.01, 2.0), store_every, r))
+            assert trace.grad_evals.tolist() == [grad_evals_at(variant, k, n, B, m) for k in trace.steps.tolist()]
+        if variant in ("svrg_ld", "sarah_ld"):
+            sched = TestReferenceEquivalence.SCHED
+            for r, trace in enumerate(run_replicates(obj, cfg, x0, R, sched=sched)):
+                TestReferenceEquivalence().check_trace(trace, reference_chain(
+                    obj, variant, x0, K, m, B, seed, lambda s: (sched.eta(s), sched.gamma(s)), store_every, r))
+
+    # Replicates that diverge unevenly: the double well's on their own noise,
+    # from 2.5 with eta in [0.35, 0.45] at steps from 7 to beyond 60, and the
+    # heterogeneous quadratic's on their own subsets, from 1e250 at eta = 6 at
+    # steps from 70 to 77.
+    @given(st.sampled_from(VARIANTS), st.integers(1, 9), st.integers(0, 2**16),
+           st.sampled_from([1, 4]), st.booleans(), st.floats(0.35, 0.45))
+    def test_each_replicate_stops_where_it_stops_alone(self, variant, R, seed, store_every, well, eta):
+        if well:
+            obj, x0 = make_builtin("double_well", {"a": 1.0, "n_copies": 6}), np.array([2.5])
+        else:
+            obj, x0, eta = heterogeneous(n=6), np.full(2, 1e250), 6.0
+        cfg = SamplerConfig(variant=variant, eta=eta, B=2, m=4, K=80, seed=seed, store_every=store_every)
+        traces = run_replicates(obj, cfg, x0, R)
+        together = obj.grad_evals
+        obj.reset_grad_evals()
+        for r, trace in enumerate(traces):
+            alone = run_chain(obj, cfg, x0, replicate=r)
+            assert (trace.diverged, trace.diverged_step) == (alone.diverged, alone.diverged_step)
+            assert_bitwise(trace.final_x, alone.final_x)
+            assert_bitwise(trace.iterates, alone.iterates)
+            assert trace.steps.tolist() == alone.steps.tolist()
+        assert together == obj.grad_evals
+        # a replicate that stopped at step k evaluated through step k, or k + 1
+        # when the estimate at its iterate k was the non-finite one
+        count = [[grad_evals_at(variant, t.diverged_step + j if t.diverged else 80, 6, 2, 4) for t in traces]
+                 for j in (0, 1)]
+        assert sum(count[0]) <= together <= sum(count[1])
