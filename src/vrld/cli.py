@@ -293,7 +293,9 @@ def _trace_columns(trace: RunTrace) -> dict[str, list[str]]:
 def _summary_columns(cfg: ExperimentConfig, obj: FiniteSumObjective, scfg: SamplerConfig,
                      traces: list[RunTrace], fvals: list[np.ndarray],
                      annealed: bool = False) -> dict[str, list[str]]:
-    R, steps = len(traces), samplers.stored_steps(scfg.K, scfg.store_every)
+    # the longest trace has every stored step any replicate reached
+    R, grid = len(traces), max(traces, key=lambda t: t.steps.size)
+    steps = grid.steps
     th = cfg.theory or {}
     alpha, H0 = th.get("alpha"), th.get("H0")
     gibbs = diagnostics.gibbs_moments(obj, scfg.gamma)
@@ -303,7 +305,7 @@ def _summary_columns(cfg: ExperimentConfig, obj: FiniteSumObjective, scfg: Sampl
         and scfg.variant in ("svrg_ld", "sarah_ld")
         and not hypothesis_report(cfg, obj, scfg)
     )
-    # every stored step, with nan (no value, a blank cell) where a replicate has stopped;
+    # each replicate padded with nan (no value, a blank cell) from the step it stopped at;
     # (T, R) rows: a step's mean/se equal its own 1-d reduction bitwise; axis 0 would not
     all_f = np.full((steps.size, R), np.nan)
     iterates = np.full((steps.size, R, obj.d), np.nan)
@@ -312,10 +314,7 @@ def _summary_columns(cfg: ExperimentConfig, obj: FiniteSumObjective, scfg: Sampl
     with np.errstate(over="ignore", invalid="ignore"):
         f_mean = all_f.mean(axis=1)
         se = _cells(all_f.std(axis=1, ddof=1) / math.sqrt(R) if R > 1 else np.zeros(len(all_f)), blank_nan=True)
-    cols = {"step": _cells(steps), "epoch": _cells(steps // scfg.m),
-            "grad_evals": [str(samplers.grad_evals_at(scfg.variant, k, obj.n, scfg.B, scfg.m))
-                           for k in steps.tolist()],
-            "mean_f": _cells(f_mean, blank_nan=True), "se_f": se}
+    cols = {**_trace_columns(grid), "mean_f": _cells(f_mean, blank_nan=True), "se_f": se}
     if obj.F_star is not None:
         cols.update(suboptimality=_cells(f_mean - obj.F_star, blank_nan=True), se_suboptimality=se)
     if gibbs is not None and R >= obj.d + 2:
@@ -331,15 +330,19 @@ def _summary_columns(cfg: ExperimentConfig, obj: FiniteSumObjective, scfg: Sampl
     return cols
 
 
-def _burn_in_footer(obj: FiniteSumObjective, scfg: SamplerConfig, fvals: list[np.ndarray]) -> list[str]:
+def _burn_in_footer(obj: FiniteSumObjective, scfg: SamplerConfig, traces: list[RunTrace],
+                    fvals: list[np.ndarray]) -> list[str]:
     """Time-averaged statistics over the stored post-burn-in steps, pooled
     across replicates over the steps each one reached."""
-    keep = samplers.stored_steps(scfg.K, scfg.store_every) >= scfg.burn_in
-    if not np.any(keep):
+    post = [f[t.steps >= scfg.burn_in] for t, f in zip(traces, fvals)]
+    sizes = {p.size for p in post}
+    if sizes == {0}:
         return [f"# post_burn_in = none (burn_in={scfg.burn_in} exceeds stored steps)"]
     with np.errstate(over="ignore", invalid="ignore"):
-        mean_f = float(np.concatenate([f[keep[:f.size]] for f in fvals]).mean())
-    lines = [f"# post_burn_in_steps = {int(keep.sum())} per replicate (burn_in={scfg.burn_in})",
+        mean_f = float(np.concatenate(post).mean())
+    # replicates that stopped at different steps reach different counts: give their total
+    count = f"{sizes.pop()} per replicate" if len(sizes) == 1 else f"{sum(p.size for p in post)} in all"
+    lines = [f"# post_burn_in_steps = {count} (burn_in={scfg.burn_in})",
              f"# post_burn_in_mean_f = {_fmt(mean_f)}"]
     if obj.F_star is not None:
         lines.append(f"# post_burn_in_suboptimality = {_fmt(mean_f - obj.F_star)}")
@@ -375,7 +378,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
         _write_csv(out_dir / f"replicate_{r:03d}.csv", header + [f"# replicate = {r}"], cols)
     _write_csv(out_dir / "summary.csv", header,
                _summary_columns(cfg, obj, scfg, traces, fvals, annealed=sched is not None),
-               _burn_in_footer(obj, scfg, fvals))
+               _burn_in_footer(obj, scfg, traces, fvals))
     diverged = [r for r, t in enumerate(traces) if t.diverged]
     if not quiet:
         print(f"wrote {len(traces)} replicate trace(s) and summary.csv to {out_dir}")

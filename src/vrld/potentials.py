@@ -70,8 +70,8 @@ class FiniteSumObjective:
     on one row, and a full gradient without ``grad_fn`` is that kernel over
     all n components, the very call a full-batch minibatch makes; without
     ``rows_fn`` the kernel loops over components.  ``full_kernel`` and
-    ``rows_kernel`` are the two evaluators without counting or checks, for a
-    step loop that counts for itself and reports with ``add_grad_evals``.
+    ``rows_kernel`` are the two kernels without counting or checks; a step
+    loop that calls ``full_kernel`` counts for itself with ``add_grad_evals``.
     Evaluators are pure functions of x and are vectorised over leading axes,
     so the objective itself stays immutable apart from the counter.
     """
@@ -356,13 +356,6 @@ def _double_well(params: dict) -> FiniteSumObjective:
     def grad_fn(x):
         return comp_grad(0, x)
 
-    def value_fn(x):
-        return comp_value(0, x)
-
-    def rows_fn(X, IDX):
-        # identical components: any minibatch gradient equals the full one
-        return grad_fn(X)
-
     return FiniteSumObjective(
         "double_well",
         n,
@@ -374,9 +367,10 @@ def _double_well(params: dict) -> FiniteSumObjective:
         b=b_diss,
         F_star=0.0,
         x_star=x_star,
-        value_fn=value_fn,
+        value_fn=lambda x: comp_value(0, x),
         grad_fn=grad_fn,
-        rows_fn=rows_fn,
+        # identical components: any minibatch gradient equals the full one
+        rows_fn=lambda X, IDX: grad_fn(X),
         estimated_constants=frozenset({"L"}),
         meta={"a": a, "box": r},
     )

@@ -28,12 +28,13 @@ block size never changes a stream.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .potentials import FiniteSumObjective
+from .potentials import FiniteSumObjective, NumericalDomainError
 
 __all__ = [
     "VARIANTS",
@@ -43,7 +44,6 @@ __all__ = [
     "DivergedError",
     "chain_rngs",
     "sample_index_set",
-    "stored_steps",
     "run_lmc",
     "run_sgld",
     "run_svrg_ld",
@@ -181,25 +181,21 @@ def _blocks(draw, total: int, span: int):
         yield from draw(min(span, total - start))
 
 
-def stored_steps(K: int, store_every: int) -> np.ndarray:
-    """The steps a K-step trace stores: 0, every ``store_every``-th, and K."""
-    return np.unique(np.r_[0:K + 1:store_every, K])
-
-
 def _langevin(obj: FiniteSumObjective, variant: str, X, K: int, m: int,
-              schedule, noise, subset, record, diverged):
+              schedule, noise, subset, rows, record, diverged):
     """The one Langevin step loop behind every runner.
 
     X is the (R, d) state of R chains that step together.  Epoch s is the m
     steps from s*m and runs at ``schedule(s) = (eta, gamma)``.  Each step
     takes one ``noise()`` row shaped like X and, where its estimator needs
-    them, ``subset()`` index rows for the row kernel: lmc takes the full
-    gradient at every step (m = 1) and sgld a minibatch; svrg_ld and sarah_ld
-    take the full gradient at each epoch start, then the anchored or the
-    recursive estimate at 2B evaluations.  ``record(k, X, grad_evals, eta,
-    gamma)`` sees every iterate k >= 1; grad_evals is the per-chain count of
-    component gradients so far.  The kernels run uncounted, and the count of
-    every chain is added to the objective once, at the end.
+    them, ``subset()`` index rows for ``rows(X, IDX)``, the counted row
+    oracle: lmc takes the full gradient at every step (m = 1) and sgld a
+    minibatch; svrg_ld and sarah_ld take the full gradient at each epoch
+    start, then the anchored or the recursive estimate at 2B evaluations.
+    The full gradient runs through the uncounted kernel, and the loop counts
+    its n evaluations per chain.  ``record(k, X, grad_evals, eta, gamma)``
+    sees every iterate k >= 1; grad_evals is the per-chain count of component
+    gradients so far.
 
     A chain stops at its first iterate that is non-finite or has a non-finite
     gradient estimate: step k + 1, or k when the estimate at iterate k is the
@@ -208,56 +204,63 @@ def _langevin(obj: FiniteSumObjective, variant: str, X, K: int, m: int,
     finite iterates; they leave the state and the others step on.  Returns
     the final state.
     """
-    full, rows = obj.full_kernel, obj.rows_kernel
+    full, n = obj.full_kernel, obj.n
     plain = variant == "sgld"
     recursive = variant == "sarah_ld"
-    count = stopped = 0
+    count = 0
     ref = V_ref = X  # the anchor and its estimate, set at each epoch start
+    # overflow is the divergence signal, checked below, not a warning condition
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K):
+            s, l = divmod(k, m)
+            if l == 0:
+                eta, gamma = schedule(s)
+                scale = math.sqrt(2.0 * eta / gamma)
+            eps = noise()
+            if plain:
+                idx = subset()
+                V = rows(X, idx)
+                count += idx.shape[-1]
+            elif l == 0:
+                V = full(X)
+                obj.add_grad_evals(n * len(X))
+                count += n
+            else:
+                idx = subset()
+                # both terms of the control variate from one oracle call
+                G = rows(np.concatenate((X, ref)), np.concatenate((idx, idx)))
+                V = G[:len(X)] - G[len(X):] + V_ref
+                count += 2 * idx.shape[-1]
+            new = X - eta * V + scale * eps
+            idx = None  # a subset row keeps its block alive: free it before the next draw
+            # a finite sum proves every entry finite, at half the cost of isfinite
+            if not math.isfinite(new.sum()):
+                bad = ~np.isfinite(new).all(axis=1)
+                if bad.any():
+                    diverged(bad, np.where(np.isfinite(V[bad]).all(axis=1), k + 1, k), X[bad])
+                    keep = ~bad
+                    X, V, new, ref, V_ref = X[keep], V[keep], new[keep], ref[keep], V_ref[keep]
+                    if not len(X):
+                        break
+            if recursive or l == 0:
+                ref, V_ref = X, V
+            X = new
+            record(k + 1, X, count, eta, gamma)
+    return X
+
+
+def _one_chain_rows(obj: FiniteSumObjective, X, IDX):
+    """The row oracle of a single chain: the checked, counted minibatch
+    gradient at its one index row (a stacked control-variate pair shares it).
+    A non-finite estimate comes back as nan, for the step loop to stop at."""
     try:
-        # overflow is the divergence signal, checked below, not a warning condition
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(K):
-                s, l = divmod(k, m)
-                if l == 0:
-                    eta, gamma = schedule(s)
-                    scale = math.sqrt(2.0 * eta / gamma)
-                eps = noise()
-                if plain:
-                    idx = subset()
-                    V = rows(X, idx)
-                    count += idx.shape[-1]
-                elif l == 0:
-                    V = full(X)
-                    count += obj.n
-                else:
-                    idx = subset()
-                    # both terms of the control variate from one kernel call
-                    G = rows(np.concatenate((X, ref)), np.concatenate((idx, idx)))
-                    V = G[:len(X)] - G[len(X):] + V_ref
-                    count += 2 * idx.shape[-1]
-                new = X - eta * V + scale * eps
-                idx = None  # a subset row keeps its block alive: free it before the next draw
-                # a finite sum proves every entry finite, at half the cost of isfinite
-                if not math.isfinite(new.sum()):
-                    bad = ~np.isfinite(new).all(axis=1)
-                    if bad.any():
-                        diverged(bad, np.where(np.isfinite(V[bad]).all(axis=1), k + 1, k), X[bad])
-                        keep = ~bad
-                        stopped += count * int(bad.sum())
-                        X, V, new, ref, V_ref = X[keep], V[keep], new[keep], ref[keep], V_ref[keep]
-                        if not len(X):
-                            break
-                if recursive or l == 0:
-                    ref, V_ref = X, V
-                X = new
-                record(k + 1, X, count, eta, gamma)
-        return X
-    finally:
-        obj.add_grad_evals(stopped + count * len(X))
+        return obj.minibatch_gradient(X, IDX[0])
+    except NumericalDomainError:
+        return np.full(X.shape, np.nan)
 
 
 def _replicates(obj: FiniteSumObjective, variant: str, x0, K: int, m: int, B: int, seed: int,
-                store_every: int, schedule, replicates) -> list[RunTrace]:
+                store_every: int, schedule, replicates, rows) -> list[RunTrace]:
     """The chains ``replicates`` on their :func:`chain_rngs` streams, stepped
     as one (R, d) state: each step stacks every live replicate's noise row and
     index set, read from its own streams."""
@@ -266,7 +269,7 @@ def _replicates(obj: FiniteSumObjective, variant: str, x0, K: int, m: int, B: in
     m = m if variant in _ANCHORED else 1
     span = max(1, _BLOCK_VALUES // (R * max(d, n)))
     noise_rows = _blocks(lambda c: np.stack([g.standard_normal((c, d)) for g, _ in streams], axis=1), K, span)
-    steps = stored_steps(K, store_every)
+    steps = np.unique(np.r_[0:K + 1:store_every, K])  # the stored steps: 0, every store_every-th, and K
     final = np.tile(np.asarray(x0, dtype=float), (R, 1))
     iterates = np.full((steps.size, R, d), np.nan)
     iterates[0] = final
@@ -297,7 +300,7 @@ def _replicates(obj: FiniteSumObjective, variant: str, x0, K: int, m: int, B: in
         for r, step, x in zip(gone, at.tolist(), last):
             kept[r], stops[r], final[r] = t + 1, step, x
 
-    final[live] = _langevin(obj, variant, final, K, m, schedule, noise, subset, record, diverged)
+    final[live] = _langevin(obj, variant, final, K, m, schedule, noise, subset, rows, record, diverged)
     return [
         RunTrace(variant=variant, steps=steps[:T].copy(), iterates=iterates[:T, r].copy(),
                  grad_evals=grad_evals[:T].copy(), etas=etas[:T].copy(), gammas=gammas[:T].copy(),
@@ -322,7 +325,7 @@ def run_replicates(obj: FiniteSumObjective, cfg: SamplerConfig, x0, R: int,
         raise ValueError(f"need at least one replicate, got R={R}")
     return _replicates(obj, cfg.variant, x0, cfg.K, cfg.m, cfg.B, cfg.seed, cfg.store_every,
                        (lambda s: (cfg.eta, cfg.gamma)) if sched is None else
-                       (lambda s: (sched.eta(s), sched.gamma(s))), range(R))
+                       (lambda s: (sched.eta(s), sched.gamma(s))), range(R), obj.minibatch_gradient_rows)
 
 
 def run_chain(obj: FiniteSumObjective, cfg: SamplerConfig, x0, replicate: int = 0) -> RunTrace:
@@ -334,7 +337,7 @@ def run_chain(obj: FiniteSumObjective, cfg: SamplerConfig, x0, replicate: int = 
     """
     cfg.validate(obj.n)
     return _replicates(obj, cfg.variant, x0, cfg.K, cfg.m, cfg.B, cfg.seed, cfg.store_every,
-                       lambda s: (cfg.eta, cfg.gamma), [replicate])[0]
+                       lambda s: (cfg.eta, cfg.gamma), [replicate], functools.partial(_one_chain_rows, obj))[0]
 
 
 def _of_variant(cfg: SamplerConfig, variant: str) -> SamplerConfig:
@@ -396,7 +399,8 @@ def run_annealed(
     _check_annealed(variant)
     _check_sizes(obj, variant, B, m, K)
     return _replicates(obj, variant, x0, K, m, B, seed, store_every,
-                       lambda s: (sched.eta(s), sched.gamma(s)), [replicate])[0]
+                       lambda s: (sched.eta(s), sched.gamma(s)), [replicate],
+                       functools.partial(_one_chain_rows, obj))[0]
 
 
 def grad_evals_at(variant: str, k: int, n: int, B: int, m: int) -> int:
@@ -486,6 +490,6 @@ def run_ensemble(
         _blocks(lambda c: noise_rng.standard_normal((c, R, d)), K, span).__next__,
         _blocks(lambda c: np.argpartition(index_rng.random((c, R, n)), B - 1, axis=-1)[..., :B],
                 subsets, span).__next__,
-        record, diverged,
+        obj.minibatch_gradient_rows, record, diverged,
     )
     return out

@@ -10,7 +10,7 @@ from vrld import theory
 from vrld.cli import _metric_series, build_objective, main, resolve_sampler
 from vrld.config import ConfigError, parse_config_text
 from vrld.potentials import make_builtin
-from vrld.samplers import SamplerConfig, run_chain
+from vrld.samplers import SamplerConfig, grad_evals_at, run_chain
 
 
 BASE_CFG = """
@@ -262,10 +262,24 @@ class TestRunCommand:
         cfg = write_cfg(tmp_path, text)
         assert main(["run", "--config", str(cfg), "--quiet"]) == 3
 
+    def test_burn_in_footer_reads_none_when_every_replicate_stops_before_it(self, tmp_path):
+        """Every replicate diverges within a few steps, long before burn_in = 60:
+        no post-burn-in value exists, and the footer says so without a warning."""
+        out = tmp_path / "r"
+        text = BASE_CFG.format(out=out).replace("eta = 0.005", "eta = 200000000.0")
+        text = text.replace("[theory]\nalpha = 1.0\nH0 = 8.0\n", "").replace("thin = 20", "burn_in = 60")
+        cfg = write_cfg(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(cfg), "--quiet"]) == 3
+        footer = [l for l in (out / "summary.csv").read_text().splitlines() if l.startswith("# post_burn_in")]
+        assert footer == ["# post_burn_in = none (burn_in=60 exceeds stored steps)"]
+
     def test_uneven_divergence_writes_the_summary(self, tmp_path):
         """Replicates that diverge at different steps (here 7, 8, 30 and 33)
-        still give a summary on the full step grid, blank where a replicate
-        has no value, and replicate CSVs that are their own chains."""
+        still give a summary on every step the longest one stored, blank where
+        a replicate has no value, a footer over the values each one has, and
+        replicate CSVs that are their own chains."""
         out = tmp_path / "r"
         cfg = write_cfg(tmp_path, UNEVEN_CFG.format(out=out))
         assert main(["run", "--config", str(cfg), "--quiet"]) == 3
@@ -278,10 +292,15 @@ class TestRunCommand:
                     if l and not l.startswith("#")]
             assert [int(row[0]) for row in rows[1:]] == t.steps.tolist()
             assert [float(row[rows[0].index("x0")]) for row in rows[1:]] == t.iterates[:, 0].tolist()
-        rows = [l.split(",") for l in (out / "summary.csv").read_text().splitlines()
-                if l and not l.startswith("#")]
+        lines = (out / "summary.csv").read_text().splitlines()
+        rows = [l.split(",") for l in lines if l and not l.startswith("#")]
         col = {name: [row[j] for row in rows[1:]] for j, name in enumerate(rows[0])}
-        assert col["step"] == [str(k) for k in range(401)]
+        assert col["step"] == [str(k) for k in max(traces, key=lambda t: t.steps.size).steps.tolist()]
+        reached = sum(len(t.steps) for t in traces)
+        assert f"# post_burn_in_steps = {reached} in all (burn_in=0)" in lines
+        with np.errstate(over="ignore"):  # the last iterates before a divergence are huge
+            mean_f = np.concatenate([obj.value(t.iterates) for t in traces]).mean()
+        assert f"# post_burn_in_mean_f = {float(mean_f)!r}" in lines
         shortest = min(len(t.steps) for t in traces)
         assert all(c != "" for c in col["mean_f"][:shortest])
         assert all(c == "" for name in ("mean_f", "se_f", "suboptimality") for c in col[name][shortest:])
@@ -383,7 +402,63 @@ class TestAnnealedRun:
         np.testing.assert_allclose([float(r[5]) for r in rows], trace.iterates[:, 0], rtol=0)
 
 
+LOGISTIC_COMPARE_CFG = """
+[potential]
+name = logistic_l2
+data = {data}
+lam = 0.5
+
+[sampler]
+variant = sgld
+eta = 0.05
+batch = 3
+epoch = 4
+steps = 40
+
+[run]
+replicates = 3
+seed = 11
+thin = 5
+x0 = 2.0, 2.0
+out = {out}
+
+[compare]
+variants = lmc, sgld, svrg_ld, sarah_ld
+metric = mean_f
+threshold = 1.0
+"""
+
+
 class TestCompareCommand:
+    def test_every_replicate_counts_exactly_and_is_its_own_chain(self, tmp_path, monkeypatch):
+        """compare on logistic_l2, whose full gradient is the row kernel over
+        all n rows: at every stored step each replicate of each variant has
+        counted exactly its grad_evals_at, the objective's counter is their
+        sum, and replicate r steps as its single chain does, bitwise."""
+        import vrld.cli as cli
+
+        rng = np.random.default_rng(4)
+        data = tmp_path / "data.txt"
+        data.write_text("".join(f"{a!r} {b!r} {float(rng.random() < 0.5)!r}\n"
+                                for a, b in rng.standard_normal((24, 2)).tolist()))
+        cfg = write_cfg(tmp_path, LOGISTIC_COMPARE_CFG.format(data=data, out=tmp_path / "r"))
+        objs, runs = [], []
+        build, run_replicates = cli.build_objective, cli.samplers.run_replicates
+        monkeypatch.setattr(cli, "build_objective", lambda c: objs.append(build(c)) or objs[-1])
+        monkeypatch.setattr(cli.samplers, "run_replicates",
+                            lambda o, scfg, *a: runs.append((scfg, run_replicates(o, scfg, *a))) or runs[-1][1])
+        assert main(["compare", "--config", str(cfg), "--quiet"]) == 0
+        assert [scfg.variant for scfg, _ in runs] == ["lmc", "sgld", "svrg_ld", "sarah_ld"]
+        ref = make_builtin("logistic_l2", {"data_file": data, "lam": 0.5})
+        for scfg, traces in runs:
+            assert len(traces) == 3
+            for r, t in enumerate(traces):
+                assert t.grad_evals.tolist() == [grad_evals_at(scfg.variant, k, 24, 3, scfg.m)
+                                                 for k in t.steps.tolist()]
+                single = run_chain(ref, scfg, np.array([2.0, 2.0]), replicate=r)
+                assert np.array_equal(t.iterates, single.iterates) and np.array_equal(t.final_x, single.final_x)
+        assert objs[0].grad_evals == sum(3 * grad_evals_at(scfg.variant, 40, 24, 3, scfg.m) for scfg, _ in runs)
+
     def test_kl_series_has_no_value_where_iterates_are_huge(self):
         """compare's full-ensemble kl_surrogate series is nan, so never below a
         threshold, exactly at the checkpoints with |x| >= 1e100; a bootstrap
