@@ -12,6 +12,7 @@ import argparse
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,17 +73,24 @@ def build_objective(cfg: ExperimentConfig) -> FiniteSumObjective:
         raise ConfigError(f"[potential] {exc}") from exc
 
 
-def resolve_alpha(cfg: ExperimentConfig, obj: FiniteSumObjective, gamma: float) -> tuple[float, list[str]]:
+class Lsi(NamedTuple):
+    """The [theory] log-Sobolev constant at the run's gamma (None when none is
+    declared), with the dissipative mode's C1 and C2, which the annealed-schedule
+    check needs."""
+
+    alpha: float | None
+    C1: float | None = None
+    C2: float | None = None
+
+
+def resolve_alpha(cfg: ExperimentConfig, obj: FiniteSumObjective, gamma: float) -> tuple[Lsi, list[str]]:
     """Log-Sobolev constant per [theory] alpha_mode: declared, dissipative, or
     weak_morse.  Refuses estimated L and violated gamma floors."""
     th = cfg.theory or {}
     mode = th.get("alpha_mode", "declared")
     notes: list[str] = []
     if mode == "declared":
-        alpha = th.get("alpha")
-        if alpha is None:
-            raise ConfigError("[theory] alpha_mode=declared needs alpha")
-        return float(alpha), notes
+        return Lsi(th.get("alpha")), notes
     if obj.L is None:
         raise ConfigError("[theory] LSI modes need a declared smoothness constant L")
     if "L" in obj.estimated_constants:
@@ -108,7 +116,7 @@ def resolve_alpha(cfg: ExperimentConfig, obj: FiniteSumObjective, gamma: float) 
             f"log_alpha={_fmt(res.log_alpha)} (C_star={_fmt(th.get('C_star', 1.0))} "
             "is a stand-in for an unknown universal constant)"
         )
-        return res.alpha, notes
+        return Lsi(res.alpha, res.C1, res.C2), notes
     if mode == "weak_morse":
         needed = ("lambda_dagger", "L_prime", "C_F")
         if any(th.get(k) is None for k in needed):
@@ -120,23 +128,24 @@ def resolve_alpha(cfg: ExperimentConfig, obj: FiniteSumObjective, gamma: float) 
         except HypothesisViolation as exc:
             raise ConfigError(f"[theory] {exc}") from exc
         notes.append(f"alpha from weak-Morse LSI: C3={_fmt(res.C3)} gamma_floor={_fmt(res.gamma_floor)}")
-        return res.alpha, notes
+        return Lsi(res.alpha), notes
     raise ConfigError(f"[theory] unknown alpha_mode {mode!r}")
 
 
 def resolve_sampler(
     cfg: ExperimentConfig, obj: FiniteSumObjective
-) -> tuple[SamplerConfig, samplers.AnnealSchedule | None, list[str]]:
+) -> tuple[SamplerConfig, samplers.AnnealSchedule | None, Lsi, list[str]]:
     """Turn the [sampler] (and optional [anneal]) sections into a concrete
     SamplerConfig plus schedule, applying the theory-driven auto mode when
-    requested."""
+    requested, and resolve the [theory] alpha once, at the resolved gamma
+    (the first epoch's for a schedule), in every alpha_mode."""
     s = cfg.sampler
     variant = s["variant"].lower()
     if variant not in samplers.VARIANTS:
         raise ConfigError(f"[sampler] variant must be one of {samplers.VARIANTS}")
     notes: list[str] = []
     run = cfg.run
-    sched = None
+    sched = lsi = None
     if cfg.anneal is not None:
         if variant not in ("svrg_ld", "sarah_ld"):
             raise ConfigError("[anneal] applies to svrg_ld / sarah_ld only")
@@ -172,8 +181,11 @@ def resolve_sampler(
         if th.get("H0") is None:
             raise ConfigError("[theory] auto mode needs H0 (initial KL estimate)")
         gamma = s.get("gamma", 1.0)
-        alpha, alpha_notes = resolve_alpha(cfg, obj, gamma)
+        lsi, alpha_notes = resolve_alpha(cfg, obj, gamma)
         notes.extend(alpha_notes)
+        alpha = lsi.alpha
+        if alpha is None:
+            raise ConfigError("[theory] alpha_mode=declared needs alpha")
         B = m = max(1, min(obj.n, round(math.sqrt(obj.n))))
         eta = theory.recommended_eta(variant, eps, gamma, alpha, obj.d, obj.L, obj.n)
         cap = theory.step_size_cap(variant, alpha, obj.L, m, gamma)
@@ -204,40 +216,22 @@ def resolve_sampler(
         resolved.validate(obj.n)
     except ValueError as exc:
         raise ConfigError(f"[sampler] {exc}") from exc
-    return resolved, sched, notes
+    if lsi is None:
+        lsi, alpha_notes = resolve_alpha(cfg, obj, resolved.gamma)
+        notes = alpha_notes + notes
+    return resolved, sched, lsi, notes
 
 
-def hypothesis_report(cfg: ExperimentConfig, obj: FiniteSumObjective, scfg: SamplerConfig,
-                      sched=None) -> list[str]:
-    """Every violated theorem hypothesis for the resolved run, empty if clean."""
-    problems: list[str] = []
-    if scfg.gamma < 1.0:
-        problems.append(f"gamma >= 1 violated: gamma={_fmt(scfg.gamma)}")
-    if scfg.variant == "svrg_ld" and scfg.B < scfg.m:
-        problems.append(f"B >= m violated for the anchored variant: B={scfg.B}, m={scfg.m}")
-    th = cfg.theory or {}
-    alpha = th.get("alpha")
-    if sched is not None:
-        alpha = None  # per-epoch caps are the schedule validator's job
-    if alpha is not None and obj.L is not None and scfg.variant in ("svrg_ld", "sarah_ld"):
-        cap = theory.step_size_cap(scfg.variant, alpha, obj.L, scfg.m, scfg.gamma)
-        if not scfg.eta < cap:
-            problems.append(
-                f"step cap violated: eta={_fmt(scfg.eta)} "
-                f">= alpha/(16*sqrt({6 if scfg.variant == 'svrg_ld' else 2})*L^2*m*gamma)={_fmt(cap)}"
-            )
-        if alpha > scfg.gamma * obj.L:
-            problems.append(
-                f"alpha <= gamma*L violated: alpha={_fmt(alpha)}, gamma*L={_fmt(scfg.gamma * obj.L)}"
-            )
-    if th.get("alpha_mode") in ("dissipative", "weak_morse") and obj.M is not None:
-        if scfg.gamma < 2.0 / obj.M:
-            problems.append(
-                f"gamma >= 2/M violated: gamma={_fmt(scfg.gamma)}, 2/M={_fmt(2.0 / obj.M)}"
-            )
-    if obj.L is not None and obj.L < 1.0:
-        problems.append(f"note: L={_fmt(obj.L)} < 1; several closed-form constants assume L >= 1")
-    return problems
+def check_run(cfg: ExperimentConfig, obj: FiniteSumObjective, scfg: SamplerConfig,
+              sched: samplers.AnnealSchedule | None, lsi: Lsi) -> list[theory.Violation]:
+    """theory.check_hypotheses on the resolved run: its violations refuse the
+    run, and its notes go wherever resolve notes go."""
+    lsi_mode = (cfg.theory or {}).get("alpha_mode", "declared") != "declared"
+    return theory.check_hypotheses(
+        scfg.variant, scfg.eta, scfg.gamma, lsi.alpha, obj.L, scfg.B, scfg.m,
+        M=obj.M if lsi_mode else None, sched=sched, epochs=scfg.K // scfg.m,
+        C1=lsi.C1, C2=lsi.C2, L_estimated="L" in obj.estimated_constants,
+    )
 
 
 # -- run artifacts ---------------------------------------------------------------
@@ -291,19 +285,18 @@ def _trace_columns(trace: RunTrace) -> dict[str, list[str]]:
 
 
 def _summary_columns(cfg: ExperimentConfig, obj: FiniteSumObjective, scfg: SamplerConfig,
-                     traces: list[RunTrace], fvals: list[np.ndarray],
-                     annealed: bool = False) -> dict[str, list[str]]:
+                     traces: list[RunTrace], fvals: list[np.ndarray], alpha: float | None,
+                     findings: list[theory.Violation], annealed: bool) -> dict[str, list[str]]:
     # the longest trace has every stored step any replicate reached
     R, grid = len(traces), max(traces, key=lambda t: t.steps.size)
     steps = grid.steps
-    th = cfg.theory or {}
-    alpha, H0 = th.get("alpha"), th.get("H0")
+    H0 = (cfg.theory or {}).get("H0")
     gibbs = diagnostics.gibbs_moments(obj, scfg.gamma)
+    # the overlay is written only when the run's one check_run call found nothing, notes included
     bounds_ok = (
-        not annealed
+        not annealed and not findings
         and alpha is not None and H0 is not None and obj.L is not None
         and scfg.variant in ("svrg_ld", "sarah_ld")
-        and not hypothesis_report(cfg, obj, scfg)
     )
     # each replicate padded with nan (no value, a blank cell) from the step it stopped at;
     # (T, R) rows: a step's mean/se equal its own 1-d reduction bitwise; axis 0 would not
@@ -321,9 +314,8 @@ def _summary_columns(cfg: ExperimentConfig, obj: FiniteSumObjective, scfg: Sampl
         kl, w2 = diagnostics.moment_surrogates(iterates, gibbs)
         cols.update(kl_surrogate=_cells(kl, blank_nan=True), w2_surrogate=_cells(w2, blank_nan=True))
     if bounds_ok:
-        # kl_bound checks the hypotheses and gives the bias; only the decay depends on the step
-        bias = theory.kl_bound(scfg.variant, H0, 0, scfg.eta, scfg.gamma, alpha,
-                               obj.d, obj.L, obj.n, scfg.B, scfg.m).bias
+        # kl_bound's two parts; only the decay depends on the step
+        bias = theory.bias_term(scfg.variant, scfg.eta, scfg.gamma, obj.d, obj.L, alpha, obj.n, scfg.B, scfg.m)
         decay = [theory.kl_decay(H0, k, scfg.eta, scfg.gamma, alpha) for k in steps.tolist()]
         cols.update(bound_kl_total=[repr(x + bias) for x in decay], bound_kl_decay=[repr(x) for x in decay],
                     bound_kl_bias=[repr(bias)] * steps.size)
@@ -351,13 +343,15 @@ def _burn_in_footer(obj: FiniteSumObjective, scfg: SamplerConfig, traces: list[R
 
 def cmd_run(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     obj = build_objective(cfg)
-    scfg, sched, notes = resolve_sampler(cfg, obj)
-    problems = [p for p in hypothesis_report(cfg, obj, scfg, sched) if not p.startswith("note:")]
+    scfg, sched, lsi, notes = resolve_sampler(cfg, obj)
+    findings = check_run(cfg, obj, scfg, sched, lsi)
+    problems = [f.message for f in findings if f.kind == "violation"]
     if problems:
         print("configuration violates theorem hypotheses:", file=sys.stderr)
         for p in problems:
             print(f"  {p}", file=sys.stderr)
         return EXIT_CONFIG
+    notes += [f.message for f in findings]
     run = cfg.run
     x0 = np.zeros(obj.d) if run.get("x0") is None else np.asarray(run["x0"], dtype=float)
     if x0.shape != (obj.d,):
@@ -377,7 +371,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
             cols.update((f"x{j}", _cells(trace.iterates[:, j])) for j in range(obj.d))
         _write_csv(out_dir / f"replicate_{r:03d}.csv", header + [f"# replicate = {r}"], cols)
     _write_csv(out_dir / "summary.csv", header,
-               _summary_columns(cfg, obj, scfg, traces, fvals, annealed=sched is not None),
+               _summary_columns(cfg, obj, scfg, traces, fvals, lsi.alpha, findings, sched is not None),
                _burn_in_footer(obj, scfg, traces, fvals))
     diverged = [r for r, t in enumerate(traces) if t.diverged]
     if not quiet:
@@ -393,6 +387,12 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
 
 
 # -- compare ----------------------------------------------------------------------
+
+
+def _auto_theory(cfg: ExperimentConfig) -> dict | None:
+    """compare and sweep print no bound and check no hypothesis: [theory]
+    reaches them only to pick auto mode's step size."""
+    return cfg.theory if cfg.sampler["auto"] else None
 
 
 def _metric_series(metric: str, obj: FiniteSumObjective, gamma: float,
@@ -444,10 +444,10 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
         section["variant"] = variant
         vcfg = ExperimentConfig(
             potential=cfg.potential, sampler=section, run=cfg.run,
-            theory=cfg.theory, anneal=cfg.anneal, compare=cfg.compare, sweep=cfg.sweep,
+            theory=_auto_theory(cfg), anneal=cfg.anneal, compare=cfg.compare, sweep=cfg.sweep,
         )
         try:
-            scfg, sched, _ = resolve_sampler(vcfg, obj)
+            scfg, sched, _, _ = resolve_sampler(vcfg, obj)
         except ConfigError as exc:
             print(exc, file=sys.stderr)
             return EXIT_CONFIG
@@ -538,10 +538,10 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
                     print("[sweep] n axis is not available for this potential", file=sys.stderr)
                     return EXIT_CONFIG
             vcfg = ExperimentConfig(potential=pot, sampler=section, run=cfg.run,
-                                    theory=cfg.theory, anneal=cfg.anneal, sweep=cfg.sweep)
+                                    theory=_auto_theory(cfg), anneal=cfg.anneal, sweep=cfg.sweep)
             try:
                 obj = build_objective(vcfg)
-                scfg, sched, _ = resolve_sampler(vcfg, obj)
+                scfg, sched, _, _ = resolve_sampler(vcfg, obj)
             except ConfigError as exc:
                 print(exc, file=sys.stderr)
                 return EXIT_CONFIG
@@ -708,17 +708,19 @@ def cmd_theory(tokens: list[str]) -> int:
 def cmd_validate(cfg: ExperimentConfig) -> int:
     try:
         obj = build_objective(cfg)
-        scfg, sched, notes = resolve_sampler(cfg, obj)
+        scfg, sched, lsi, notes = resolve_sampler(cfg, obj)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
-    problems = hypothesis_report(cfg, obj, scfg, sched)
-    hard = [p for p in problems if not p.startswith("note:")]
-    for p in problems:
-        print(p, file=sys.stderr if p in hard else sys.stdout)
+    findings = check_run(cfg, obj, scfg, sched, lsi)
+    for f in findings:
+        if f.kind == "violation":
+            print(f.message, file=sys.stderr)
+        else:
+            print(f"note: {f.message}")
     for note in notes:
         print(f"note: {note}")
-    if hard:
+    if any(f.kind == "violation" for f in findings):
         return EXIT_CONFIG
     print(
         f"ok: {scfg.variant} eta={_fmt(scfg.eta)} gamma={_fmt(scfg.gamma)} "

@@ -16,6 +16,8 @@ from scipy import optimize
 
 __all__ = [
     "HypothesisViolation",
+    "Violation",
+    "check_hypotheses",
     "SVRG",
     "SARAH",
     "UPSILON_UNIVERSAL_CAP",
@@ -45,7 +47,6 @@ __all__ = [
     "anneal_sigma_floor",
     "anneal_validate",
     "AnnealReport",
-    "TheoryConstants",
     "cf_grid_estimate",
 ]
 
@@ -169,20 +170,13 @@ def kl_bound(
 ) -> KlBound:
     """KL(law of step k || Gibbs) <= exp(-alpha eta k / gamma) H0 + bias.
 
-    Hypotheses checked: eta below the variant's step cap, gamma >= 1, and for
-    the anchored variant B >= m.  Violations raise naming the inequality.
+    Raises :class:`HypothesisViolation` on the first violation
+    :func:`check_hypotheses` finds; its notes do not stop the bound.
     """
     variant = _check_variant(variant)
     _require(H0 >= 0, "need H0 >= 0")
-    _require(gamma >= 1.0, f"hypothesis gamma >= 1 violated: gamma={gamma}")
-    cap = step_size_cap(variant, alpha, L, m, gamma)
-    _require(
-        0.0 < eta < cap,
-        f"hypothesis 0 < eta < alpha/(16*sqrt({6 if variant == SVRG else 2})*L^2*m*gamma) "
-        f"violated: eta={eta}, cap={cap}",
-    )
-    if variant == SVRG:
-        _require(B >= m, f"hypothesis B >= m violated: B={B}, m={m}")
+    for found in check_hypotheses(variant, eta, gamma, alpha, L, B, m):
+        _require(found.kind != "violation", found.message)
     bias = bias_term(variant, eta, gamma, d, L, alpha, n, B, m)
     return KlBound(decay=kl_decay(H0, k, eta, gamma, alpha), bias=bias,
                    bias_coarse=bias_term_coarse(eta, gamma, d, L, alpha))
@@ -440,31 +434,27 @@ def anneal_sigma_floor(L: float, g: float, eta_bar: float, mu: float, C1: float,
 @dataclass
 class AnnealReport:
     ok: bool
-    epochs_checked: int
     first_violation: int | None
-    max_dgamma_over_eta2L2: float
+    violated: str | None  # the inequality that fails at first_violation
     max_eta2L2: float
-    max_step_ratio: float
-    chi: float | None = None
     notes: list[str] = field(default_factory=list)
 
 
-def anneal_validate(sched, L: float, C1: float, C2: float | None = None, epochs: int = 100,
-                    chi_args: tuple | None = None) -> AnnealReport:
+def anneal_validate(sched, L: float, C1: float | None = None, C2: float | None = None,
+                    epochs: int = 100) -> AnnealReport:
     """Check the schedule consequences for epochs s = 0..epochs-1:
 
       (a) dgamma_s <= eta_s^2 L^2 <= 1/4, and
       (b) dgamma_s * 2L / alpha_{s-1} <= alpha_s eta_s / (2 gamma_s)
 
     with alpha_s = gamma_s C1 exp(-C2 gamma_s) and dgamma_s = gamma_s - gamma_{s-1}.
-    C2 defaults to 1 / gamma_bar (the coupling the schedule analysis fixes);
-    a differing explicit C2 is flagged.  ``chi_args = (d, L, M, b)`` also
-    evaluates the schedule's bias scale constant chi.
+    (b) is checked only when C1 is given.  C2 defaults to 1 / gamma_bar (the
+    coupling the schedule analysis fixes); a differing explicit C2 is flagged.
     """
     notes: list[str] = []
-    if C2 is None:
+    if C1 is not None and C2 is None:
         C2 = 1.0 / sched.gamma_bar
-    elif abs(C2 * sched.gamma_bar - 1.0) > 1e-9:
+    elif C1 is not None and abs(C2 * sched.gamma_bar - 1.0) > 1e-9:
         notes.append(
             f"gamma_bar={sched.gamma_bar} is not 1/C2={1.0 / C2}; the decay/anneal coupling assumes it"
         )
@@ -473,78 +463,78 @@ def anneal_validate(sched, L: float, C1: float, C2: float | None = None, epochs:
         gam = sched.gamma(s)
         return gam * C1 * math.exp(-C2 * gam)
 
-    first_violation = None
-    max_ratio_a = 0.0
+    first_violation = violated = None
     max_eta2l2 = 0.0
-    max_step = 0.0
     for s in range(epochs):
         eta_s = sched.eta(s)
         gam_s = sched.gamma(s)
         dgam = gam_s - sched.gamma(s - 1)
         eta2l2 = eta_s * eta_s * L * L
-        lhs_b = dgam * 2.0 * L / alpha_at(s - 1)
-        rhs_b = alpha_at(s) * eta_s / (2.0 * gam_s)
-        max_ratio_a = max(max_ratio_a, dgam / eta2l2 if eta2l2 > 0 else math.inf)
         max_eta2l2 = max(max_eta2l2, eta2l2)
-        max_step = max(max_step, lhs_b / rhs_b if rhs_b > 0 else math.inf)
-        ok_here = dgam <= eta2l2 <= 0.25 and lhs_b <= rhs_b
-        if not ok_here and first_violation is None:
-            first_violation = s
+        checks = [("dgamma_s <= eta_s^2 L^2", dgam <= eta2l2), ("eta_s^2 L^2 <= 1/4", eta2l2 <= 0.25)]
+        if C1 is not None:
+            checks.append(("dgamma_s 2L / alpha_{s-1} <= alpha_s eta_s / (2 gamma_s)",
+                           dgam * 2.0 * L / alpha_at(s - 1) <= alpha_at(s) * eta_s / (2.0 * gam_s)))
+        failed = [name for name, holds in checks if not holds]
+        if failed and first_violation is None:
+            first_violation, violated = s, failed[0]
     if max_eta2l2 > 0.25:
         notes.append(f"eta_s^2 L^2 reaches {max_eta2l2:.6g} > 1/4; shrink eta_bar below 1/(4L)")
-    chi = chi_constant(*chi_args) if chi_args is not None else None
-    return AnnealReport(
-        ok=first_violation is None,
-        epochs_checked=epochs,
-        first_violation=first_violation,
-        max_dgamma_over_eta2L2=max_ratio_a,
-        max_eta2L2=max_eta2l2,
-        max_step_ratio=max_step,
-        chi=chi,
-        notes=notes,
-    )
+    return AnnealReport(ok=first_violation is None, first_violation=first_violation, violated=violated,
+                        max_eta2L2=max_eta2l2, notes=notes)
 
 
-# -- constants bundle ---------------------------------------------------------
+# -- the hypothesis checker -------------------------------------------------------
 
 
-@dataclass
-class TheoryConstants:
-    """Inputs feeding every closed-form bound, validated on construction."""
+@dataclass(frozen=True)
+class Violation:
+    """A finding of :func:`check_hypotheses`: kind "violation" or "note"."""
 
-    L: float
-    alpha: float
-    gamma: float
-    d: int
-    n: int
-    M: float | None = None
-    b: float | None = None
-    lambda_dagger: float | None = None
-    L_prime: float | None = None
-    A_star: float | None = None
-    B_star: float | None = None
-    C_star: float = 1.0
-    C_F: float | None = None
-    warnings: list[str] = field(default_factory=list)
+    kind: str
+    message: str
 
-    def __post_init__(self) -> None:
-        for name in ("L", "alpha", "gamma", "C_star"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ValueError(f"{name} must be positive, got {v}")
-        if self.d < 1 or self.n < 1:
-            raise ValueError("need d >= 1 and n >= 1")
-        if self.alpha > self.gamma * self.L * (1.0 + 1e-12):
-            raise ValueError(
-                f"alpha={self.alpha} exceeds gamma*L={self.gamma * self.L}; "
-                "no log-Sobolev constant of the Gibbs measure can"
-            )
-        if self.lambda_dagger is not None and not 0 < self.lambda_dagger <= 1:
-            raise ValueError("lambda_dagger must lie in (0, 1]")
-        if self.L < 1.0:
-            self.warnings.append(
-                f"L={self.L} < 1: several closed-form constants were simplified assuming L >= 1"
-            )
+
+def check_hypotheses(variant: str, eta: float, gamma: float, alpha: float | None, L: float | None,
+                     B: int, m: int, *, M: float | None = None, sched=None, epochs: int = 0,
+                     C1: float | None = None, C2: float | None = None,
+                     L_estimated: bool = False) -> list[Violation]:
+    """Every hypothesis of the KL bound the inputs violate, then the notes,
+    each inequality stated once.  Violations: gamma >= 1; B >= m for the
+    anchored variant; with alpha and L known, 0 < eta < the variant's step cap
+    and alpha <= gamma L; gamma >= 2/M when ``M`` is given (an LSI-formula
+    alpha); and for an annealing ``sched`` (whose epochs cap the step instead)
+    :func:`anneal_validate` over ``epochs`` epochs, with condition (b) only
+    when C1, C2 are known.  Notes: L < 1, the validator's notes, and a
+    schedule left unchecked because L is unknown or a grid estimate.
+    """
+    violations: list[str] = []
+    notes: list[str] = []
+    if gamma < 1.0:
+        violations.append(f"gamma >= 1 violated: gamma={gamma}")
+    if variant == SVRG and B < m:
+        violations.append(f"B >= m violated for the anchored variant: B={B}, m={m}")
+    if sched is None and alpha is not None and L is not None and variant in (SVRG, SARAH):
+        cap = step_size_cap(variant, alpha, L, m, gamma)
+        if not 0.0 < eta < cap:
+            violations.append(f"step cap 0 < eta < alpha/(16*sqrt({6 if variant == SVRG else 2})*L^2*m*gamma) "
+                              f"violated: eta={eta}, cap={cap}")
+        if alpha > gamma * L:
+            violations.append(f"alpha <= gamma*L violated: alpha={alpha}, gamma*L={gamma * L}")
+    if M is not None and gamma < 2.0 / M:
+        violations.append(f"gamma >= 2/M violated: gamma={gamma}, 2/M={2.0 / M}")
+    if L is not None and L < 1.0:
+        notes.append(f"L={L} < 1; several closed-form constants assume L >= 1")
+    if sched is not None and (L is None or L_estimated):
+        notes.append("the [anneal] schedule is not checked: it needs a smoothness bound L, and "
+                     + ("L is a grid estimate" if L_estimated else "none is declared"))
+    elif sched is not None:
+        report = anneal_validate(sched, L, C1, C2, epochs=epochs)
+        if not report.ok:
+            violations.append(f"annealed schedule violates {report.violated} at epoch "
+                              f"{report.first_violation} (epochs 0..{epochs - 1} checked)")
+        notes.extend(report.notes)
+    return [Violation("violation", v) for v in violations] + [Violation("note", n) for n in notes]
 
 
 # -- heuristic gradient-floor constant ------------------------------------------

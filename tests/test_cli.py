@@ -169,6 +169,18 @@ class TestValidateConfig:
         assert main(["validate-config", "--config", str(cfg)]) == 2
         assert "step cap" in capsys.readouterr().err
 
+    def test_lsi_alpha_is_checked_without_auto_mode(self, tmp_path, capsys):
+        """A dissipative alpha is resolved and checked in every mode: here it is
+        5.36e-12, so the step cap is 8.55e-15 and eta = 0.005 breaks it."""
+        text = BASE_CFG.format(out=tmp_path / "r").replace("gamma = 1.0", "gamma = 4.0")
+        text = text.replace("steps = 120", "steps = 40").replace(
+            "alpha = 1.0", "alpha_mode = dissipative\nA_star = 0.0\nB_star = 0.0")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["validate-config", "--config", str(cfg)]) == 2
+        assert "step cap" in capsys.readouterr().err
+        assert main(["run", "--config", str(cfg), "--quiet"]) == 2
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("variant", ["lmc", "sgld"])
     def test_epoch_resolves_to_one_without_epochs(self, tmp_path, capsys, variant):
         """[sampler] epoch is shared with compare, so it stays legal, but a
@@ -239,6 +251,17 @@ class TestRunCommand:
         bounds = [theory.kl_bound("svrg_ld", 8.0, k, 0.005, 1.0, 1.0, 2, 1.0, 16, 4, 4) for k in range(121)]
         for part in ("total", "decay", "bias"):
             assert col[f"bound_kl_{part}"] == [repr(getattr(b, part)) for b in bounds]
+
+    def test_small_L_note_is_written_printed_and_drops_the_overlay(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        text = BASE_CFG.format(out=out).replace("zero_mean = true", "zero_mean = true\nscales = " + ", ".join(["0.5"] * 16))
+        text = text.replace("alpha = 1.0", "alpha = 0.5").replace("eta = 0.005", "eta = 0.001")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert "note: L=0.5 < 1" in capsys.readouterr().out
+        lines = (out / "summary.csv").read_text().splitlines()
+        assert any(l.startswith("# note: L=0.5 < 1") for l in lines)
+        assert not any("bound_kl" in l for l in lines)
 
     def test_auto_mode_picks_sqrt_n(self, tmp_path):
         """Auto mode with n = 16 resolves B = m = 4."""
@@ -373,6 +396,21 @@ class TestAnnealedRun:
         assert "# anneal.mu = 13.0" in text
         assert "# post_burn_in_suboptimality = " in text
 
+    def test_schedule_outside_the_hypotheses_is_refused(self, tmp_path, capsys):
+        """eta_0^2 L^2 = 14.43 > 1/4 at epoch 0 of the schedule."""
+        text = BASE_CFG.format(out=tmp_path / "r").replace("eta = 0.005\n", "").replace("steps = 120", "steps = 400")
+        text += "\n[anneal]\neta_bar = 5.0\ngamma_bar = 1.0\nsigma = 3.0\nmu = 4.0\n"
+        cfg = write_cfg(tmp_path, text)
+        for command in ("validate-config", "run"):
+            assert main([command, "--config", str(cfg), "--quiet"]) == 2
+            assert "eta_s^2 L^2 <= 1/4 at epoch 0" in capsys.readouterr().err
+
+    def test_schedule_is_not_checked_against_a_grid_estimated_L(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert main(["run", "--config", str(write_cfg(tmp_path, ANNEAL_CFG.format(out=out)))]) == 0
+        assert "schedule is not checked" in capsys.readouterr().out
+        assert any("schedule is not checked" in l for l in (out / "summary.csv").read_text().splitlines())
+
     def test_anneal_with_eta_rejected(self, tmp_path, capsys):
         text = ANNEAL_CFG.format(out=tmp_path / "r").replace("variant = sarah_ld",
                                                              "variant = sarah_ld\neta = 0.01")
@@ -465,7 +503,7 @@ class TestCompareCommand:
         resample can only lose values there."""
         cfg = parse_config_text(HUGE_CFG.format(out="r"))
         obj = build_objective(cfg)
-        scfg, _, _ = resolve_sampler(cfg, obj)
+        scfg = resolve_sampler(cfg, obj)[0]
         traces = [run_chain(obj, scfg, np.array([1.0]), replicate=r) for r in range(4)]
         _, vals = _metric_series("kl_surrogate", obj, scfg.gamma, traces)
         huge = np.abs(np.stack([t.iterates for t in traces], axis=1)).max(axis=(1, 2)) >= 1e100

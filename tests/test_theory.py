@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import vrld.theory as th
 from vrld.samplers import AnnealSchedule
@@ -244,6 +246,10 @@ class TestLsiWeakMorse:
         with pytest.raises(th.HypothesisViolation, match="binding term"):
             th.lsi_constant_weak_morse(10.0, 1.0, 1.0, 1.0, 1, 1.0, 1.0)
 
+    def test_lambda_dagger_outside_unit_interval_rejected(self):
+        with pytest.raises(th.HypothesisViolation, match="lambda_dagger"):
+            th.lsi_constant_weak_morse(60000.0, 1.5, 1.0, 1.0, 1, 1.0, 1.0)
+
 
 class TestOptimizationMode:
     def test_gamma_spot_value(self):
@@ -344,18 +350,55 @@ class TestAnnealingConstants:
         assert chi >= at_one - 1e-9
 
 
-class TestTheoryConstants:
-    def test_alpha_cannot_exceed_gamma_L(self):
-        with pytest.raises(ValueError, match="gamma\\*L"):
-            th.TheoryConstants(L=1.0, alpha=3.0, gamma=2.0, d=1, n=4)
+class TestCheckHypotheses:
+    BASE = dict(variant="svrg_ld", eta=0.001, gamma=1.0, alpha=1.0, L=1.0, B=4, m=4)
 
-    def test_small_L_warning(self):
-        tc = th.TheoryConstants(L=0.5, alpha=0.1, gamma=1.0, d=1, n=4)
-        assert any("L" in w for w in tc.warnings)
+    def check(self, **changes):
+        return th.check_hypotheses(**{**self.BASE, **changes})
 
-    def test_lambda_dagger_range(self):
-        with pytest.raises(ValueError, match="lambda_dagger"):
-            th.TheoryConstants(L=1.0, alpha=0.5, gamma=1.0, d=1, n=4, lambda_dagger=1.5)
+    def test_clean_inputs_give_nothing(self):
+        assert self.check() == []
+
+    def test_alpha_above_gamma_L_is_a_violation(self):
+        found = self.check(alpha=3.0, gamma=2.0, eta=1e-6)
+        assert [f.kind for f in found] == ["violation"] and "alpha <= gamma*L" in found[0].message
+
+    def test_small_L_is_a_note(self):
+        found = self.check(L=0.5, alpha=0.1)
+        assert [f.kind for f in found] == ["note"] and "L=0.5 < 1" in found[0].message
+
+    def test_each_inequality_is_named_once(self):
+        found = self.check(gamma=0.5, B=2, eta=1.0, M=0.5)
+        assert [f.kind for f in found] == ["violation"] * 5
+        for needle, f in zip(("gamma >= 1", "B >= m", "step cap", "alpha <= gamma*L", "gamma >= 2/M"), found):
+            assert needle in f.message
+
+    def test_schedule_names_the_epoch_and_the_inequality(self):
+        sched = AnnealSchedule(eta_bar=5.0, gamma_bar=1.0, sigma=3.0, mu=4.0, g=math.e)
+        found = self.check(sched=sched, epochs=100)
+        assert found[0].kind == "violation"
+        assert "eta_s^2 L^2 <= 1/4 at epoch 0" in found[0].message
+        assert any(f.kind == "note" and "14.43" in f.message for f in found)
+
+    @pytest.mark.parametrize("L, L_estimated", [(None, False), (11.0, True)])
+    def test_schedule_without_a_smoothness_bound_is_a_note(self, L, L_estimated):
+        sched = AnnealSchedule(eta_bar=5.0, gamma_bar=1.0, sigma=3.0, mu=4.0, g=math.e)
+        found = self.check(sched=sched, epochs=100, L=L, L_estimated=L_estimated)
+        assert [f.kind for f in found] == ["note"] and "not checked" in found[0].message
+
+    @given(st.sampled_from(["svrg_ld", "sarah_ld"]), st.floats(-12.0, -1.0), st.floats(0.5, 4.0),
+           st.floats(0.01, 8.0), st.floats(0.3, 4.0), st.integers(1, 64), st.data())
+    def test_no_violation_exactly_when_kl_bound_holds(self, variant, log_eta, gamma, alpha, L, n, data):
+        B = data.draw(st.integers(1, n))
+        m = data.draw(st.integers(1, 16))
+        eta = math.exp(log_eta)
+        clean = not any(f.kind == "violation" for f in th.check_hypotheses(variant, eta, gamma, alpha, L, B, m))
+        try:
+            th.kl_bound(variant, 1.0, 10, eta, gamma, alpha, 2, L, n, B, m)
+            holds = True
+        except th.HypothesisViolation:
+            holds = False
+        assert clean == holds
 
 
 class TestCfGridEstimate:
