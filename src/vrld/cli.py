@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -153,6 +154,8 @@ def resolve_sampler(
             raise ConfigError("[anneal] and auto mode are mutually exclusive")
         if s.get("eta") is not None:
             raise ConfigError("[anneal] supplies the step size; drop [sampler] eta")
+        if cfg.is_set("sampler", "gamma"):
+            raise ConfigError("[anneal] supplies the inverse temperature; drop [sampler] gamma")
         if s.get("steps") is None:
             raise ConfigError("[sampler] needs steps")
         try:
@@ -442,10 +445,7 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     for variant in variants:
         section = dict(cfg.sampler)
         section["variant"] = variant
-        vcfg = ExperimentConfig(
-            potential=cfg.potential, sampler=section, run=cfg.run,
-            theory=_auto_theory(cfg), anneal=cfg.anneal, compare=cfg.compare, sweep=cfg.sweep,
-        )
+        vcfg = replace(cfg, sampler=section, theory=_auto_theory(cfg))
         try:
             scfg, sched, _, _ = resolve_sampler(vcfg, obj)
         except ConfigError as exc:
@@ -537,8 +537,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
                 else:
                     print("[sweep] n axis is not available for this potential", file=sys.stderr)
                     return EXIT_CONFIG
-            vcfg = ExperimentConfig(potential=pot, sampler=section, run=cfg.run,
-                                    theory=_auto_theory(cfg), anneal=cfg.anneal, sweep=cfg.sweep)
+            vcfg = replace(cfg, potential=pot, sampler=section, theory=_auto_theory(cfg))
             try:
                 obj = build_objective(vcfg)
                 scfg, sched, _, _ = resolve_sampler(vcfg, obj)

@@ -128,9 +128,16 @@ class ExperimentConfig:
     anneal: dict | None = None
     compare: dict | None = None
     sweep: dict | None = None
+    # section -> the keys the text sets; the others hold their schema default
+    given: dict[str, frozenset[str]] = field(default_factory=dict)
+
+    def is_set(self, section: str, key: str) -> bool:
+        """Whether the text sets ``key`` rather than leaving it at its default."""
+        return key in self.given.get(section, ())
 
     def to_text(self) -> str:
-        """Normalised serialisation; parse(to_text()) reproduces the config."""
+        """Normalised serialisation; parse(to_text()) reproduces the config.
+        It writes the keys the text set and any other key moved off its default."""
         lines: list[str] = []
         for section in ("potential", "sampler", "theory", "anneal", "run", "compare", "sweep"):
             data = getattr(self, section)
@@ -138,7 +145,7 @@ class ExperimentConfig:
                 continue
             lines.append(f"[{section}]")
             for key, value in data.items():
-                if value is None:
+                if value is None or (not self.is_set(section, key) and value == _SCHEMA[section][key][1]):
                     continue
                 if isinstance(value, bool):
                     rendered = "true" if value else "false"
@@ -228,6 +235,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         anneal=parsed["anneal"],
         compare=parsed["compare"],
         sweep=parsed["sweep"],
+        given={section: frozenset(keys) for section, keys in sections.items()},
     )
 
 

@@ -12,15 +12,16 @@ RNG discipline, two layouts:
 - Replicates (:func:`run_replicates`, and :func:`run_chain` and
   :func:`run_annealed`, its one-replicate case): replicate r owns two Philox
   streams derived from ``SeedSequence((seed, r, 0|1))`` - stream 0 for its
-  Gaussian noise, stream 1 for its index subsets, drawn by
-  :func:`sample_index_set`.  Each step stacks the replicates' own draws, so
-  replicate r is the same chain whatever R is.  Keeping the streams separate
-  means variants that consume different numbers of subset draws still see
-  the same noise sequence, which is what makes the B = n, m = 1 reduction to
-  lmc exact.
+  Gaussian noise, stream 1 for its index subsets, each subset the sorted
+  indices of the B smallest of n iid uniforms (:func:`sample_index_set`).
+  Both are drawn per replicate in blocks of steps, and each step stacks the
+  replicates' own rows, so replicate r is the same chain whatever R is.
+  Keeping the streams separate means variants that consume different
+  numbers of subset draws still see the same noise sequence, which is what
+  makes the B = n, m = 1 reduction to lmc exact.
 - Ensembles (:func:`run_ensemble`): one shared stream pair,
   ``chain_rngs(seed)``, with noise drawn as (R, d) rows and subsets as the B
-  smallest of n iid uniforms per chain, both in blocks of steps.
+  smallest of n iid uniforms per chain, unsorted, both in blocks of steps.
 
 A Philox block draw equals the same draws made one step at a time, so the
 block size never changes a stream.
@@ -60,6 +61,9 @@ VARIANTS = ("lmc", "sgld", "svrg_ld", "sarah_ld")
 _ANCHORED = ("svrg_ld", "sarah_ld")
 # values per pre-drawn block of noise rows or subset uniforms: a few MB
 _BLOCK_VALUES = 2_000_000
+# uniforms per pre-drawn block of one replicate's subsets: their argpartition
+# makes an int64 temporary of the same size, and a run holds one at a time
+_SUBSET_UNIFORMS = 65_536
 
 
 class DivergedError(RuntimeError):
@@ -166,13 +170,17 @@ def chain_rngs(seed: int, replicate: int = 0) -> tuple[np.random.Generator, np.r
     return noise, index
 
 
-def sample_index_set(n: int, B: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform size-B subset of {0..n-1} without replacement, sorted."""
+def sample_index_set(n: int, B: int, rng: np.random.Generator, shape: tuple[int, ...] = ()) -> np.ndarray:
+    """Uniform size-B subsets of {0..n-1} without replacement, sorted: one
+    per entry of ``shape``, each the indices of the B smallest of n iid
+    uniforms.  The uniforms fill the rows in order and each row is ranked on
+    its own, so a (c,) block equals c calls with ``shape=()`` bit for bit.
+    B = n takes every index and draws nothing."""
     if not 1 <= B <= n:
         raise ValueError(f"need 1 <= B <= n, got B={B}, n={n}")
     if B == n:
-        return np.arange(n)
-    return np.sort(rng.choice(n, size=B, replace=False))
+        return np.tile(np.arange(n), (*shape, 1))
+    return np.sort(np.argpartition(rng.random((*shape, n)), B - 1, axis=-1)[..., :B], axis=-1)
 
 
 def _blocks(draw, total: int, span: int):
@@ -263,12 +271,17 @@ def _replicates(obj: FiniteSumObjective, variant: str, x0, K: int, m: int, B: in
                 store_every: int, schedule, replicates, rows) -> list[RunTrace]:
     """The chains ``replicates`` on their :func:`chain_rngs` streams, stepped
     as one (R, d) state: each step stacks every live replicate's noise row and
-    index set, read from its own streams."""
+    index set, drawn in blocks of steps from its own streams."""
     n, d, R = obj.n, obj.d, len(replicates)
     streams = [chain_rngs(seed, r) for r in replicates]
     m = m if variant in _ANCHORED else 1
     span = max(1, _BLOCK_VALUES // (R * max(d, n)))
     noise_rows = _blocks(lambda c: np.stack([g.standard_normal((c, d)) for g, _ in streams], axis=1), K, span)
+    subsets = K if variant == "sgld" else K - K // m
+    # bounds both one replicate's (c, n) uniforms and the stacked (c, R, B) indices
+    subset_span = max(1, min(_SUBSET_UNIFORMS // n, _BLOCK_VALUES // (R * B)))
+    subset_rows = _blocks(lambda c: np.stack([sample_index_set(n, B, g, (c,)) for _, g in streams], axis=1),
+                          subsets, subset_span)
     steps = np.unique(np.r_[0:K + 1:store_every, K])  # the stored steps: 0, every store_every-th, and K
     final = np.tile(np.asarray(x0, dtype=float), (R, 1))
     iterates = np.full((steps.size, R, d), np.nan)
@@ -284,7 +297,8 @@ def _replicates(obj: FiniteSumObjective, variant: str, x0, K: int, m: int, B: in
         return eps if len(live) == R else eps[live]
 
     def subset():
-        return np.array([sample_index_set(n, B, streams[r][1]) for r in live])
+        idx = next(subset_rows)
+        return idx if len(live) == R else idx[live]
 
     def record(k, X, count, eta, gamma):
         nonlocal t

@@ -505,8 +505,10 @@ def check_hypotheses(variant: str, eta: float, gamma: float, alpha: float | None
     and alpha <= gamma L; gamma >= 2/M when ``M`` is given (an LSI-formula
     alpha); and for an annealing ``sched`` (whose epochs cap the step instead)
     :func:`anneal_validate` over ``epochs`` epochs, with condition (b) only
-    when C1, C2 are known.  Notes: L < 1, the validator's notes, and a
-    schedule left unchecked because L is unknown or a grid estimate.
+    when C1, C2 are known.  Notes: L < 1, the validator's notes, a step cap
+    and alpha <= gamma L left unchecked because L is a grid estimate, which
+    bounds nothing beyond its grid, and a schedule left unchecked because L
+    is unknown or a grid estimate.
     """
     violations: list[str] = []
     notes: list[str] = []
@@ -514,7 +516,10 @@ def check_hypotheses(variant: str, eta: float, gamma: float, alpha: float | None
         violations.append(f"gamma >= 1 violated: gamma={gamma}")
     if variant == SVRG and B < m:
         violations.append(f"B >= m violated for the anchored variant: B={B}, m={m}")
-    if sched is None and alpha is not None and L is not None and variant in (SVRG, SARAH):
+    capped = sched is None and alpha is not None and L is not None and variant in (SVRG, SARAH)
+    if capped and L_estimated:
+        notes.append("the step cap and alpha <= gamma*L are not checked: L is a grid estimate")
+    elif capped:
         cap = step_size_cap(variant, alpha, L, m, gamma)
         if not 0.0 < eta < cap:
             violations.append(f"step cap 0 < eta < alpha/(16*sqrt({6 if variant == SVRG else 2})*L^2*m*gamma) "

@@ -1,14 +1,17 @@
 """Tests for the configuration format and the command-line surface."""
 
 import math
+import string
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vrld import theory
 from vrld.cli import _metric_series, build_objective, main, resolve_sampler
-from vrld.config import ConfigError, parse_config_text
+from vrld.config import _OPTIONAL_SECTIONS, _POTENTIAL_KEYS, _REQUIRED, _SCHEMA, ConfigError, parse_config_text
 from vrld.potentials import make_builtin
 from vrld.samplers import SamplerConfig, grad_evals_at, run_chain
 
@@ -62,10 +65,71 @@ out = {out}
 """
 
 
+# the double well's L = 11 is a grid estimate over its box
+GRID_L_CFG = """
+[potential]
+name = double_well
+a = 1.0
+n_copies = 16
+
+[sampler]
+variant = svrg_ld
+eta = 1e-5
+batch = 4
+epoch = 4
+steps = 40
+
+[theory]
+alpha = 0.5
+H0 = 8.0
+
+[run]
+replicates = 2
+seed = 5
+out = {out}
+"""
+
+
 def write_cfg(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+_WORD = string.ascii_letters + string.digits + "_.-/"
+_VALUES = {
+    "int": st.integers(-2**40, 2**40),
+    "float": st.floats(allow_nan=False),
+    "bool": st.booleans(),
+    "str": st.text(_WORD, min_size=1, max_size=8),
+    "floats": st.lists(st.floats(allow_nan=False), max_size=4).map(tuple),
+    "strs": st.lists(st.text(_WORD, min_size=1, max_size=6), min_size=1, max_size=3).map(tuple),
+}
+
+
+@st.composite
+def config_sections(draw):
+    """Every section a config may hold: the required ones always, each
+    optional one or not, with its required keys and any of its other keys."""
+    name = draw(st.sampled_from(sorted(_POTENTIAL_KEYS)))
+    sections = {}
+    for section, schema in _SCHEMA.items():
+        if section in _OPTIONAL_SECTIONS and not draw(st.booleans()):
+            continue
+        keys = [key for key, (_, default) in schema.items()
+                if (section != "potential" or key in _POTENTIAL_KEYS[name])
+                and (default is _REQUIRED or draw(st.booleans()))]
+        sections[section] = {key: draw(_VALUES[schema[key][0]]) for key in keys}
+    sections["potential"]["name"] = name
+    return sections
+
+
+def render(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ", ".join(repr(v) if isinstance(v, float) else v for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 class TestConfigFormat:
@@ -74,6 +138,27 @@ class TestConfigFormat:
         again = parse_config_text(cfg.to_text())
         assert cfg == again
         assert parse_config_text(again.to_text()) == again
+
+    @given(config_sections())
+    def test_round_trip_for_any_config(self, sections):
+        text = "\n".join(f"[{section}]\n" + "".join(f"{key} = {render(v)}\n" for key, v in items.items())
+                         for section, items in sections.items())
+        cfg = parse_config_text(text)
+        for section, items in sections.items():
+            assert {key: getattr(cfg, section)[key] for key in items} == items
+            assert all(cfg.is_set(section, key) for key in items)
+        assert parse_config_text(cfg.to_text()) == cfg
+
+    def test_set_keys_are_told_from_defaults(self):
+        """A key left out holds its default but is not set; writing the
+        default in sets it.  to_text keeps that apart."""
+        unset = parse_config_text(ANNEAL_CFG.format(out="runs"))
+        set_ = parse_config_text(ANNEAL_CFG.format(out="runs").replace("batch = 4", "gamma = 1.0\nbatch = 4"))
+        assert unset.sampler == set_.sampler and unset.sampler["gamma"] == 1.0
+        assert not unset.is_set("sampler", "gamma") and set_.is_set("sampler", "gamma")
+        for cfg in (unset, set_):
+            assert parse_config_text(cfg.to_text()) == cfg
+        assert unset != set_
 
     def test_unknown_key_is_error(self):
         with pytest.raises(ConfigError, match="unknown key 'stepsize'"):
@@ -252,6 +337,17 @@ class TestRunCommand:
         for part in ("total", "decay", "bias"):
             assert col[f"bound_kl_{part}"] == [repr(getattr(b, part)) for b in bounds]
 
+    def test_grid_estimated_L_is_a_note_and_drops_the_overlay(self, tmp_path, capsys):
+        """The double well's L is a box estimate: its step cap is 2.6e-5 there, and
+        eta = 1e-5 under it proves nothing, so no bound is written."""
+        out = tmp_path / "r"
+        cfg = write_cfg(tmp_path, GRID_L_CFG.format(out=out))
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert "note: the step cap and alpha <= gamma*L are not checked" in capsys.readouterr().out
+        lines = (out / "summary.csv").read_text().splitlines()
+        assert any(l.startswith("# note: the step cap") for l in lines)
+        assert not any("bound_kl" in l for l in lines)
+
     def test_small_L_note_is_written_printed_and_drops_the_overlay(self, tmp_path, capsys):
         out = tmp_path / "r"
         text = BASE_CFG.format(out=out).replace("zero_mean = true", "zero_mean = true\nscales = " + ", ".join(["0.5"] * 16))
@@ -398,7 +494,8 @@ class TestAnnealedRun:
 
     def test_schedule_outside_the_hypotheses_is_refused(self, tmp_path, capsys):
         """eta_0^2 L^2 = 14.43 > 1/4 at epoch 0 of the schedule."""
-        text = BASE_CFG.format(out=tmp_path / "r").replace("eta = 0.005\n", "").replace("steps = 120", "steps = 400")
+        text = BASE_CFG.format(out=tmp_path / "r").replace("eta = 0.005\n", "").replace("gamma = 1.0\n", "")
+        text = text.replace("steps = 120", "steps = 400")
         text += "\n[anneal]\neta_bar = 5.0\ngamma_bar = 1.0\nsigma = 3.0\nmu = 4.0\n"
         cfg = write_cfg(tmp_path, text)
         for command in ("validate-config", "run"):
@@ -417,6 +514,15 @@ class TestAnnealedRun:
         cfg = write_cfg(tmp_path, text)
         assert main(["run", "--config", str(cfg), "--quiet"]) == 2
         assert "supplies the step size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gamma", ["7.0", "1.0"])
+    def test_anneal_with_gamma_rejected(self, tmp_path, capsys, gamma):
+        """Set to any value, the default included, [sampler] gamma is refused."""
+        text = ANNEAL_CFG.format(out=tmp_path / "r").replace("batch = 4", f"gamma = {gamma}\nbatch = 4")
+        cfg = write_cfg(tmp_path, text)
+        for command in ("validate-config", "run"):
+            assert main([command, "--config", str(cfg), "--quiet"]) == 2
+            assert "supplies the inverse temperature; drop [sampler] gamma" in capsys.readouterr().err
 
     def test_anneal_invariants_enforced(self, tmp_path, capsys):
         text = ANNEAL_CFG.format(out=tmp_path / "r").replace("mu = 13.0", "mu = 2.5")

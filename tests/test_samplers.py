@@ -73,6 +73,31 @@ class TestIndexSampling:
         stat = np.sum((observed - 10000.0) ** 2 / 10000.0)
         assert stat < stats.chi2.ppf(0.999, df=5)
 
+    def test_uniform_over_subsets_in_a_block(self):
+        """Chi-square over the 10 subsets of size 3 from 5, one block of 50000 draws."""
+        draws = sample_index_set(5, 3, np.random.default_rng(321), (50000,))
+        keys, observed = np.unique(draws, axis=0, return_counts=True)
+        assert len(keys) == 10 and (np.diff(draws, axis=1) > 0).all()
+        stat = np.sum((observed - 5000.0) ** 2 / 5000.0)
+        assert stat < stats.chi2.ppf(0.999, df=9)
+
+    @pytest.mark.parametrize("B", [1, 4, 10])
+    def test_block_equals_single_draws(self, B):
+        """A (c,) block is c one-subset calls bit for bit, and leaves the
+        stream where they leave it."""
+        block_rng, single_rng = chain_rngs(5)[1], chain_rngs(5)[1]
+        block = sample_index_set(10, B, block_rng, (37,))
+        single = np.array([sample_index_set(10, B, single_rng) for _ in range(37)])
+        assert block.shape == (37, B) and block.dtype == single.dtype
+        assert block.tobytes() == single.tobytes()
+        assert block_rng.random() == single_rng.random()
+
+    def test_full_batch_draws_nothing(self):
+        rng = chain_rngs(5)[1]
+        np.testing.assert_array_equal(sample_index_set(6, 6, rng, (3,)), np.tile(np.arange(6), (3, 1)))
+        sample_index_set(6, 6, rng)
+        assert rng.random() == chain_rngs(5)[1].random()
+
     def test_deterministic_given_seed(self):
         a = [tuple(sample_index_set(10, 3, chain_rngs(99)[1])) for _ in range(1)]
         b = [tuple(sample_index_set(10, 3, chain_rngs(99)[1])) for _ in range(1)]
@@ -554,3 +579,18 @@ class TestReplicateEngine:
         count = [[grad_evals_at(variant, t.diverged_step + j if t.diverged else 80, 6, 2, 4) for t in traces]
                  for j in (0, 1)]
         assert sum(count[0]) <= together <= sum(count[1])
+
+    def test_a_replicate_that_stops_mid_block_leaves_the_others_subsets(self):
+        """From 1e300, each sgld step scales x by 0.9 or -2 as its one index
+        falls, so the replicates overflow at their own steps inside one
+        120-step block of subsets, or not at all.  The others still read
+        their own rows of the block: each replicate equals its R = 1 run."""
+        obj = make_builtin("gaussian_quadratic", {"n": 6, "d": 1, "zero_mean": True, "scales": [0.1] * 4 + [3.0] * 2})
+        cfg = SamplerConfig(variant="sgld", eta=1.0, B=1, K=120, seed=0)
+        traces = run_replicates(obj, cfg, np.array([1e300]), 6)
+        stops = [t.diverged_step for t in traces]
+        assert None in stops and len(set(stops)) > 3
+        for r, trace in enumerate(traces):
+            alone = run_chain(obj, cfg, np.array([1e300]), replicate=r)
+            assert trace.diverged_step == alone.diverged_step
+            assert_bitwise(trace.iterates, alone.iterates)

@@ -386,6 +386,13 @@ class TestCheckHypotheses:
         found = self.check(sched=sched, epochs=100, L=L, L_estimated=L_estimated)
         assert [f.kind for f in found] == ["note"] and "not checked" in found[0].message
 
+    def test_grid_estimated_L_leaves_the_step_cap_unchecked(self):
+        """A box L bounds nothing beyond its grid: the step cap and alpha <= gamma L
+        it would set are a note, as an unchecked schedule is."""
+        found = self.check(eta=1.0, alpha=30.0, L=11.0, L_estimated=True)
+        assert [f.kind for f in found] == ["note"] and "not checked" in found[0].message
+        assert [f.kind for f in self.check(gamma=0.5, L=11.0, L_estimated=True)] == ["violation", "note"]
+
     @given(st.sampled_from(["svrg_ld", "sarah_ld"]), st.floats(-12.0, -1.0), st.floats(0.5, 4.0),
            st.floats(0.01, 8.0), st.floats(0.3, 4.0), st.integers(1, 64), st.data())
     def test_no_violation_exactly_when_kl_bound_holds(self, variant, log_eta, gamma, alpha, L, n, data):
