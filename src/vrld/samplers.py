@@ -12,10 +12,11 @@ RNG discipline, two layouts:
 - Replicates (:func:`run_replicates`, and :func:`run_chain` and
   :func:`run_annealed`, its one-replicate case): replicate r owns two Philox
   streams derived from ``SeedSequence((seed, r, 0|1))`` - stream 0 for its
-  Gaussian noise, stream 1 for its index subsets, each subset the sorted
-  indices of the B smallest of n iid uniforms (:func:`sample_index_set`).
-  Both are drawn per replicate in blocks of steps, and each step stacks the
-  replicates' own rows, so replicate r is the same chain whatever R is.
+  Gaussian noise, stream 1 for its index subsets (:func:`sample_index_set`:
+  for n <= 512 the sorted indices of the B smallest of n iid uniforms, above
+  that a sorted ``rng.choice``).  Both are drawn per replicate in blocks of
+  steps, and each step stacks the replicates' own rows, so replicate r is
+  the same chain whatever R is.
   Keeping the streams separate means variants that consume different
   numbers of subset draws still see the same noise sequence, which is what
   makes the B = n, m = 1 reduction to lmc exact.
@@ -64,6 +65,11 @@ _BLOCK_VALUES = 2_000_000
 # uniforms per pre-drawn block of one replicate's subsets: their argpartition
 # makes an int64 temporary of the same size, and a run holds one at a time
 _SUBSET_UNIFORMS = 65_536
+# largest n whose subsets rank n uniforms.  Ranking costs O(n) a subset;
+# rng.choice without replacement costs O(B) (numpy uses Floyd's algorithm
+# unless B is a large share of n > 10,000), about 10-30 us.  Measured on one
+# core, the two cost the same near n = 600-800 for B = 1..128.
+_RANKED_MAX_N = 512
 
 
 class DivergedError(RuntimeError):
@@ -171,15 +177,20 @@ def chain_rngs(seed: int, replicate: int = 0) -> tuple[np.random.Generator, np.r
 
 
 def sample_index_set(n: int, B: int, rng: np.random.Generator, shape: tuple[int, ...] = ()) -> np.ndarray:
-    """Uniform size-B subsets of {0..n-1} without replacement, sorted: one
-    per entry of ``shape``, each the indices of the B smallest of n iid
-    uniforms.  The uniforms fill the rows in order and each row is ranked on
-    its own, so a (c,) block equals c calls with ``shape=()`` bit for bit.
-    B = n takes every index and draws nothing."""
+    """Uniform size-B subsets of {0..n-1} without replacement, sorted, one
+    per entry of ``shape``.  For n <= 512 each is the indices of the B
+    smallest of n iid uniforms, ranked for the whole block at once; above
+    that each is ``rng.choice(n, B, replace=False)``, drawn one at a time,
+    which costs O(B) where ranking costs O(n).  Either way the draws fill
+    the rows in order and each row is formed on its own, so a (c,) block
+    equals c calls with ``shape=()`` bit for bit.  B = n takes every index
+    and draws nothing."""
     if not 1 <= B <= n:
         raise ValueError(f"need 1 <= B <= n, got B={B}, n={n}")
     if B == n:
         return np.tile(np.arange(n), (*shape, 1))
+    if n > _RANKED_MAX_N:
+        return np.sort([rng.choice(n, B, replace=False) for _ in range(math.prod(shape))]).reshape(*shape, B)
     return np.sort(np.argpartition(rng.random((*shape, n)), B - 1, axis=-1)[..., :B], axis=-1)
 
 

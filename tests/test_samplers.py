@@ -12,6 +12,7 @@ import vrld
 from vrld import diagnostics
 from vrld.potentials import make_builtin
 from vrld.samplers import (
+    _RANKED_MAX_N,
     VARIANTS,
     AnnealSchedule,
     DivergedError,
@@ -73,21 +74,23 @@ class TestIndexSampling:
         stat = np.sum((observed - 10000.0) ** 2 / 10000.0)
         assert stat < stats.chi2.ppf(0.999, df=5)
 
-    def test_uniform_over_subsets_in_a_block(self):
-        """Chi-square over the 10 subsets of size 3 from 5, one block of 50000 draws."""
-        draws = sample_index_set(5, 3, np.random.default_rng(321), (50000,))
+    @pytest.mark.parametrize(("n", "B", "subsets", "each"), [(5, 3, 10, 5000), (_RANKED_MAX_N + 1, 1, _RANKED_MAX_N + 1, 50)])
+    def test_uniform_over_subsets_in_a_block(self, n, B, subsets, each):
+        """Chi-square over every size-B subset of n, one block of ``each``
+        draws a subset, on each side of the ranked draw's size cap."""
+        draws = sample_index_set(n, B, np.random.default_rng(321), (each * subsets,))
         keys, observed = np.unique(draws, axis=0, return_counts=True)
-        assert len(keys) == 10 and (np.diff(draws, axis=1) > 0).all()
-        stat = np.sum((observed - 5000.0) ** 2 / 5000.0)
-        assert stat < stats.chi2.ppf(0.999, df=9)
+        assert len(keys) == subsets and (np.diff(draws, axis=1) > 0).all()
+        stat = np.sum((observed - each) ** 2 / each)
+        assert stat < stats.chi2.ppf(0.999, df=subsets - 1)
 
-    @pytest.mark.parametrize("B", [1, 4, 10])
-    def test_block_equals_single_draws(self, B):
+    @pytest.mark.parametrize(("n", "B"), [(10, 1), (10, 4), (10, 10), (_RANKED_MAX_N + 1, 3)])
+    def test_block_equals_single_draws(self, n, B):
         """A (c,) block is c one-subset calls bit for bit, and leaves the
-        stream where they leave it."""
+        stream where they leave it, on each side of the ranked draw's size cap."""
         block_rng, single_rng = chain_rngs(5)[1], chain_rngs(5)[1]
-        block = sample_index_set(10, B, block_rng, (37,))
-        single = np.array([sample_index_set(10, B, single_rng) for _ in range(37)])
+        block = sample_index_set(n, B, block_rng, (37,))
+        single = np.array([sample_index_set(n, B, single_rng) for _ in range(37)])
         assert block.shape == (37, B) and block.dtype == single.dtype
         assert block.tobytes() == single.tobytes()
         assert block_rng.random() == single_rng.random()
@@ -523,7 +526,7 @@ class TestReferenceEquivalence:
 @st.composite
 def engine_sizes(draw):
     variant = draw(st.sampled_from(VARIANTS))
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 8) | st.just(_RANKED_MAX_N + 1))  # subsets ranked, or drawn by rng.choice
     B = draw(st.integers(1, n))
     m = draw(st.integers(1, 4))  # lmc and sgld run without epochs whatever m is
     K = m * draw(st.integers(1, 6))
