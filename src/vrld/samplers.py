@@ -12,26 +12,29 @@ RNG discipline, two layouts:
 - Replicates (:func:`run_replicates`, and :func:`run_chain` and
   :func:`run_annealed`, its one-replicate case): replicate r owns two Philox
   streams derived from ``SeedSequence((seed, r, 0|1))`` - stream 0 for its
-  Gaussian noise, stream 1 for its index subsets (:func:`sample_index_set`:
-  for n <= 512 the sorted indices of the B smallest of n iid uniforms, above
-  that a sorted ``rng.choice``).  Both are drawn per replicate in blocks of
-  steps, and each step stacks the replicates' own rows, so replicate r is
-  the same chain whatever R is.
+  Gaussian noise, stream 1 for its index subsets.  Both are drawn per
+  replicate in blocks of steps, and each step stacks the replicates' own
+  rows, so replicate r is the same chain whatever R is.
   Keeping the streams separate means variants that consume different
   numbers of subset draws still see the same noise sequence, which is what
   makes the B = n, m = 1 reduction to lmc exact.
 - Ensembles (:func:`run_ensemble`): one shared stream pair,
-  ``chain_rngs(seed)``, with noise drawn as (R, d) rows and subsets as the B
-  smallest of n iid uniforms per chain, unsorted, both in blocks of steps.
+  ``chain_rngs(seed)``, with noise drawn as (R, d) rows and subsets as one
+  row per chain, both in blocks of steps.
 
-A Philox block draw equals the same draws made one step at a time, so the
-block size never changes a stream.
+Both layouts draw a block's subsets in one :func:`sample_index_set` call
+(Floyd's algorithm over the block's rows, sorted; the replicates pass their
+R index streams, the ensemble its one), and size blocks by one rule: c steps
+of R chains hold c * R * max(d, n) <= ``_BLOCK_VALUES`` values.  A block
+draw equals the same draws made one step at a time, so the block size never
+changes a stream.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,16 +63,9 @@ __all__ = [
 
 VARIANTS = ("lmc", "sgld", "svrg_ld", "sarah_ld")
 _ANCHORED = ("svrg_ld", "sarah_ld")
-# values per pre-drawn block of noise rows or subset uniforms: a few MB
+# bound on c * R * max(d, n) for a pre-drawn block of c steps of R chains:
+# its noise rows, subset rows and the subsets' (c * R, n) bitmap stay a few MB
 _BLOCK_VALUES = 2_000_000
-# uniforms per pre-drawn block of one replicate's subsets: their argpartition
-# makes an int64 temporary of the same size, and a run holds one at a time
-_SUBSET_UNIFORMS = 65_536
-# largest n whose subsets rank n uniforms.  Ranking costs O(n) a subset;
-# rng.choice without replacement costs O(B) (numpy uses Floyd's algorithm
-# unless B is a large share of n > 10,000), about 10-30 us.  Measured on one
-# core, the two cost the same near n = 600-800 for B = 1..128.
-_RANKED_MAX_N = 512
 
 
 class DivergedError(RuntimeError):
@@ -176,22 +172,42 @@ def chain_rngs(seed: int, replicate: int = 0) -> tuple[np.random.Generator, np.r
     return noise, index
 
 
-def sample_index_set(n: int, B: int, rng: np.random.Generator, shape: tuple[int, ...] = ()) -> np.ndarray:
+def sample_index_set(n: int, B: int, rng: np.random.Generator | list[np.random.Generator],
+                     shape: tuple[int, ...] = ()) -> np.ndarray:
     """Uniform size-B subsets of {0..n-1} without replacement, sorted, one
-    per entry of ``shape``.  For n <= 512 each is the indices of the B
-    smallest of n iid uniforms, ranked for the whole block at once; above
-    that each is ``rng.choice(n, B, replace=False)``, drawn one at a time,
-    which costs O(B) where ranking costs O(n).  Either way the draws fill
-    the rows in order and each row is formed on its own, so a (c,) block
-    equals c calls with ``shape=()`` bit for bit.  B = n takes every index
-    and draws nothing."""
+    per entry of ``shape``, by Floyd's algorithm (Bentley & Floyd, "A sample
+    of brilliance", CACM 1987) run over the whole block at once.
+
+    ``rng`` is one Generator, or a list of R, one per chain: then the
+    subsets are shaped (*shape, R, B), and chain r's are the block that
+    rng[r] alone gives.  Each row draws B bounded integers, column j uniform
+    on 0..n-B+j (exact: numpy's bounded integers reject, they do not round);
+    a column-j value already in its row is replaced by n-B+j, which no
+    earlier column can hold.  A (rows, n) bitmap answers "already in its
+    row", so a row costs O(B) draws and updates.  Each generator fills its
+    rows in C order and each row is formed on its own, so a block equals its
+    one-subset calls bit for bit and leaves the stream where they leave it.
+    B = n takes every index and draws nothing."""
     if not 1 <= B <= n:
         raise ValueError(f"need 1 <= B <= n, got B={B}, n={n}")
+    single = isinstance(rng, np.random.Generator)
     if B == n:
-        return np.tile(np.arange(n), (*shape, 1))
-    if n > _RANKED_MAX_N:
-        return np.sort([rng.choice(n, B, replace=False) for _ in range(math.prod(shape))]).reshape(*shape, B)
-    return np.sort(np.argpartition(rng.random((*shape, n)), B - 1, axis=-1)[..., :B], axis=-1)
+        return np.tile(np.arange(n), (*shape, 1) if single else (*shape, len(rng), 1))
+    bounds = np.arange(n - B + 1, n + 1)
+    out = (rng.integers(0, bounds, size=(*shape, B)) if single
+           else np.stack([g.integers(0, bounds, size=(*shape, B)) for g in rng], axis=-2))
+    rows = out.reshape(-1, B)  # a view: the rows are rewritten in place
+    at = np.arange(0, len(rows) * n, n)[:, None]  # each row's offset in the flat bitmap
+    pos = rows + at  # each draw's bit
+    taken = np.zeros(len(rows) * n, dtype=bool)
+    taken[pos[:, 0]] = True
+    for j in range(1, B):
+        col = pos[:, j]  # a view: a replaced draw is rewritten in pos
+        np.copyto(col, at[:, 0] + (n - B + j), where=taken[col])
+        taken[col] = True
+    np.subtract(pos, at, out=rows)
+    rows.sort(axis=-1)
+    return out
 
 
 def _blocks(draw, total: int, span: int):
@@ -289,10 +305,7 @@ def _replicates(obj: FiniteSumObjective, variant: str, x0, K: int, m: int, B: in
     span = max(1, _BLOCK_VALUES // (R * max(d, n)))
     noise_rows = _blocks(lambda c: np.stack([g.standard_normal((c, d)) for g, _ in streams], axis=1), K, span)
     subsets = K if variant == "sgld" else K - K // m
-    # bounds both one replicate's (c, n) uniforms and the stacked (c, R, B) indices
-    subset_span = max(1, min(_SUBSET_UNIFORMS // n, _BLOCK_VALUES // (R * B)))
-    subset_rows = _blocks(lambda c: np.stack([sample_index_set(n, B, g, (c,)) for _, g in streams], axis=1),
-                          subsets, subset_span)
+    subset_rows = _blocks(lambda c: sample_index_set(n, B, [g for _, g in streams], (c,)), subsets, span)
     steps = np.unique(np.r_[0:K + 1:store_every, K])  # the stored steps: 0, every store_every-th, and K
     final = np.tile(np.asarray(x0, dtype=float), (R, 1))
     iterates = np.full((steps.size, R, d), np.nan)
@@ -469,12 +482,14 @@ def run_ensemble(
     """Run n_chains independent chains of one variant, vectorised over chains.
 
     Statistically equivalent to independent single-chain runs but draws from
-    the single stream pair ``chain_rngs(seed)``: noise as (R, d) rows, and
-    each chain's subset as the B smallest of n iid uniforms, both in blocks of
-    steps bounded to a few MB.  Deterministic in (seed, n_chains, shapes).
-    Intended for the replicate-heavy desk experiments; single chains keep the
-    per-replicate stream rule of :func:`chain_rngs`.  Raises
-    :class:`DivergedError` at the first non-finite iterate or gradient.
+    the single stream pair ``chain_rngs(seed)``: noise as (c, R, d) blocks,
+    and subsets as one :func:`sample_index_set` call of shape (c, R) a block,
+    for blocks of c steps with c * R * max(d, n) bounded to a few MB.
+    Deterministic in (seed, n_chains, shapes).  Intended for the
+    replicate-heavy desk experiments; single chains keep the per-replicate
+    stream rule of :func:`chain_rngs`.  ``checkpoints`` are the steps to
+    keep, integers in 0..K (default K).  Raises :class:`DivergedError` at
+    the first non-finite iterate or gradient.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
@@ -493,8 +508,9 @@ def run_ensemble(
     if X.shape != (R, d):
         raise ValueError(f"x0 must broadcast to ({R}, {d})")
     wanted = set(checkpoints) if checkpoints else {K}
-    if max(wanted) > K:
-        raise ValueError("checkpoints exceed K")
+    bad = [k for k in dict.fromkeys(checkpoints or ()) if not (isinstance(k, numbers.Integral) and 0 <= k <= K)]
+    if bad:
+        raise ValueError(f"checkpoints [{', '.join(map(str, bad))}] are not integers in 0..{K}")
     out = EnsembleResult(variant=variant, K=K)
 
     def record(k: int, X, count: int, *_) -> None:
@@ -513,8 +529,7 @@ def run_ensemble(
         obj, variant, X, K, m,
         (lambda s: (sched.eta(s), sched.gamma(s))) if sched is not None else (lambda s: (eta, gamma)),
         _blocks(lambda c: noise_rng.standard_normal((c, R, d)), K, span).__next__,
-        _blocks(lambda c: np.argpartition(index_rng.random((c, R, n)), B - 1, axis=-1)[..., :B],
-                subsets, span).__next__,
+        _blocks(lambda c: sample_index_set(n, B, index_rng, (c, R)), subsets, span).__next__,
         obj.minibatch_gradient_rows, record, diverged,
     )
     return out

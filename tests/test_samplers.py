@@ -12,7 +12,6 @@ import vrld
 from vrld import diagnostics
 from vrld.potentials import make_builtin
 from vrld.samplers import (
-    _RANKED_MAX_N,
     VARIANTS,
     AnnealSchedule,
     DivergedError,
@@ -74,26 +73,56 @@ class TestIndexSampling:
         stat = np.sum((observed - 10000.0) ** 2 / 10000.0)
         assert stat < stats.chi2.ppf(0.999, df=5)
 
-    @pytest.mark.parametrize(("n", "B", "subsets", "each"), [(5, 3, 10, 5000), (_RANKED_MAX_N + 1, 1, _RANKED_MAX_N + 1, 50)])
+    @pytest.mark.parametrize(("n", "B", "subsets", "each"), [(5, 3, 10, 5000), (513, 1, 513, 50)])
     def test_uniform_over_subsets_in_a_block(self, n, B, subsets, each):
         """Chi-square over every size-B subset of n, one block of ``each``
-        draws a subset, on each side of the ranked draw's size cap."""
+        draws a subset, for a small and a large n."""
         draws = sample_index_set(n, B, np.random.default_rng(321), (each * subsets,))
         keys, observed = np.unique(draws, axis=0, return_counts=True)
         assert len(keys) == subsets and (np.diff(draws, axis=1) > 0).all()
         stat = np.sum((observed - each) ** 2 / each)
         assert stat < stats.chi2.ppf(0.999, df=subsets - 1)
 
-    @pytest.mark.parametrize(("n", "B"), [(10, 1), (10, 4), (10, 10), (_RANKED_MAX_N + 1, 3)])
+    @pytest.mark.parametrize(("n", "B"), [(10, 1), (10, 4), (10, 10), (513, 3)])
     def test_block_equals_single_draws(self, n, B):
         """A (c,) block is c one-subset calls bit for bit, and leaves the
-        stream where they leave it, on each side of the ranked draw's size cap."""
+        stream where they leave it, for a small and a large n."""
         block_rng, single_rng = chain_rngs(5)[1], chain_rngs(5)[1]
         block = sample_index_set(n, B, block_rng, (37,))
         single = np.array([sample_index_set(n, B, single_rng) for _ in range(37)])
         assert block.shape == (37, B) and block.dtype == single.dtype
         assert block.tobytes() == single.tobytes()
         assert block_rng.random() == single_rng.random()
+
+    def test_uniform_where_the_replacement_fires_most(self):
+        """Chi-square over the 15 subsets of size 4 from 6: with B > n/2 most
+        rows take Floyd's replacement n-B+j at least once, so a replacement
+        index off by one shows here as a law that is not uniform."""
+        draws = sample_index_set(6, 4, np.random.default_rng(4), (15 * 4000,))
+        keys, observed = np.unique(draws, axis=0, return_counts=True)
+        assert len(keys) == 15
+        stat = np.sum((observed - 4000.0) ** 2 / 4000.0)
+        assert stat < stats.chi2.ppf(0.999, df=14)
+
+    @given(st.integers(1, 600).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+           st.sampled_from([(), (7,), (3, 5)]), st.sampled_from([None, 1, 3]), st.integers(0, 2**16))
+    def test_a_block_is_its_one_subset_calls(self, sizes, shape, chains, seed):
+        """Every row holds B distinct sorted indices in 0..n-1, and a block
+        equals its one-subset calls in C order bit for bit, leaving the
+        stream where they leave it; with a list of R generators, chain r's
+        rows are those of its own generator."""
+        n, B = sizes
+        streams = [chain_rngs(seed, r)[1] for r in range(chains or 1)]
+        block = sample_index_set(n, B, streams if chains else streams[0], shape)
+        assert block.shape == (*shape, chains, B) if chains else (*shape, B)
+        rows = block.reshape(-1, B)
+        assert (np.diff(rows, axis=1) > 0).all() and rows.min() >= 0 and rows.max() < n
+        for r, rng in enumerate(streams):
+            alone = chain_rngs(seed, r)[1]
+            single = np.array([sample_index_set(n, B, alone) for _ in range(math.prod(shape))])
+            own = block[..., r, :] if chains else block
+            assert own.reshape(-1, B).tobytes() == single.tobytes()
+            assert rng.random() == alone.random()
 
     def test_full_batch_draws_nothing(self):
         rng = chain_rngs(5)[1]
@@ -259,6 +288,13 @@ class TestNoInputIgnored:
         with pytest.raises(ValueError, match="1 <= B"):
             run_ensemble(quadratic(n=8), "svrg_ld", 4, 8, eta=0.01, gamma=1.0, B=B, m=4)
 
+    @pytest.mark.parametrize(("checkpoints", "bad"), [([-3, 5], "-3"), ([2.5, 10], "2.5"), ([4, 11, 12], "11, 12")])
+    def test_ensemble_checkpoints_outside_the_steps(self, checkpoints, bad):
+        """A checkpoint that is not an integer in 0..K is refused by name,
+        not dropped from the result."""
+        with pytest.raises(ValueError, match=rf"checkpoints \[{bad}\] are not integers in 0\.\.10"):
+            run_ensemble(quadratic(n=8), "sgld", 4, 10, eta=0.01, gamma=1.0, B=2, checkpoints=checkpoints)
+
     @pytest.mark.parametrize("runner", [vrld.run_lmc, vrld.run_sgld, vrld.run_svrg_ld, vrld.run_sarah_ld])
     def test_runner_rejects_another_variant(self, runner):
         own = runner.__name__.removeprefix("run_")
@@ -368,6 +404,22 @@ class TestEnsemble:
                            seed=1, checkpoints=[12])
         assert res.grad_evals[12] == grad_evals_at("sarah_ld", 12, obj.n, 4, 4)
 
+    def test_double_well_ignores_the_subsets(self):
+        """The double well's components are copies of one quartic, so its row
+        oracle ignores the indices and the batch size moves only the count:
+        the sarah_ld checkpoints are bitwise equal for B = 2 and B = 4 (c10's
+        potential, R, m and seed, 400 steps), whatever draws the subsets."""
+        obj = make_builtin("double_well", {"a": 1.0, "d": 1, "n_copies": 16, "box": 2.0})
+        X0 = np.random.default_rng(2024).standard_normal((32, 1)) * 0.3
+        runs = {B: run_ensemble(obj, "sarah_ld", 32, 400, eta=0.002, gamma=4.0, B=B, m=4, seed=77,
+                                x0=X0, checkpoints=[0, 100, 400]) for B in (2, 4)}
+        for k in (0, 100, 400):
+            assert_bitwise(runs[2].checkpoints[k], runs[4].checkpoints[k])
+            assert runs[2].grad_evals[k] == grad_evals_at("sarah_ld", k, 16, 2, 4)
+            assert runs[4].grad_evals[k] == grad_evals_at("sarah_ld", k, 16, 4, 4)
+        assert runs[2].grad_evals[400] < runs[4].grad_evals[400]
+        assert_bitwise(runs[2].final, runs[4].final)
+
 
 # -- reference transcription ------------------------------------------------------
 #
@@ -375,7 +427,7 @@ class TestEnsemble:
 # Single chains draw one noise vector per step from stream 0 of chain_rngs and,
 # where the estimator needs one, one subset from stream 1; ensembles draw from
 # chain_rngs(seed) in blocks of whole epochs, bounded to a few MB, with each
-# chain's subset the B smallest of n iid uniforms.
+# chain's subset one sample_index_set row, in C order over (epoch, step, chain).
 
 
 def reference_chain(obj, variant, x0, K, m, B, seed, schedule, store_every, replicate):
@@ -425,8 +477,7 @@ def reference_ensemble(obj, variant, R, K, m, B, seed, schedule, X, wanted):
         c = min(epochs_per_block, K // m - s0)
         EPS = noise_rng.standard_normal((c, m, R, d))
         if subsets_per_epoch:
-            U = index_rng.random((c, subsets_per_epoch, R, n))
-            IDX = np.argpartition(U, B - 1, axis=-1)[..., :B]
+            IDX = sample_index_set(n, B, index_rng, (c, subsets_per_epoch, R))
         for e in range(c):
             eta, gamma = schedule(s0 + e)
             for l in range(m):
@@ -526,7 +577,7 @@ class TestReferenceEquivalence:
 @st.composite
 def engine_sizes(draw):
     variant = draw(st.sampled_from(VARIANTS))
-    n = draw(st.integers(1, 8) | st.just(_RANKED_MAX_N + 1))  # subsets ranked, or drawn by rng.choice
+    n = draw(st.integers(1, 8) | st.just(513))  # a large n: a wide membership bitmap per subset
     B = draw(st.integers(1, n))
     m = draw(st.integers(1, 4))  # lmc and sgld run without epochs whatever m is
     K = m * draw(st.integers(1, 6))
