@@ -1,9 +1,14 @@
 """Command-line experiment runner, theory calculator, and sweep engine.
 
-Subcommands: run, theory, compare, sweep, validate-config.  All numeric
-output uses round-trip decimal formatting (repr); run artifacts are CSV files
-whose header comments embed the fully resolved configuration.  Exit codes:
-0 success, 2 configuration error, 3 numerical divergence.
+Subcommands: run, theory, compare, sweep, validate-config.  A config command
+first resolves and checks every point it runs (the run, each compare variant,
+each sweep value), then runs the points one at a time.  All numeric output
+uses round-trip decimal formatting (repr); run artifacts are CSV files whose
+header comments embed the fully resolved configuration.  Exit codes: 0
+success; 2 configuration error, in any point, before any output is written;
+3 numerical divergence, after the output is written (compare.csv records a
+diverged variant as ``<variant>,diverged,``; a sweep stops at the point that
+diverged).
 """
 
 from __future__ import annotations
@@ -145,7 +150,6 @@ def resolve_sampler(
     if variant not in samplers.VARIANTS:
         raise ConfigError(f"[sampler] variant must be one of {samplers.VARIANTS}")
     notes: list[str] = []
-    run = cfg.run
     sched = lsi = None
     if cfg.anneal is not None:
         if variant not in ("svrg_ld", "sarah_ld"):
@@ -165,11 +169,7 @@ def resolve_sampler(
         notes.append(
             f"annealed epochs: eta_0={_fmt(sched.eta(0))} gamma_0={_fmt(sched.gamma(0))}"
         )
-        resolved = SamplerConfig(
-            variant=variant, eta=sched.eta(0), gamma=sched.gamma(0), B=s["batch"],
-            m=s["epoch"], K=s["steps"], seed=run["seed"], store_every=run["thin"],
-            burn_in=run["burn_in"],
-        )
+        eta, gamma, B, m, K = sched.eta(0), sched.gamma(0), s["batch"], s["epoch"], s["steps"]
     elif s.get("auto"):
         eps = s.get("eps")
         if eps is None:
@@ -199,10 +199,6 @@ def resolve_sampler(
         notes.append(
             f"auto mode: B=m={B} eta={_fmt(eta)} K={K} (eps={_fmt(eps)}, alpha={_fmt(alpha)})"
         )
-        resolved = SamplerConfig(
-            variant=variant, eta=eta, gamma=gamma, B=B, m=m, K=K,
-            seed=run["seed"], store_every=run["thin"], burn_in=run["burn_in"],
-        )
     else:
         if s.get("eta") is None or s.get("steps") is None:
             raise ConfigError("[sampler] needs eta and steps (or auto = true)")
@@ -211,10 +207,9 @@ def resolve_sampler(
             # kept legal: compare runs every variant from one [sampler] section
             notes.append(f"[sampler] epoch = {m} does not apply to {variant}; resolved m = 1")
             m = 1
-        resolved = SamplerConfig(
-            variant=variant, eta=s["eta"], gamma=s["gamma"], B=s["batch"], m=m,
-            K=s["steps"], seed=run["seed"], store_every=run["thin"], burn_in=run["burn_in"],
-        )
+        eta, gamma, B, K = s["eta"], s["gamma"], s["batch"], s["steps"]
+    resolved = SamplerConfig(variant=variant, eta=eta, gamma=gamma, B=B, m=m, K=K, seed=cfg.run["seed"],
+                             store_every=cfg.run["thin"], burn_in=cfg.run["burn_in"])
     try:
         resolved.validate(obj.n)
     except ValueError as exc:
@@ -237,11 +232,111 @@ def check_run(cfg: ExperimentConfig, obj: FiniteSumObjective, scfg: SamplerConfi
     )
 
 
+# -- points: every one resolved before any runs ---------------------------------------
+
+
+class Point(NamedTuple):
+    """One set of replicates a command runs, resolved and checked: the run, a
+    compare variant or a sweep value."""
+
+    cfg: ExperimentConfig
+    obj: FiniteSumObjective
+    scfg: SamplerConfig
+    sched: samplers.AnnealSchedule | None
+    lsi: Lsi
+    notes: list[str]
+    x0: np.ndarray
+    findings: list[theory.Violation]  # check_run's, for run and validate-config; none elsewhere
+
+
+def _auto_theory(cfg: ExperimentConfig) -> dict | None:
+    """compare and sweep print no bound and check no hypothesis: [theory]
+    reaches them only to pick auto mode's step size."""
+    return cfg.theory if cfg.sampler["auto"] else None
+
+
+# [sweep] axis -> the section and key each value sets, and the value's type;
+# the n axis sets the potential's size key, _SIZE_KEYS
+_SWEEP_AXES = {"eta": ("sampler", "eta", float), "gamma": ("sampler", "gamma", float),
+               "b": ("sampler", "batch", int), "m": ("sampler", "epoch", int), "n": ("potential", None, int)}
+_SIZE_KEYS = {"gaussian_quadratic": "n", "double_well": "n_copies", "gaussian_mixture": "n_copies"}
+
+
+def _point_configs(cfg: ExperimentConfig, command: str) -> list[ExperimentConfig]:
+    """The config of each point: one per compare variant, one per sweep value."""
+    if command == "compare":
+        if cfg.compare is None:
+            raise ConfigError("compare needs a [compare] section")
+        variants = [v.lower() for v in cfg.compare["variants"]]
+        if len(variants) < 2:
+            raise ConfigError("[compare] needs at least two variants")
+        return [replace(cfg, sampler={**cfg.sampler, "variant": v}, theory=_auto_theory(cfg)) for v in variants]
+    if command != "sweep":
+        return [cfg]
+    if cfg.sweep is None:
+        raise ConfigError("sweep needs a [sweep] section")
+    axis = cfg.sweep["axis"].lower()
+    if axis not in _SWEEP_AXES:
+        raise ConfigError(f"[sweep] axis must be eta, gamma, B, m, or n, got {axis!r}")
+    if axis == "m" and cfg.sampler["variant"].lower() in ("lmc", "sgld"):
+        raise ConfigError(f"[sweep] axis m needs svrg_ld or sarah_ld; {cfg.sampler['variant']} has no epochs")
+    section, key, cast = _SWEEP_AXES[axis]
+    if axis == "n":
+        key = _SIZE_KEYS.get(cfg.potential["name"])
+        if key is None:
+            raise ConfigError("[sweep] n axis is not available for this potential")
+    return [replace(cfg, theory=_auto_theory(cfg), **{section: {**getattr(cfg, section), key: cast(value)}})
+            for value in cfg.sweep["values"]]
+
+
+def _check_metric(metric: str, obj: FiniteSumObjective, gamma: float, R: int) -> None:
+    """Refuse a compare metric that the point cannot give."""
+    if metric not in ("suboptimality", "mean_f", "kl_surrogate"):
+        raise ConfigError(f"[compare] unknown metric {metric!r}")
+    if metric == "suboptimality" and obj.F_star is None:
+        raise ConfigError("[compare] suboptimality metric needs a potential with F_star")
+    if metric == "kl_surrogate" and diagnostics.gibbs_moments(obj, gamma) is None:
+        raise ConfigError("[compare] kl_surrogate metric needs the quadratic potential family")
+    if metric == "kl_surrogate" and R < obj.d + 2:
+        raise ConfigError(f"[compare] kl_surrogate needs at least {obj.d + 2} replicates, got {R}")
+
+
+def resolve(cfg: ExperimentConfig, command: str) -> list[Point]:
+    """The points of ``command`` (run, compare, sweep or validate-config), each
+    resolved and checked before any chain runs or any file is written; a bad
+    point raises ConfigError.  Points that share a [potential] section share
+    its objective."""
+    points: list[Point] = []
+    for pcfg in _point_configs(cfg, command):
+        if not points or pcfg.potential != points[-1].cfg.potential:
+            obj = build_objective(pcfg)
+        scfg, sched, lsi, notes = resolve_sampler(pcfg, obj)
+        if sched is not None and command in ("compare", "sweep"):
+            raise ConfigError(f"[{command}] annealed configs are not supported")
+        x0 = np.zeros(obj.d) if cfg.run.get("x0") is None else np.asarray(cfg.run["x0"], dtype=float)
+        if x0.shape != (obj.d,):
+            raise ConfigError(f"x0 must have dimension {obj.d}")
+        if command == "compare":
+            _check_metric(cfg.compare["metric"], obj, scfg.gamma, cfg.run["replicates"])
+        findings = check_run(pcfg, obj, scfg, sched, lsi) if command in ("run", "validate-config") else []
+        points.append(Point(pcfg, obj, scfg, sched, lsi, notes, x0, findings))
+    return points
+
+
+def execute(point: Point, values: bool) -> tuple[list[RunTrace], list[np.ndarray] | None]:
+    """The point's replicates and, if ``values``, F along each trace, computed
+    once; a huge iterate reads inf or nan, silently."""
+    traces = samplers.run_replicates(point.obj, point.scfg, point.x0, point.cfg.run["replicates"], point.sched)
+    if not values:
+        return traces, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        return traces, [np.asarray(point.obj.value(t.iterates), dtype=float) for t in traces]
+
+
 # -- run artifacts ---------------------------------------------------------------
 
 
-def _resolved_header(cfg: ExperimentConfig, obj: FiniteSumObjective, scfg: SamplerConfig,
-                     extra: dict | None = None) -> list[str]:
+def _resolved_header(cfg: ExperimentConfig, obj: FiniteSumObjective, scfg: SamplerConfig) -> list[str]:
     lines = ["# vrld run"]
     for section_name in ("potential", "sampler", "theory", "anneal", "run", "compare", "sweep"):
         section = getattr(cfg, section_name)
@@ -254,16 +349,9 @@ def _resolved_header(cfg: ExperimentConfig, obj: FiniteSumObjective, scfg: Sampl
         "resolved.variant": scfg.variant, "resolved.eta": scfg.eta, "resolved.gamma": scfg.gamma,
         "resolved.B": scfg.B, "resolved.m": scfg.m, "resolved.K": scfg.K,
         "resolved.seed": scfg.seed, "resolved.potential_n": obj.n, "resolved.potential_d": obj.d,
-        **(extra or {}),
     }.items():
         lines.append(f"# {key} = {_fmt(value)}")
     return lines
-
-
-def _values(obj: FiniteSumObjective, traces: list[RunTrace]) -> list[np.ndarray]:
-    """F along each trace, computed once; a huge iterate reads inf or nan, silently."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return [np.asarray(obj.value(t.iterates), dtype=float) for t in traces]
 
 
 def _cells(values, blank_nan: bool = False) -> list[str]:
@@ -345,27 +433,15 @@ def _burn_in_footer(obj: FiniteSumObjective, scfg: SamplerConfig, traces: list[R
 
 
 def cmd_run(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
-    obj = build_objective(cfg)
-    scfg, sched, lsi, notes = resolve_sampler(cfg, obj)
-    findings = check_run(cfg, obj, scfg, sched, lsi)
-    problems = [f.message for f in findings if f.kind == "violation"]
+    [point] = resolve(cfg, "run")
+    obj, scfg = point.obj, point.scfg
+    problems = [f"\n  {f.message}" for f in point.findings if f.kind == "violation"]
     if problems:
-        print("configuration violates theorem hypotheses:", file=sys.stderr)
-        for p in problems:
-            print(f"  {p}", file=sys.stderr)
-        return EXIT_CONFIG
-    notes += [f.message for f in findings]
-    run = cfg.run
-    x0 = np.zeros(obj.d) if run.get("x0") is None else np.asarray(run["x0"], dtype=float)
-    if x0.shape != (obj.d,):
-        print(f"x0 must have dimension {obj.d}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("configuration violates theorem hypotheses:" + "".join(problems))
+    notes = point.notes + [f.message for f in point.findings]
     out_dir.mkdir(parents=True, exist_ok=True)
-    traces = samplers.run_replicates(obj, scfg, x0, run["replicates"], sched=sched)
-    header = _resolved_header(cfg, obj, scfg)
-    for note in notes:
-        header.append(f"# note: {note}")
-    fvals = _values(obj, traces)
+    traces, fvals = execute(point, values=True)
+    header = _resolved_header(cfg, obj, scfg) + [f"# note: {note}" for note in notes]
     for r, (trace, f) in enumerate(zip(traces, fvals)):
         cols = {**_trace_columns(trace), "f": _cells(f)}
         if obj.F_star is not None:
@@ -374,194 +450,109 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
             cols.update((f"x{j}", _cells(trace.iterates[:, j])) for j in range(obj.d))
         _write_csv(out_dir / f"replicate_{r:03d}.csv", header + [f"# replicate = {r}"], cols)
     _write_csv(out_dir / "summary.csv", header,
-               _summary_columns(cfg, obj, scfg, traces, fvals, lsi.alpha, findings, sched is not None),
+               _summary_columns(cfg, obj, scfg, traces, fvals, point.lsi.alpha, point.findings, point.sched is not None),
                _burn_in_footer(obj, scfg, traces, fvals))
     diverged = [r for r, t in enumerate(traces) if t.diverged]
     if not quiet:
         print(f"wrote {len(traces)} replicate trace(s) and summary.csv to {out_dir}")
         for note in notes:
             print(f"note: {note}")
-        if diverged:
-            for r in diverged:
-                print(f"replicate {r} diverged at step {traces[r].diverged_step}", file=sys.stderr)
-    if diverged:
-        return EXIT_DIVERGED
-    return EXIT_OK
+        for r in diverged:
+            print(f"replicate {r} diverged at step {traces[r].diverged_step}", file=sys.stderr)
+    return EXIT_DIVERGED if diverged else EXIT_OK
 
 
 # -- compare ----------------------------------------------------------------------
 
 
-def _auto_theory(cfg: ExperimentConfig) -> dict | None:
-    """compare and sweep print no bound and check no hypothesis: [theory]
-    reaches them only to pick auto mode's step size."""
-    return cfg.theory if cfg.sampler["auto"] else None
+def _metric_series(metric: str, point: Point, traces: list[RunTrace], fvals: list[np.ndarray] | None,
+                   n_boot: int = 16) -> np.ndarray:
+    """The metric at each stored step of a point that _check_metric accepted.
+    Per-chain metrics give one row per replicate; the ensemble kl_surrogate
+    gives the full-ensemble series in row 0 followed by bootstrap resamples
+    of the replicates (for the SE)."""
+    if metric == "mean_f":
+        return np.stack(fvals)
+    if metric == "suboptimality":
+        return np.stack(fvals) - point.obj.F_star
+    gibbs = diagnostics.gibbs_moments(point.obj, point.scfg.gamma)
+    ensembles = np.stack([t.iterates for t in traces], axis=1)  # (steps, R, d)
+    R = len(traces)
+    rng = np.random.default_rng(0)
+    rows = [np.arange(R)] + [rng.integers(0, R, size=R) for _ in range(n_boot)]
+    # a checkpoint with no value (nan) never counts as below the threshold
+    return np.stack([diagnostics.moment_surrogates(ensembles[:, ids], gibbs)[0] for ids in rows])
 
 
-def _metric_series(metric: str, obj: FiniteSumObjective, gamma: float,
-                   traces: list[RunTrace], n_boot: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """(steps, metric matrix).  Per-chain metrics give one row per replicate;
-    the ensemble kl_surrogate gives the full-ensemble series in row 0 followed
-    by bootstrap resamples of the replicates (for the SE)."""
-    steps = traces[0].steps
-    if metric in ("suboptimality", "mean_f"):
-        vals = np.stack(_values(obj, traces))
-        if metric == "suboptimality":
-            if obj.F_star is None:
-                raise ConfigError("[compare] suboptimality metric needs a potential with F_star")
-            vals = vals - obj.F_star
-        return steps, vals
+def _grad_evals_to_threshold(metric: str, threshold: float, point: Point, traces: list[RunTrace],
+                             fvals: list[np.ndarray] | None) -> tuple[float | None, float]:
+    """Grad evals at which the metric first reaches the threshold (None if it
+    does not) and the SE: for kl_surrogate the full ensemble's crossing and its
+    bootstrap resamples' spread, otherwise the mean crossing, if at least half
+    the replicates cross."""
+    scfg, steps = point.scfg, traces[0].steps
+    crossings: list[float | None] = []
+    for row in _metric_series(metric, point, traces, fvals):
+        below = np.nonzero(row <= threshold)[0]
+        crossings.append(float(samplers.grad_evals_at(scfg.variant, int(steps[below[0]]), point.obj.n, scfg.B, scfg.m))
+                         if below.size else None)
     if metric == "kl_surrogate":
-        gibbs = diagnostics.gibbs_moments(obj, gamma)
-        if gibbs is None:
-            raise ConfigError("[compare] kl_surrogate metric needs the quadratic potential family")
-        R = len(traces)
-        if R < obj.d + 2:
-            raise ConfigError(f"[compare] kl_surrogate needs at least {obj.d + 2} replicates, got {R}")
-        ensembles = np.stack([t.iterates for t in traces], axis=1)  # (steps, R, d)
-        rng = np.random.default_rng(0)
-        rows = [np.arange(R)] + [rng.integers(0, R, size=R) for _ in range(n_boot)]
-        # a checkpoint with no value (nan) never counts as below the threshold
-        return steps, np.stack([diagnostics.moment_surrogates(ensembles[:, ids], gibbs)[0] for ids in rows])
-    raise ConfigError(f"[compare] unknown metric {metric!r}")
+        boots = [c for c in crossings[1:] if c is not None]
+        return crossings[0], float(np.std(boots, ddof=1)) if len(boots) > 1 else 0.0
+    reached = np.asarray([c for c in crossings if c is not None])
+    se = float(reached.std(ddof=1) / math.sqrt(reached.size)) if reached.size > 1 else 0.0
+    return float(reached.mean()) if reached.size >= max(1, len(crossings) // 2) else None, se
 
 
 def cmd_compare(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
-    if cfg.compare is None:
-        print("compare needs a [compare] section", file=sys.stderr)
-        return EXIT_CONFIG
-    obj = build_objective(cfg)
-    comp = cfg.compare
-    threshold = comp["threshold"]
-    variants = [v.lower() for v in comp["variants"]]
-    if len(variants) < 2:
-        print("[compare] needs at least two variants", file=sys.stderr)
-        return EXIT_CONFIG
-    run = cfg.run
-    x0 = np.zeros(obj.d) if run.get("x0") is None else np.asarray(run["x0"], dtype=float)
+    points = resolve(cfg, "compare")
+    metric, threshold = cfg.compare["metric"], cfg.compare["threshold"]
     out_dir.mkdir(parents=True, exist_ok=True)
-    table: list[tuple[str, str, str]] = []
-    rows_csv: list[str] = []
-    for variant in variants:
-        section = dict(cfg.sampler)
-        section["variant"] = variant
-        vcfg = replace(cfg, sampler=section, theory=_auto_theory(cfg))
-        try:
-            scfg, sched, _, _ = resolve_sampler(vcfg, obj)
-        except ConfigError as exc:
-            print(exc, file=sys.stderr)
-            return EXIT_CONFIG
-        if sched is not None:
-            print("[compare] annealed configs are not supported", file=sys.stderr)
-            return EXIT_CONFIG
-        traces = samplers.run_replicates(obj, scfg, x0, run["replicates"])
+    rows: list[tuple[str, str, str]] = []  # variant, grad evals at the threshold (or why none), se
+    for point in points:
+        traces, fvals = execute(point, values=metric != "kl_surrogate")
         if any(t.diverged for t in traces):
-            table.append((variant, "diverged", ""))
+            rows.append((point.scfg.variant, "diverged", ""))
             continue
-        steps, vals = _metric_series(comp["metric"], obj, scfg.gamma, traces)
-
-        def crossing(row) -> float | None:
-            below = np.nonzero(row <= threshold)[0]
-            if not below.size:
-                return None
-            return float(samplers.grad_evals_at(scfg.variant, int(steps[below[0]]), obj.n, scfg.B, scfg.m))
-
-        if comp["metric"] == "kl_surrogate":
-            estimate = crossing(vals[0])
-            boots = [c for c in (crossing(r) for r in vals[1:]) if c is not None]
-            se = float(np.std(boots, ddof=1)) if len(boots) > 1 else 0.0
-        else:
-            per_rep = [c for c in (crossing(r) for r in vals) if c is not None]
-            if len(per_rep) < max(1, len(vals) // 2):
-                estimate = None
-                se = 0.0
-            else:
-                arr = np.asarray(per_rep)
-                estimate = float(arr.mean())
-                se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
-        if estimate is None:
-            table.append((variant, "not reached", ""))
-            rows_csv.append(f"{variant},not_reached,")
-        else:
-            table.append((variant, repr(estimate), repr(se)))
-            rows_csv.append(f"{variant},{estimate!r},{se!r}")
+        estimate, se = _grad_evals_to_threshold(metric, threshold, point, traces, fvals)
+        rows.append((point.scfg.variant, "not_reached", "") if estimate is None
+                    else (point.scfg.variant, repr(estimate), repr(se)))
     with open(out_dir / "compare.csv", "w", encoding="utf-8") as fh:
-        fh.write(f"# metric = {comp['metric']}, threshold = {_fmt(threshold)}\n")
+        fh.write(f"# metric = {metric}, threshold = {_fmt(threshold)}\n")
         fh.write("variant,grad_evals_at_threshold,se\n")
-        fh.write("\n".join(rows_csv) + "\n")
+        fh.write("\n".join(",".join(row) for row in rows) + "\n")
     if not quiet:
-        width = max(len(v) for v, _, _ in table)
-        print(f"grad evals to reach {comp['metric']} <= {_fmt(threshold)}")
-        for variant, value, se in table:
+        width = max(len(v) for v, _, _ in rows)
+        print(f"grad evals to reach {metric} <= {_fmt(threshold)}")
+        for variant, value, se in rows:
+            value = "not reached" if value == "not_reached" else value
             print(f"  {variant.ljust(width)}  {value}" + (f" +- {se}" if se else ""))
-    return EXIT_OK
+    return EXIT_DIVERGED if any(value == "diverged" for _, value, _ in rows) else EXIT_OK
 
 
 # -- sweep ------------------------------------------------------------------------
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
-    if cfg.sweep is None:
-        print("sweep needs a [sweep] section", file=sys.stderr)
-        return EXIT_CONFIG
+    points = resolve(cfg, "sweep")
     axis = cfg.sweep["axis"].lower()
-    values = cfg.sweep["values"]
-    if axis not in ("eta", "gamma", "b", "m", "n"):
-        print(f"[sweep] axis must be eta, gamma, B, m, or n, got {axis!r}", file=sys.stderr)
-        return EXIT_CONFIG
-    if axis == "m" and cfg.sampler["variant"].lower() in ("lmc", "sgld"):
-        print(f"[sweep] axis m needs svrg_ld or sarah_ld; {cfg.sampler['variant']} has no epochs",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    run = cfg.run
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "sweep.csv"
-    wrote_header = False
     with open(path, "w", encoding="utf-8") as fh:
-        for value in values:
-            pot = dict(cfg.potential)
-            section = dict(cfg.sampler)
-            if axis == "eta":
-                section["eta"] = float(value)
-            elif axis == "gamma":
-                section["gamma"] = float(value)
-            elif axis == "b":
-                section["batch"] = int(value)
-            elif axis == "m":
-                section["epoch"] = int(value)
-            else:
-                if pot.get("name") == "gaussian_quadratic":
-                    pot["n"] = int(value)
-                elif pot.get("name") in ("double_well", "gaussian_mixture"):
-                    pot["n_copies"] = int(value)
-                else:
-                    print("[sweep] n axis is not available for this potential", file=sys.stderr)
-                    return EXIT_CONFIG
-            vcfg = replace(cfg, potential=pot, sampler=section, theory=_auto_theory(cfg))
-            try:
-                obj = build_objective(vcfg)
-                scfg, sched, _, _ = resolve_sampler(vcfg, obj)
-            except ConfigError as exc:
-                print(exc, file=sys.stderr)
-                return EXIT_CONFIG
-            if sched is not None:
-                print("[sweep] annealed configs are not supported", file=sys.stderr)
-                return EXIT_CONFIG
-            x0 = np.zeros(obj.d) if run.get("x0") is None else np.asarray(run["x0"], dtype=float)
-            traces = samplers.run_replicates(obj, scfg, x0, run["replicates"])
+        for i, (point, value) in enumerate(zip(points, cfg.sweep["values"])):
+            traces, fvals = execute(point, values=True)
             if any(t.diverged for t in traces):
                 print(f"sweep point {axis}={_fmt(value)} diverged", file=sys.stderr)
                 return EXIT_DIVERGED
-            gibbs = diagnostics.gibbs_moments(obj, scfg.gamma)
-            if not wrote_header:
+            if i == 0:  # after the check: a first point that diverges leaves the file empty
                 fh.write("# " + ", ".join(f"{k}={_fmt(v)}" for k, v in cfg.sweep.items()) + "\n")
                 fh.write("axis,value,replicate,step,epoch,grad_evals,f,kl_surrogate\n")
-                wrote_header = True
             label = [axis, _fmt(value)]
-            for r, (trace, f) in enumerate(zip(traces, _values(obj, traces))):
+            for r, (trace, f) in enumerate(zip(traces, fvals)):
                 fh.write(_lines([[c] * f.size for c in label + [str(r)]]
                                 + [*_trace_columns(trace).values(), _cells(f), [""] * f.size]))
-            if gibbs is not None and len(traces) >= obj.d + 2:
+            gibbs = diagnostics.gibbs_moments(point.obj, point.scfg.gamma)
+            if gibbs is not None and len(traces) >= point.obj.d + 2:
                 kl, _ = diagnostics.moment_surrogates(np.stack([t.iterates for t in traces], axis=1), gibbs)
                 fh.write(_lines([[c] * kl.size for c in label + ["all"]]
                                 + [*_trace_columns(traces[0]).values(), [""] * kl.size, _cells(kl, blank_nan=True)]))
@@ -582,26 +573,26 @@ def _q(names: str):
 
 def _kl_bound_query(a: dict) -> dict:
     kb = theory.kl_bound(
-        a["variant"], a["H0"], int(a["k"]), a["eta"], a["gamma"], a["alpha"],
-        int(a["d"]), a["L"], int(a["n"]), int(a["B"]), int(a["m"]),
+        a["variant"], a["H0"], a["k"], a["eta"], a["gamma"], a["alpha"],
+        a["d"], a["L"], a["n"], a["B"], a["m"],
     )
     return {"decay": kb.decay, "bias": kb.bias, "total": kb.total, "bias_coarse": kb.bias_coarse}
 
 
 _QUERIES: dict[str, tuple[list[str], object, str]] = {
-    "xi": (_q("n B"), lambda a: {"xi": theory.minibatch_variance_factor(int(a["n"]), int(a["B"]))},
+    "xi": (_q("n B"), lambda a: {"xi": theory.minibatch_variance_factor(a["n"], a["B"])},
            "xi = (n - B) / (B * (n - 1)); xi(1, 1) = 0 by convention"),
     "upsilon": (_q("n B m"), lambda a: dict(zip(("xi", "lambda", "upsilon"),
-                theory.variance_reduction_factors(int(a["n"]), int(a["B"]), int(a["m"])))),
+                theory.variance_reduction_factors(a["n"], a["B"], a["m"]))),
                 "upsilon = (1 + 2 xi) + xi + 1 + 2 m xi, capped universally at 7"),
     "step_cap": (_q("variant alpha L m gamma"),
-                 lambda a: {"cap": theory.step_size_cap(a["variant"], a["alpha"], a["L"], int(a["m"]), a["gamma"])},
+                 lambda a: {"cap": theory.step_size_cap(a["variant"], a["alpha"], a["L"], a["m"], a["gamma"])},
                  "cap = alpha / (16 sqrt(6 or 2) L^2 m gamma)  [anchored / recursive]"),
     "bias": (_q("variant eta gamma d L alpha n B m"),
              lambda a: {
-                 "bias": theory.bias_term(a["variant"], a["eta"], a["gamma"], int(a["d"]), a["L"],
-                                          a["alpha"], int(a["n"]), int(a["B"]), int(a["m"])),
-                 "bias_coarse": theory.bias_term_coarse(a["eta"], a["gamma"], int(a["d"]), a["L"], a["alpha"]),
+                 "bias": theory.bias_term(a["variant"], a["eta"], a["gamma"], a["d"], a["L"],
+                                          a["alpha"], a["n"], a["B"], a["m"]),
+                 "bias_coarse": theory.bias_term_coarse(a["eta"], a["gamma"], a["d"], a["L"], a["alpha"]),
              },
              "bias = (32 eta gamma d L^2 / 3 alpha) * factor; coarse = 224 eta gamma d L^2 / (3 alpha)"),
     "kl_bound": (_q("variant H0 k eta gamma alpha d L n B m"),
@@ -609,48 +600,48 @@ _QUERIES: dict[str, tuple[list[str], object, str]] = {
                  "KL <= exp(-alpha eta k / gamma) H0 + bias"),
     "eta_for_eps": (_q("variant eps gamma alpha d L n B m"),
                     lambda a: {"eta": theory.eta_for_eps(a["variant"], a["eps"], a["gamma"], a["alpha"],
-                                                         int(a["d"]), a["L"],
-                                                         int(a["n"]) if "n" in a else None,
-                                                         int(a["B"]) if "B" in a else None,
-                                                         int(a["m"]) if "m" in a else None)},
+                                                         a["d"], a["L"],
+                                                         a.get("n"),
+                                                         a.get("B"),
+                                                         a.get("m"))},
                     "largest eta keeping the bias at eps/2"),
     "iters_for_eps": (_q("eps H0 gamma alpha eta"),
                       lambda a: {"k": theory.iterations_for_eps(a["eps"], a["H0"], a["gamma"], a["alpha"], a["eta"])},
                       "k = ceil((gamma / alpha eta) log(2 H0 / eps))"),
     "grad_complexity": (_q("k B m n"),
-                        lambda a: {"count": theory.gradient_complexity(int(a["k"]), int(a["B"]), int(a["m"]), int(a["n"]))},
+                        lambda a: {"count": theory.gradient_complexity(a["k"], a["B"], a["m"], a["n"])},
                         "count = (k / m)(n + 2 B (m - 1))"),
     "talagrand_w2": (_q("H alpha"), lambda a: {"w2": theory.talagrand_w2_bound(a["H"], a["alpha"])},
                      "W2 <= sqrt(2 H / alpha)"),
     "lsi_dissipative": (_q("gamma L M b d A_star B_star C_star"),
                         lambda a: theory.lsi_constant_dissipative(a["gamma"], a["L"], a["M"], a["b"],
-                                                                  int(a["d"]), a["A_star"], a["B_star"],
+                                                                  a["d"], a["A_star"], a["B_star"],
                                                                   a.get("C_star", 1.0)).__dict__,
                         "alpha = gamma C1 exp(-C2 gamma); CAVEAT: C_star defaults to 1, true value unknown"),
     "lsi_weak_morse": (_q("gamma lambda_dagger M L d L_prime C_F"),
                        lambda a: theory.lsi_constant_weak_morse(a["gamma"], a["lambda_dagger"], a["M"],
-                                                                a["L"], int(a["d"]), a["L_prime"],
+                                                                a["L"], a["d"], a["L_prime"],
                                                                 a["C_F"]).__dict__,
                        "alpha = C3 / gamma above the gamma floor"),
     "gamma_opt": (_q("eps d L M b"),
-                  lambda a: {"gamma": theory.inverse_temperature_for_accuracy(a["eps"], int(a["d"]), a["L"], a["M"], a["b"])},
+                  lambda a: {"gamma": theory.inverse_temperature_for_accuracy(a["eps"], a["d"], a["L"], a["M"], a["b"])},
                   "gamma = max((4d/eps) log(eL/M), 16 d b / eps^2, 1, 2/M), so gibbs_bound <= eps/4: "
                   "the first term puts (d/2 gamma) log(eL/M) <= eps/8, and log(1+x) <= sqrt(x) puts "
                   "the rest <= sqrt(d b / gamma)/2 <= eps/8; replaces the published 8 d b / eps^2, "
                   "which is a factor 2 short"),
     "gibbs_bound": (_q("gamma d L M b"),
-                    lambda a: {"bound": theory.gibbs_suboptimality_bound(a["gamma"], int(a["d"]), a["L"], a["M"], a["b"])},
+                    lambda a: {"bound": theory.gibbs_suboptimality_bound(a["gamma"], a["d"], a["L"], a["M"], a["b"])},
                     "bound = (d / 2 gamma) log((eL/M)(b gamma / d + 1))"),
     "subopt_decomp": (_q("w2 L gamma d M b"),
-                      lambda a: {"bound": theory.suboptimality_decomposition(a["w2"], a["L"], a["gamma"], int(a["d"]), a["M"], a["b"])},
+                      lambda a: {"bound": theory.suboptimality_decomposition(a["w2"], a["L"], a["gamma"], a["d"], a["M"], a["b"])},
                       "bound = L W2^2 + 2 * gibbs_bound"),
     "kl_target": (_q("alpha eps L"),
                   lambda a: {"kl": theory.kl_target_for_suboptimality(a["alpha"], a["eps"], a["L"])},
                   "kl = alpha eps / (4 L)"),
     "opt_eta": (_q("alpha L n gamma d eps"),
-                lambda a: {"eta": theory.optimization_step_size(a["alpha"], a["L"], int(a["n"]), a["gamma"], int(a["d"]), a["eps"])},
+                lambda a: {"eta": theory.optimization_step_size(a["alpha"], a["L"], a["n"], a["gamma"], a["d"], a["eps"])},
                 "eta = min(alpha / (16 sqrt(6) L^2 sqrt(n) gamma), (3/1792) alpha^2 eps / (L^2 d gamma))"),
-    "chi": (_q("d L M b"), lambda a: {"chi": theory.chi_constant(int(a["d"]), a["L"], a["M"], a["b"])},
+    "chi": (_q("d L M b"), lambda a: {"chi": theory.chi_constant(a["d"], a["L"], a["M"], a["b"])},
             "chi = max over gamma >= 1 of (d/gamma) log((eL/M)(b gamma/d + 1))"),
     "anneal_sigma_floor": (_q("L g eta_bar mu C1 C2"),
                            lambda a: {"sigma": theory.anneal_sigma_floor(a["L"], a["g"], a["eta_bar"], a["mu"], a["C1"], a["C2"])},
@@ -664,6 +655,10 @@ _QUERIES: dict[str, tuple[list[str], object, str]] = {
 }
 
 
+# theory query parameters that are counts, parsed as integers
+_INT_PARAMS = frozenset(_q("n B m d k"))
+
+
 def cmd_theory(tokens: list[str]) -> int:
     if not tokens:
         print("available theory queries:")
@@ -672,29 +667,32 @@ def cmd_theory(tokens: list[str]) -> int:
         return EXIT_OK
     name = tokens[0]
     if name not in _QUERIES:
-        print(f"unknown theory query {name!r}; run `vrld theory` for the list", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"unknown theory query {name!r}; run `vrld theory` for the list")
     params, fn, formula = _QUERIES[name]
     args: dict = {}
     for token in tokens[1:]:
+        if token in ("svrg", "sarah", "svrg_ld", "sarah_ld"):
+            token = f"variant={token}"  # bare variant token shorthand
         if "=" not in token:
-            if token in ("svrg", "sarah", "svrg_ld", "sarah_ld"):
-                args["variant"] = token  # bare variant token shorthand
-                continue
-            print(f"expected key=value, got {token!r}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError(f"expected key=value, got {token!r}")
         key, value = token.split("=", 1)
         key = _ALIASES.get(key, key)
-        args[key] = value if key == "variant" else float(value)
+        if key not in params:
+            raise ConfigError(f"{name} takes no {key}; its parameters are {' '.join(params)}")
+        if key in args:
+            raise ConfigError(f"{key} is given twice")
+        try:
+            args[key] = value if key == "variant" else int(value) if key in _INT_PARAMS else float(value)
+        except ValueError:
+            raise ConfigError(f"{key} must be {'an integer' if key in _INT_PARAMS else 'a number'}, "
+                              f"got {value!r}") from None
     missing = [p for p in params if p not in args and not (name == "eta_for_eps" and p in ("n", "B", "m"))]
     if missing:
-        print(f"{name} needs {', '.join(missing)}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"{name} needs {', '.join(missing)}")
     try:
         result = fn(args)
     except (HypothesisViolation, ValueError) as exc:
-        print(f"hypothesis violation: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"hypothesis violation: {exc}") from exc
     for key, value in result.items():
         print(f"{key} = {_fmt(value)}")
     print(f"formula: {formula}")
@@ -705,22 +703,17 @@ def cmd_theory(tokens: list[str]) -> int:
 
 
 def cmd_validate(cfg: ExperimentConfig) -> int:
-    try:
-        obj = build_objective(cfg)
-        scfg, sched, lsi, notes = resolve_sampler(cfg, obj)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_CONFIG
-    findings = check_run(cfg, obj, scfg, sched, lsi)
-    for f in findings:
+    [point] = resolve(cfg, "validate-config")
+    for f in point.findings:
         if f.kind == "violation":
             print(f.message, file=sys.stderr)
         else:
             print(f"note: {f.message}")
-    for note in notes:
+    for note in point.notes:
         print(f"note: {note}")
-    if any(f.kind == "violation" for f in findings):
+    if any(f.kind == "violation" for f in point.findings):
         return EXIT_CONFIG
+    scfg, obj = point.scfg, point.obj
     print(
         f"ok: {scfg.variant} eta={_fmt(scfg.eta)} gamma={_fmt(scfg.gamma)} "
         f"B={scfg.B} m={scfg.m} K={scfg.K} on {cfg.potential['name']} (n={obj.n}, d={obj.d})"
@@ -744,36 +737,27 @@ def main(argv: list[str] | None = None) -> int:
     p_theory.add_argument("query", nargs="*", help="e.g. xi n=16 B=4")
     args = parser.parse_args(argv)
 
-    if args.command == "theory":
-        return cmd_theory(args.query)
-
     try:
-        cfg = parse_config(args.config)
-    except (ConfigError, OSError) as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_CONFIG
-    if args.seed is not None:
-        cfg.run["seed"] = args.seed
-    if args.out is not None:
-        cfg.run["out"] = args.out
-    out_dir = Path(cfg.run["out"])
-
-    try:
-        if args.command == "run":
-            return cmd_run(cfg, out_dir, args.quiet)
-        if args.command == "compare":
-            return cmd_compare(cfg, out_dir, args.quiet)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, out_dir, args.quiet)
+        if args.command == "theory":
+            return cmd_theory(args.query)
+        try:
+            cfg = parse_config(args.config)
+        except OSError as exc:
+            raise ConfigError(exc) from exc
+        if args.seed is not None:
+            cfg.run["seed"] = args.seed
+        if args.out is not None:
+            cfg.run["out"] = args.out
         if args.command == "validate-config":
             return cmd_validate(cfg)
+        command = {"run": cmd_run, "compare": cmd_compare, "sweep": cmd_sweep}[args.command]
+        return command(cfg, Path(cfg.run["out"]), args.quiet)
     except (ConfigError, HypothesisViolation) as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
     except samplers.DivergedError as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    return EXIT_OK
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vrld import theory
-from vrld.cli import _metric_series, build_objective, main, resolve_sampler
+from vrld.cli import _metric_series, execute, main, resolve
 from vrld.config import _OPTIONAL_SECTIONS, _POTENTIAL_KEYS, _REQUIRED, _SCHEMA, ConfigError, parse_config_text
 from vrld.potentials import make_builtin
 from vrld.samplers import SamplerConfig, grad_evals_at, run_chain
@@ -234,6 +234,16 @@ class TestTheoryCommand:
     def test_listing(self, capsys):
         assert main(["theory"]) == 0
         assert "gamma_opt" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tokens,message", [
+        (["n=abc", "B=4"], "n must be an integer, got 'abc'"),
+        (["n=16.5", "B=4"], "n must be an integer, got '16.5'"),
+        (["n=16", "B=4", "foo=3"], "xi takes no foo; its parameters are n B"),
+        (["n=16", "B=4", "n=8"], "n is given twice"),
+    ], ids=["not-a-number", "not-an-integer", "unknown-key", "repeated-key"])
+    def test_bad_input_is_refused_naming_the_key(self, capsys, tokens, message):
+        assert main(["theory", "xi", *tokens]) == 2
+        assert capsys.readouterr().err == message + "\n"
 
 
 class TestValidateConfig:
@@ -546,6 +556,22 @@ class TestAnnealedRun:
         np.testing.assert_allclose([float(r[5]) for r in rows], trace.iterates[:, 0], rtol=0)
 
 
+# the mixture has no F_star
+MIXTURE_CFG = """
+[potential]
+name = gaussian_mixture
+
+[sampler]
+variant = sgld
+eta = 0.01
+steps = 20
+
+[run]
+replicates = 3
+out = {out}
+"""
+
+
 LOGISTIC_COMPARE_CFG = """
 [potential]
 name = logistic_l2
@@ -607,11 +633,11 @@ class TestCompareCommand:
         """compare's full-ensemble kl_surrogate series is nan, so never below a
         threshold, exactly at the checkpoints with |x| >= 1e100; a bootstrap
         resample can only lose values there."""
-        cfg = parse_config_text(HUGE_CFG.format(out="r"))
-        obj = build_objective(cfg)
-        scfg = resolve_sampler(cfg, obj)[0]
-        traces = [run_chain(obj, scfg, np.array([1.0]), replicate=r) for r in range(4)]
-        _, vals = _metric_series("kl_surrogate", obj, scfg.gamma, traces)
+        [point] = resolve(parse_config_text(HUGE_CFG.format(out="r")), "run")
+        traces, _ = execute(point, values=False)
+        assert all(np.array_equal(t.iterates, run_chain(point.obj, point.scfg, np.array([1.0]), replicate=r).iterates)
+                   for r, t in enumerate(traces))
+        vals = _metric_series("kl_surrogate", point, traces, None)
         huge = np.abs(np.stack([t.iterates for t in traces], axis=1)).max(axis=(1, 2)) >= 1e100
         assert huge.any() and not huge.all()
         assert np.array_equal(np.isnan(vals[0]), huge)
@@ -627,6 +653,33 @@ class TestCompareCommand:
         rows = [l for l in (tmp_path / "r" / "compare.csv").read_text().splitlines()
                 if l.startswith("svrg_ld")]
         assert len(rows) == 2 and rows[0] == rows[1]
+
+    def test_diverged_variants_get_a_row_and_exit_3(self, tmp_path, capsys):
+        text = BASE_CFG.format(out=tmp_path / "r").replace("eta = 0.005", "eta = 200000000.0")
+        cfg = write_cfg(tmp_path, text + "\n[compare]\nvariants = sgld, svrg_ld\nmetric = mean_f\nthreshold = 1.0\n")
+        assert main(["compare", "--config", str(cfg)]) == 3
+        assert (tmp_path / "r" / "compare.csv").read_text().splitlines()[1:] == [
+            "variant,grad_evals_at_threshold,se", "sgld,diverged,", "svrg_ld,diverged,"]
+        assert capsys.readouterr().out.splitlines()[1:] == ["  sgld     diverged", "  svrg_ld  diverged"]
+
+    @pytest.mark.parametrize("text,message", [
+        (BASE_CFG + "\n[compare]\nvariants = lmc, sgld\nmetric = bogus\nthreshold = 1.0\n",
+         "[compare] unknown metric 'bogus'"),
+        (MIXTURE_CFG + "\n[compare]\nvariants = lmc, sgld\nmetric = suboptimality\nthreshold = 0.1\n",
+         "[compare] suboptimality metric needs a potential with F_star"),
+        (BASE_CFG.replace("replicates = 5", "replicates = 3")
+         + "\n[compare]\nvariants = lmc, sgld\nmetric = kl_surrogate\nthreshold = 1.0\n",
+         "[compare] kl_surrogate needs at least 4 replicates, got 3"),
+    ], ids=["unknown", "no-F_star", "too-few-replicates"])
+    def test_metric_is_refused_before_any_chain_runs(self, tmp_path, capsys, monkeypatch, text, message):
+        import vrld.cli as cli
+
+        runs = []
+        monkeypatch.setattr(cli.samplers, "run_replicates", lambda *a: runs.append(a))
+        cfg = write_cfg(tmp_path, text.format(out=tmp_path / "r"))
+        assert main(["compare", "--config", str(cfg), "--quiet"]) == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert runs == [] and not (tmp_path / "r").exists()
 
     def test_unreachable_threshold_sentinel(self, tmp_path):
         text = BASE_CFG.format(out=tmp_path / "r") + (
@@ -689,6 +742,13 @@ class TestSweepCommand:
         assert "axis m" in capsys.readouterr().err
         assert not (tmp_path / "r" / "sweep.csv").exists()
 
+    def test_bad_later_value_writes_nothing(self, tmp_path, capsys):
+        """Every value is resolved before the first one runs."""
+        cfg = write_cfg(tmp_path, BASE_CFG.format(out=tmp_path / "r") + "\n[sweep]\naxis = eta\nvalues = 0.005, -1.0\n")
+        assert main(["sweep", "--config", str(cfg), "--quiet"]) == 2
+        assert capsys.readouterr().err == "[sampler] step size eta must be > 0\n"
+        assert not (tmp_path / "r" / "sweep.csv").exists()
+
     def test_full_batch_single_epoch_sweep_reproduces_lmc(self, tmp_path):
         """Sweeping B to n with m = 1 lands on the full-gradient chain."""
         out = tmp_path / "r"
@@ -723,3 +783,41 @@ class TestSweepCommand:
         run_kl = [r[header.index("kl_surrogate")] for r in rows]
         assert "nan" not in sweep_kl and "" in sweep_kl and sweep_kl[0] != ""
         assert [c == "" for c in sweep_kl] == [c == "" for c in run_kl]
+
+
+# [compare] and [sweep] that leave the [sampler] section as it is
+EVERY_COMMAND_CFG = BASE_CFG + """
+[compare]
+variants = svrg_ld, sarah_ld
+metric = mean_f
+threshold = 1.0
+
+[sweep]
+axis = gamma
+values = 1.0
+"""
+
+# the edits that break EVERY_COMMAND_CFG, and the message each command gives
+BAD_EDITS = {
+    "x0": ([("[run]\n", "[run]\nx0 = 1.0, 2.0, 3.0\n")], "x0 must have dimension 2"),
+    "eta": ([("eta = 0.005", "eta = 0.0")], "[sampler] step size eta must be > 0"),
+    "B": ([("batch = 4", "batch = 32")], "[sampler] batch size must satisfy 1 <= B <= n=16, got 32"),
+    "anneal": ([("eta = 0.005\n", ""), ("gamma = 1.0\n", ""),
+                ("[run]\n", "[anneal]\neta_bar = 0.001\ngamma_bar = 1.0\nsigma = 3.0\nmu = 13.0\n\n[run]\n")],
+               "[{command}] annealed configs are not supported"),
+}
+
+
+@pytest.mark.parametrize("command,bad", [(command, bad) for command in ("run", "compare", "sweep")
+                                         for bad in BAD_EDITS if (command, bad) != ("run", "anneal")])
+def test_bad_config_exits_2_before_any_output(tmp_path, capsys, command, bad):
+    """Every command resolves its points in one place: a bad config gives the
+    same message from each command that refuses it, and no CSV is written.
+    run takes [anneal]."""
+    edits, message = BAD_EDITS[bad]
+    text = EVERY_COMMAND_CFG.format(out=tmp_path / "r")
+    for old, new in edits:
+        text = text.replace(old, new)
+    assert main([command, "--config", str(write_cfg(tmp_path, text)), "--quiet"]) == 2
+    assert capsys.readouterr().err == message.format(command=command) + "\n"
+    assert not list((tmp_path / "r").glob("*.csv"))
