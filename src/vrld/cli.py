@@ -285,6 +285,10 @@ def _point_configs(cfg: ExperimentConfig, command: str) -> list[ExperimentConfig
         key = _SIZE_KEYS.get(cfg.potential["name"])
         if key is None:
             raise ConfigError("[sweep] n axis is not available for this potential")
+    if cast is int:
+        for value in cfg.sweep["values"]:
+            if not float(value).is_integer():
+                raise ConfigError(f"[sweep] axis {cfg.sweep['axis']} takes integers, got {value!r}")
     return [replace(cfg, theory=_auto_theory(cfg), **{section: {**getattr(cfg, section), key: cast(value)}})
             for value in cfg.sweep["values"]]
 
@@ -657,13 +661,16 @@ _QUERIES: dict[str, tuple[list[str], object, str]] = {
 
 # theory query parameters that are counts, parsed as integers
 _INT_PARAMS = frozenset(_q("n B m d k"))
+# the parameters a query may leave out, with the default its lambda supplies
+_OPTIONAL_PARAMS = {"eta_for_eps": frozenset(_q("n B m")), "lsi_dissipative": frozenset(_q("C_star"))}
 
 
 def cmd_theory(tokens: list[str]) -> int:
     if not tokens:
-        print("available theory queries:")
+        print("available theory queries (optional parameters in brackets):")
         for name, (params, _, formula) in sorted(_QUERIES.items()):
-            print(f"  {name} {' '.join(p + '=..' for p in params)}")
+            optional = _OPTIONAL_PARAMS.get(name, ())
+            print(f"  {name} {' '.join(f'[{p}=..]' if p in optional else f'{p}=..' for p in params)}")
         return EXIT_OK
     name = tokens[0]
     if name not in _QUERIES:
@@ -686,7 +693,7 @@ def cmd_theory(tokens: list[str]) -> int:
         except ValueError:
             raise ConfigError(f"{key} must be {'an integer' if key in _INT_PARAMS else 'a number'}, "
                               f"got {value!r}") from None
-    missing = [p for p in params if p not in args and not (name == "eta_for_eps" and p in ("n", "B", "m"))]
+    missing = [p for p in params if p not in args and p not in _OPTIONAL_PARAMS.get(name, ())]
     if missing:
         raise ConfigError(f"{name} needs {', '.join(missing)}")
     try:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy import integrate
 
 from .potentials import _BLOCK_VALUES, FiniteSumObjective, GaussianMoments
 from .theory import minibatch_variance_factor
@@ -340,7 +339,10 @@ def polyak_gap_check(obj: FiniteSumObjective, grid: np.ndarray) -> dict:
 def gibbs_log_partition_1d(obj: FiniteSumObjective, gamma: float) -> float:
     """log Z = log integral exp(-gamma F) for a 1-d objective, by adaptive
     quadrature over the window where gamma (F - min F) <= 60 (the rest of the
-    line contributes nothing at double precision)."""
+    line contributes nothing at double precision).  scipy is imported here,
+    so that only this quadrature pays for loading it."""
+    from scipy import integrate
+
     if obj.d != 1:
         raise ValueError("partition quadrature supports d = 1 only")
     scan = np.linspace(-50.0, 50.0, 20001)

@@ -431,7 +431,7 @@ def load_labeled_matrix(path) -> tuple[np.ndarray, np.ndarray]:
     if raw.shape[1] < 2:
         raise ValueError("data file needs at least one feature column plus a label")
     rows, labels = raw[:, :-1], raw[:, -1]
-    if not np.all(np.isin(labels, (0.0, 1.0))):
+    if not np.all((labels == 0.0) | (labels == 1.0)):
         raise ValueError("labels must be 0 or 1")
     return rows, labels
 

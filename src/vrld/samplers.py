@@ -38,6 +38,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; load it with the module, not at a run's first stream
 
 from .potentials import FiniteSumObjective, NumericalDomainError
 
@@ -306,7 +307,9 @@ def _replicates(obj: FiniteSumObjective, variant: str, x0, K: int, m: int, B: in
     noise_rows = _blocks(lambda c: np.stack([g.standard_normal((c, d)) for g, _ in streams], axis=1), K, span)
     subsets = K if variant == "sgld" else K - K // m
     subset_rows = _blocks(lambda c: sample_index_set(n, B, [g for _, g in streams], (c,)), subsets, span)
-    steps = np.unique(np.r_[0:K + 1:store_every, K])  # the stored steps: 0, every store_every-th, and K
+    steps = np.r_[0:K + 1:store_every]  # the stored steps: 0, every store_every-th, and K
+    if K % store_every:
+        steps = np.append(steps, K)
     final = np.tile(np.asarray(x0, dtype=float), (R, 1))
     iterates = np.full((steps.size, R, d), np.nan)
     iterates[0] = final

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 __all__ = [
     "HypothesisViolation",
@@ -407,7 +406,10 @@ def optimization_step_size(alpha: float, L: float, n: int, gamma: float, d: int,
 def chi_constant(d: int, L: float, M: float, b: float) -> float:
     """max over gamma >= 1 of (d / gamma) log((e L / M)(b gamma / d + 1)),
     located numerically (the maximiser is assumed to exist; the objective
-    decays like log(gamma)/gamma, so a bounded search suffices)."""
+    decays like log(gamma)/gamma, so a bounded search suffices).  scipy is
+    imported here, so that only this query pays for loading it."""
+    from scipy import optimize
+
     _require(L >= M > 0 and b > 0 and d >= 1, "need L >= M > 0, b > 0, d >= 1")
 
     def neg(log_gamma: float) -> float:

@@ -233,7 +233,21 @@ class TestTheoryCommand:
 
     def test_listing(self, capsys):
         assert main(["theory"]) == 0
-        assert "gamma_opt" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "gamma_opt" in out
+        assert "  lsi_dissipative gamma=.. L=.. M=.. b=.. d=.. A_star=.. B_star=.. [C_star=..]\n" in out
+        assert "  eta_for_eps variant=.. eps=.. gamma=.. alpha=.. d=.. L=.. [n=..] [B=..] [m=..]\n" in out
+
+    def test_lsi_dissipative_defaults_c_star_to_one(self, capsys):
+        """C_star is optional: without it the query prints what C_star=1
+        prints, caveat included."""
+        base = ["theory", "lsi_dissipative", "gamma=2", "L=1", "M=1", "b=1", "d=1", "A_star=0.1", "B_star=0.1"]
+        assert main(base) == 0
+        default = capsys.readouterr()
+        assert main([*base, "C_star=1"]) == 0
+        assert default.out == capsys.readouterr().out
+        assert default.err == ""
+        assert "CAVEAT: C_star defaults to 1" in default.out
 
     @pytest.mark.parametrize("tokens,message", [
         (["n=abc", "B=4"], "n must be an integer, got 'abc'"),
@@ -740,6 +754,20 @@ class TestSweepCommand:
         cfg = write_cfg(tmp_path, text + "\n[sweep]\naxis = m\nvalues = 2, 4\n")
         assert main(["sweep", "--config", str(cfg), "--quiet"]) == 2
         assert "axis m" in capsys.readouterr().err
+        assert not (tmp_path / "r" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("axis,values,bad", [
+        ("B", "2.5, 4.9", "2.5"),
+        ("m", "2, 3.5", "3.5"),
+        ("n", "16, 16.25", "16.25"),
+    ])
+    def test_integer_axis_refuses_a_non_integral_value(self, tmp_path, capsys, axis, values, bad):
+        """B, m and n are counts: a fractional value is refused, naming it,
+        not truncated."""
+        cfg = write_cfg(tmp_path, BASE_CFG.format(out=tmp_path / "r") + f"\n[sweep]\naxis = {axis}\nvalues = {values}\n")
+        assert main(["sweep", "--config", str(cfg), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"axis {axis}" in err and bad in err
         assert not (tmp_path / "r" / "sweep.csv").exists()
 
     def test_bad_later_value_writes_nothing(self, tmp_path, capsys):
