@@ -19,8 +19,6 @@ __all__ = [
     "FiniteSumObjective",
     "GaussianMoments",
     "RegularityReport",
-    "full_gradient",
-    "minibatch_gradient",
     "make_builtin",
     "load_labeled_matrix",
     "probe_regularity",
@@ -213,17 +211,6 @@ class FiniteSumObjective:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FiniteSumObjective({self.name!r}, n={self.n}, d={self.d}, L={self.L})"
-
-
-# -- free-function wrappers ----------------------------------------------------
-
-
-def full_gradient(obj: FiniteSumObjective, x: np.ndarray) -> np.ndarray:
-    return obj.gradient(x)
-
-
-def minibatch_gradient(obj: FiniteSumObjective, x: np.ndarray, idx) -> np.ndarray:
-    return obj.minibatch_gradient(x, idx)
 
 
 # -- built-in potentials ------------------------------------------------------

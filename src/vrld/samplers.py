@@ -1,20 +1,22 @@
 """Discrete-time Langevin chains over finite-sum potentials.
 
 Variants: full-gradient (lmc), plain minibatch (sgld), anchored
-variance-reduced (svrg_ld), and recursive variance-reduced (sarah_ld), plus
-the annealed runner that lowers the step size and raises the inverse
+variance-reduced (svrg_ld), and recursive variance-reduced (sarah_ld), each
+at a constant (eta, gamma) or, for svrg_ld and sarah_ld, at an
+:class:`AnnealSchedule` that lowers the step size and raises the inverse
 temperature once per epoch.  All of them run through one step loop,
-:func:`_langevin`, on an (R, d) state; the runners only set up its streams
+:func:`_langevin`, on an (R, d) state; the three runners, :func:`run_chain`,
+:func:`run_replicates` and :func:`run_ensemble`, only set up its streams
 and its recorder.
 
 RNG discipline, two layouts:
 
-- Replicates (:func:`run_replicates`, and :func:`run_chain` and
-  :func:`run_annealed`, its one-replicate case): replicate r owns two Philox
-  streams derived from ``SeedSequence((seed, r, 0|1))`` - stream 0 for its
-  Gaussian noise, stream 1 for its index subsets.  Both are drawn per
-  replicate in blocks of steps, and each step stacks the replicates' own
-  rows, so replicate r is the same chain whatever R is.
+- Replicates (:func:`run_replicates`, and :func:`run_chain`, its
+  one-replicate case): replicate r owns two Philox streams derived from
+  ``SeedSequence((seed, r, 0|1))`` - stream 0 for its Gaussian noise,
+  stream 1 for its index subsets.  Both are drawn per replicate in blocks
+  of steps, and each step stacks the replicates' own rows, so replicate r
+  is the same chain whatever R is.
   Keeping the streams separate means variants that consume different
   numbers of subset draws still see the same noise sequence, which is what
   makes the B = n, m = 1 reduction to lmc exact.
@@ -50,11 +52,6 @@ __all__ = [
     "DivergedError",
     "chain_rngs",
     "sample_index_set",
-    "run_lmc",
-    "run_sgld",
-    "run_svrg_ld",
-    "run_sarah_ld",
-    "run_annealed",
     "run_chain",
     "run_replicates",
     "grad_evals_at",
@@ -295,14 +292,36 @@ def _one_chain_rows(obj: FiniteSumObjective, X, IDX):
         return np.full(X.shape, np.nan)
 
 
-def _replicates(obj: FiniteSumObjective, variant: str, x0, K: int, m: int, B: int, seed: int,
-                store_every: int, schedule, replicates, rows) -> list[RunTrace]:
-    """The chains ``replicates`` on their :func:`chain_rngs` streams, stepped
-    as one (R, d) state: each step stacks every live replicate's noise row and
-    index set, drawn in blocks of steps from its own streams."""
+def _epoch_params(variant: str, eta, gamma, sched: AnnealSchedule | None):
+    """The epoch -> (eta, gamma) map of a run: constant, or the schedule's,
+    which only the epoch variants take."""
+    if sched is None:
+        return lambda s: (eta, gamma)
+    if variant not in _ANCHORED:
+        raise ValueError("annealed runs support svrg_ld and sarah_ld")
+    return lambda s: (sched.eta(s), sched.gamma(s))
+
+
+def _check_count(name: str, count) -> None:
+    if not isinstance(count, numbers.Integral) or count < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
+
+
+def _replicates(obj: FiniteSumObjective, cfg: SamplerConfig, x0, sched: AnnealSchedule | None,
+                replicates, rows) -> list[RunTrace]:
+    """The chains ``replicates`` of ``cfg`` on their :func:`chain_rngs`
+    streams, stepped as one (R, d) state: each step stacks every live
+    replicate's noise row and index set, drawn in blocks of steps from its
+    own streams."""
+    cfg.validate(obj.n)
+    variant, K, B, store_every = cfg.variant, cfg.K, cfg.B, cfg.store_every
+    schedule = _epoch_params(variant, cfg.eta, cfg.gamma, sched)
     n, d, R = obj.n, obj.d, len(replicates)
-    streams = [chain_rngs(seed, r) for r in replicates]
-    m = m if variant in _ANCHORED else 1
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (d,):
+        raise ValueError(f"x0 must have dimension {d}")
+    streams = [chain_rngs(cfg.seed, r) for r in replicates]
+    m = cfg.m if variant in _ANCHORED else 1
     span = max(1, _BLOCK_VALUES // (R * max(d, n)))
     noise_rows = _blocks(lambda c: np.stack([g.standard_normal((c, d)) for g, _ in streams], axis=1), K, span)
     subsets = K if variant == "sgld" else K - K // m
@@ -310,7 +329,7 @@ def _replicates(obj: FiniteSumObjective, variant: str, x0, K: int, m: int, B: in
     steps = np.r_[0:K + 1:store_every]  # the stored steps: 0, every store_every-th, and K
     if K % store_every:
         steps = np.append(steps, K)
-    final = np.tile(np.asarray(x0, dtype=float), (R, 1))
+    final = np.tile(x0, (R, 1))
     iterates = np.full((steps.size, R, d), np.nan)
     iterates[0] = final
     grad_evals = np.zeros(steps.size, dtype=np.int64)
@@ -355,93 +374,26 @@ def run_replicates(obj: FiniteSumObjective, cfg: SamplerConfig, x0, R: int,
     """Replicates 0..R-1 of ``cfg`` from x0, run as one (R, d) state.
 
     Replicate r reads only its own :func:`chain_rngs` streams, so it is
-    ``run_chain(obj, cfg, x0, replicate=r)`` bit for bit, or with ``sched``
-    the :func:`run_annealed` chain at cfg's sizes.  A replicate that diverges
-    stops at its own step, as a single chain does, while the others step on.
+    ``run_chain(obj, cfg, x0, replicate=r, sched=sched)`` bit for bit.  A
+    replicate that diverges stops at its own step, as a single chain does,
+    while the others step on.
     """
-    cfg.validate(obj.n)
-    if sched is not None:
-        _check_annealed(cfg.variant)
-    if R < 1:
-        raise ValueError(f"need at least one replicate, got R={R}")
-    return _replicates(obj, cfg.variant, x0, cfg.K, cfg.m, cfg.B, cfg.seed, cfg.store_every,
-                       (lambda s: (cfg.eta, cfg.gamma)) if sched is None else
-                       (lambda s: (sched.eta(s), sched.gamma(s))), range(R), obj.minibatch_gradient_rows)
+    _check_count("R", R)
+    return _replicates(obj, cfg, x0, sched, range(R), obj.minibatch_gradient_rows)
 
 
-def run_chain(obj: FiniteSumObjective, cfg: SamplerConfig, x0, replicate: int = 0) -> RunTrace:
-    """K steps of ``cfg.variant`` from x0 at constant (eta, gamma).
+def run_chain(obj: FiniteSumObjective, cfg: SamplerConfig, x0, replicate: int = 0,
+              sched: AnnealSchedule | None = None) -> RunTrace:
+    """K steps of ``cfg.variant`` from x0, replicate ``replicate`` of cfg.seed.
 
-    Per step: lmc costs n component evaluations and sgld B; an anchored or
-    recursive epoch of m steps costs n + 2B(m - 1).  A non-finite iterate or
-    gradient ends the run with ``diverged`` set instead of raising.
+    Epoch s runs at cfg's constant (eta, gamma), or with ``sched`` (svrg_ld
+    and sarah_ld only) at (sched.eta(s), sched.gamma(s)), for both the drift
+    and the noise scale.  Per step: lmc costs n component evaluations and
+    sgld B; an anchored or recursive epoch of m steps costs n + 2B(m - 1).
+    A non-finite iterate or gradient ends the run with ``diverged`` set
+    instead of raising.
     """
-    cfg.validate(obj.n)
-    return _replicates(obj, cfg.variant, x0, cfg.K, cfg.m, cfg.B, cfg.seed, cfg.store_every,
-                       lambda s: (cfg.eta, cfg.gamma), [replicate], functools.partial(_one_chain_rows, obj))[0]
-
-
-def _of_variant(cfg: SamplerConfig, variant: str) -> SamplerConfig:
-    if cfg.variant != variant:
-        raise ValueError(f"config variant {cfg.variant!r} is not {variant}")
-    return cfg
-
-
-def run_lmc(obj: FiniteSumObjective, cfg: SamplerConfig, x0, replicate: int = 0) -> RunTrace:
-    """K full-gradient Langevin steps; n component evaluations per step."""
-    return run_chain(obj, _of_variant(cfg, "lmc"), x0, replicate)
-
-
-def run_sgld(obj: FiniteSumObjective, cfg: SamplerConfig, x0, replicate: int = 0) -> RunTrace:
-    """K minibatch steps; B component evaluations per step."""
-    return run_chain(obj, _of_variant(cfg, "sgld"), x0, replicate)
-
-
-def run_svrg_ld(obj: FiniteSumObjective, cfg: SamplerConfig, x0, replicate: int = 0) -> RunTrace:
-    """Anchored variance-reduced chain: the reference point refreshes every m
-    steps, and inner steps correct the minibatch gradient by the anchored
-    control variate."""
-    return run_chain(obj, _of_variant(cfg, "svrg_ld"), x0, replicate)
-
-
-def run_sarah_ld(obj: FiniteSumObjective, cfg: SamplerConfig, x0, replicate: int = 0) -> RunTrace:
-    """Recursive variance-reduced chain: the gradient estimate accumulates
-    minibatch increments between consecutive iterates, resetting to the full
-    gradient at each epoch start."""
-    return run_chain(obj, _of_variant(cfg, "sarah_ld"), x0, replicate)
-
-
-def _check_annealed(variant: str) -> None:
-    if variant not in _ANCHORED:
-        raise ValueError("annealed runs support svrg_ld and sarah_ld")
-
-
-def _check_sizes(obj: FiniteSumObjective, variant: str, B: int, m: int, K: int) -> None:
-    if variant in _ANCHORED and K % m != 0:
-        raise ValueError(f"epoch length m={m} must divide K={K}")
-    if not 1 <= B <= obj.n:
-        raise ValueError(f"need 1 <= B <= n={obj.n}")
-
-
-def run_annealed(
-    obj: FiniteSumObjective,
-    variant: str,
-    sched: AnnealSchedule,
-    B: int,
-    m: int,
-    K: int,
-    seed: int,
-    x0,
-    store_every: int = 1,
-    replicate: int = 0,
-) -> RunTrace:
-    """Variance-reduced chain with per-epoch (eta_s, gamma_s) from the
-    schedule; epoch s uses them for both the drift and the noise scale."""
-    _check_annealed(variant)
-    _check_sizes(obj, variant, B, m, K)
-    return _replicates(obj, variant, x0, K, m, B, seed, store_every,
-                       lambda s: (sched.eta(s), sched.gamma(s)), [replicate],
-                       functools.partial(_one_chain_rows, obj))[0]
+    return _replicates(obj, cfg, x0, sched, [replicate], functools.partial(_one_chain_rows, obj))[0]
 
 
 def grad_evals_at(variant: str, k: int, n: int, B: int, m: int) -> int:
@@ -492,15 +444,16 @@ def run_ensemble(
     replicate-heavy desk experiments; single chains keep the per-replicate
     stream rule of :func:`chain_rngs`.  ``checkpoints`` are the steps to
     keep, integers in 0..K (default K).  Raises :class:`DivergedError` at
-    the first non-finite iterate or gradient.
+    the first non-finite iterate or gradient.  Sizes and steps are checked as
+    :meth:`SamplerConfig.validate` checks them, at the schedule's epoch-0
+    (eta, gamma) when there is one.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
-    _check_sizes(obj, variant, B, m, K)
-    if sched is not None:
-        _check_annealed(variant)
-    elif eta is None or gamma is None:
+    if sched is None and (eta is None or gamma is None):
         raise ValueError("need eta and gamma (or a schedule)")
+    _check_count("n_chains", n_chains)
+    first = (eta, gamma) if sched is None else (sched.eta(0), sched.gamma(0))
+    SamplerConfig(variant, *first, B=B, m=m, K=K, seed=seed).validate(obj.n)
+    schedule = _epoch_params(variant, eta, gamma, sched)
     R, d, n = n_chains, obj.d, obj.n
     noise_rng, index_rng = chain_rngs(seed)
     if x0 is None:
@@ -526,11 +479,10 @@ def run_ensemble(
 
     record(0, X, 0)
     m = m if variant in _ANCHORED else 1
-    span = max(1, _BLOCK_VALUES // max(1, R * max(d, n)))
+    span = max(1, _BLOCK_VALUES // (R * max(d, n)))
     subsets = K if variant == "sgld" else K - K // m
     out.final = _langevin(
-        obj, variant, X, K, m,
-        (lambda s: (sched.eta(s), sched.gamma(s))) if sched is not None else (lambda s: (eta, gamma)),
+        obj, variant, X, K, m, schedule,
         _blocks(lambda c: noise_rng.standard_normal((c, R, d)), K, span).__next__,
         _blocks(lambda c: sample_index_set(n, B, index_rng, (c, R)), subsets, span).__next__,
         obj.minibatch_gradient_rows, record, diverged,

@@ -83,9 +83,9 @@ def test_c03_reduction_to_full_gradient_chain(acceptance):
     obj = make_builtin("gaussian_quadratic", {"n": 8, "d": 2, "seed": 3})
     x0 = np.array([2.0, -1.0])
     kw = dict(eta=0.01, gamma=1.0, B=obj.n, m=1, K=1000, seed=42)
-    t_lmc = samplers.run_lmc(obj, SamplerConfig(variant="lmc", **kw), x0)
-    t_svrg = samplers.run_svrg_ld(obj, SamplerConfig(variant="svrg_ld", **kw), x0)
-    t_sarah = samplers.run_sarah_ld(obj, SamplerConfig(variant="sarah_ld", **kw), x0)
+    t_lmc = samplers.run_chain(obj, SamplerConfig(variant="lmc", **kw), x0)
+    t_svrg = samplers.run_chain(obj, SamplerConfig(variant="svrg_ld", **kw), x0)
+    t_sarah = samplers.run_chain(obj, SamplerConfig(variant="sarah_ld", **kw), x0)
     ok = np.array_equal(t_lmc.iterates, t_svrg.iterates) and np.array_equal(
         t_lmc.iterates, t_sarah.iterates
     )

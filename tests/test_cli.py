@@ -563,8 +563,9 @@ class TestAnnealedRun:
         obj = vrld.make_builtin("double_well", {"a": 1.0, "n_copies": 16})
         sched = vrld.AnnealSchedule(eta_bar=0.01, gamma_bar=1.0, sigma=3.0, mu=13.0,
                                     g=2.718281828459045)
-        trace = vrld.run_annealed(obj, "sarah_ld", sched, B=4, m=4, K=40, seed=5,
-                                  x0=np.zeros(1), replicate=0)
+        scfg = vrld.SamplerConfig(variant="sarah_ld", eta=sched.eta(0), gamma=sched.gamma(0),
+                                  B=4, m=4, K=40, seed=5)
+        trace = vrld.run_chain(obj, scfg, np.zeros(1), replicate=0, sched=sched)
         rows = [l.split(",") for l in (out / "replicate_000.csv").read_text().splitlines()
                 if l and not l.startswith(("#", "step"))]
         np.testing.assert_allclose([float(r[5]) for r in rows], trace.iterates[:, 0], rtol=0)

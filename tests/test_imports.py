@@ -5,7 +5,8 @@ and the 1-d Gibbs quadrature behind ``kl_gaussian_vs_gibbs_1d``, so every
 other command starts without it.  A run loads no numpy or scipy module for
 the first time: every such import is paid when vrld is imported, not inside
 the chains' steps.  Each check runs in a fresh interpreter, where nothing
-else has imported these modules yet.
+else has imported these modules yet.  The last test guards the public
+surface: the exported names, and the library calls the benchmark makes.
 """
 
 import json
@@ -149,3 +150,21 @@ def test_a_run_imports_no_numpy_or_scipy_module(tmp_path, command):
         print(json.dumps({{"rc": rc, "new": new}}))
     """, tmp_path)
     assert got == {"rc": 0, "new": []}
+
+
+def test_public_names_resolve_and_the_benchmark_calls_still_run():
+    """Every exported name exists, and the calls that the benchmark's
+    reference checks make into vrld still take the arguments it passes, so
+    a later deletion cannot silently turn a reference check off."""
+    import vrld
+    from vrld import potentials, samplers
+
+    for module in (vrld, samplers, potentials):
+        assert [name for name in module.__all__ if not hasattr(module, name)] == [], module.__name__
+    obj = vrld.make_builtin("gaussian_quadratic", {"n": 8, "d": 2, "seed": 1, "zero_mean": True})
+    cfg = vrld.SamplerConfig(variant="lmc", eta=0.01, gamma=1.0, K=4, seed=2, store_every=2)
+    trace = vrld.run_chain(obj, cfg, np.zeros(2), replicate=1)
+    assert trace.steps.tolist() == [0, 2, 4] and vrld.samplers.run_chain is vrld.run_chain
+    res = vrld.run_ensemble(obj, "svrg_ld", 3, 4, eta=0.01, gamma=1.0, B=2, m=2, seed=0, checkpoints=[2, 4])
+    assert sorted(res.checkpoints) == [2, 4]
+    assert res.grad_evals[4] == samplers.grad_evals_at("svrg_ld", 4, 8, 2, 2) == 2 * (8 + 2 * 2)

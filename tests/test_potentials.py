@@ -8,9 +8,7 @@ from vrld.potentials import (
     BUILTIN_NAMES,
     FiniteSumObjective,
     GaussianMoments,
-    full_gradient,
     make_builtin,
-    minibatch_gradient,
     probe_regularity,
 )
 
@@ -68,15 +66,15 @@ class TestMeanOfComponents:
 class TestFullGradientExamples:
     def test_symmetric_centers_cancel_at_origin(self):
         obj = make_builtin("gaussian_quadratic", {"centers": [[1.0], [-1.0]]})
-        np.testing.assert_allclose(full_gradient(obj, np.zeros(1)), [0.0], atol=1e-15)
+        np.testing.assert_allclose(obj.gradient(np.zeros(1)), [0.0], atol=1e-15)
 
     def test_quadratic_gradient_away_from_center_mean(self):
         obj = make_builtin("gaussian_quadratic", {"centers": [[1.0], [-1.0]]})
-        np.testing.assert_allclose(full_gradient(obj, np.array([2.0])), [2.0], rtol=1e-15)
+        np.testing.assert_allclose(obj.gradient(np.array([2.0])), [2.0], rtol=1e-15)
 
     def test_double_well_stationary_at_minimum(self):
         obj = make_builtin("double_well", {"a": 1.0, "n_copies": 4})
-        np.testing.assert_allclose(full_gradient(obj, np.array([1.0])), [0.0], atol=1e-15)
+        np.testing.assert_allclose(obj.gradient(np.array([1.0])), [0.0], atol=1e-15)
 
 
 class TestMinibatchGradient:
@@ -86,40 +84,40 @@ class TestMinibatchGradient:
     def test_full_index_set_equals_full_gradient(self):
         x = np.array([0.37])
         np.testing.assert_allclose(
-            minibatch_gradient(self.obj, x, [0, 1]), full_gradient(self.obj, x), rtol=1e-15
+            self.obj.minibatch_gradient(x, [0, 1]), self.obj.gradient(x), rtol=1e-15
         )
 
     def test_single_component(self):
         np.testing.assert_allclose(
-            minibatch_gradient(self.obj, np.zeros(1), [0]), [-1.0], rtol=1e-15
+            self.obj.minibatch_gradient(np.zeros(1), [0]), [-1.0], rtol=1e-15
         )
 
     def test_singleton_average_recovers_full_gradient(self):
         x = np.array([0.8])
         avg = 0.5 * (
-            minibatch_gradient(self.obj, x, [0]) + minibatch_gradient(self.obj, x, [1])
+            self.obj.minibatch_gradient(x, [0]) + self.obj.minibatch_gradient(x, [1])
         )
-        np.testing.assert_allclose(avg, full_gradient(self.obj, x), rtol=1e-14)
+        np.testing.assert_allclose(avg, self.obj.gradient(x), rtol=1e-14)
 
     def test_duplicate_indices_rejected(self):
         with pytest.raises(ValueError, match="duplicates"):
-            minibatch_gradient(self.obj, np.zeros(1), [0, 0])
+            self.obj.minibatch_gradient(np.zeros(1), [0, 0])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            minibatch_gradient(self.obj, np.zeros(1), [0, 5])
+            self.obj.minibatch_gradient(np.zeros(1), [0, 5])
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            minibatch_gradient(self.obj, np.zeros(1), [-1, 0])
+            self.obj.minibatch_gradient(np.zeros(1), [-1, 0])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
-            minibatch_gradient(self.obj, np.zeros(1), [])
+            self.obj.minibatch_gradient(np.zeros(1), [])
 
     def test_two_dimensional_rejected(self):
         with pytest.raises(ValueError, match="1-d"):
-            minibatch_gradient(self.obj, np.zeros(1), [[0], [1]])
+            self.obj.minibatch_gradient(np.zeros(1), [[0], [1]])
 
 
 class TestVectorisedOracle:

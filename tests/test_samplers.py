@@ -1,5 +1,6 @@
 """Unit tests for the Langevin chain runners and their exact accounting."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,6 @@ from vrld.samplers import (
     SamplerConfig,
     chain_rngs,
     grad_evals_at,
-    run_annealed,
     run_chain,
     run_ensemble,
     run_replicates,
@@ -164,9 +164,9 @@ class TestDegenerateReduction:
         obj = quadratic()
         x0 = np.array([1.5, -0.5])
         kw = dict(eta=0.01, gamma=1.0, B=obj.n, m=1, K=500, seed=11)
-        t_lmc = vrld.run_lmc(obj, SamplerConfig(variant="lmc", **kw), x0)
-        t_svrg = vrld.run_svrg_ld(obj, SamplerConfig(variant="svrg_ld", **kw), x0)
-        t_sarah = vrld.run_sarah_ld(obj, SamplerConfig(variant="sarah_ld", **kw), x0)
+        t_lmc = run_chain(obj, SamplerConfig(variant="lmc", **kw), x0)
+        t_svrg = run_chain(obj, SamplerConfig(variant="svrg_ld", **kw), x0)
+        t_sarah = run_chain(obj, SamplerConfig(variant="sarah_ld", **kw), x0)
         assert np.array_equal(t_lmc.iterates, t_svrg.iterates)
         assert np.array_equal(t_lmc.iterates, t_sarah.iterates)
 
@@ -186,7 +186,7 @@ class TestGradientAccounting:
         """Each anchored epoch consumes n + 2 B (m - 1) component gradients."""
         obj = heterogeneous(n=6)
         cfg = SamplerConfig(variant="svrg_ld", eta=0.001, B=4, m=3, K=12, seed=0)
-        trace = vrld.run_svrg_ld(obj, cfg, np.zeros(obj.d))
+        trace = run_chain(obj, cfg, np.zeros(obj.d))
         per_epoch = np.diff(trace.grad_evals[:: cfg.m])
         assert np.all(per_epoch == obj.n + 2 * cfg.B * (cfg.m - 1))
 
@@ -244,7 +244,7 @@ class TestDivergence:
     def test_oversized_step_aborts_with_prefix(self):
         obj = quadratic()
         cfg = SamplerConfig(variant="lmc", eta=1e8, gamma=1.0, K=2000, seed=0)
-        trace = vrld.run_lmc(obj, cfg, np.array([1.0, 1.0]))
+        trace = run_chain(obj, cfg, np.array([1.0, 1.0]))
         assert trace.diverged
         assert trace.diverged_step is not None
         assert trace.steps[-1] <= trace.diverged_step
@@ -295,13 +295,56 @@ class TestNoInputIgnored:
         with pytest.raises(ValueError, match=rf"checkpoints \[{bad}\] are not integers in 0\.\.10"):
             run_ensemble(quadratic(n=8), "sgld", 4, 10, eta=0.01, gamma=1.0, B=2, checkpoints=checkpoints)
 
-    @pytest.mark.parametrize("runner", [vrld.run_lmc, vrld.run_sgld, vrld.run_svrg_ld, vrld.run_sarah_ld])
-    def test_runner_rejects_another_variant(self, runner):
-        own = runner.__name__.removeprefix("run_")
-        for other in VARIANTS:
-            if other != own:
-                with pytest.raises(ValueError, match="is not"):
-                    runner(quadratic(), SamplerConfig(variant=other, eta=0.01, B=2, m=2, K=4), np.zeros(2))
+    @pytest.mark.parametrize("variant", ["lmc", "sgld"])
+    @pytest.mark.parametrize("many", [False, True])
+    def test_chain_schedule_needs_an_epoch_variant(self, variant, many):
+        sched = AnnealSchedule(eta_bar=0.01, gamma_bar=1.0, sigma=3.0, mu=13.0, g=math.e)
+        cfg = SamplerConfig(variant=variant, eta=0.01, B=4, K=40)
+        with pytest.raises(ValueError, match="svrg_ld and sarah_ld"):
+            if many:
+                run_replicates(quadratic(n=16), cfg, np.zeros(2), 3, sched=sched)
+            else:
+                run_chain(quadratic(n=16), cfg, np.zeros(2), sched=sched)
+
+    # each of these ran, or failed deep inside the step loop, before the
+    # ensemble checked its sizes as SamplerConfig.validate does
+    @pytest.mark.parametrize(("kw", "message"), [
+        (dict(m=0), "epoch length m must be >= 1"),
+        (dict(m=-4), "epoch length m must be >= 1"),
+        (dict(m=3), "must divide K=8"),
+        (dict(eta=-0.1), "step size eta must be > 0"),
+        (dict(eta=0.0), "step size eta must be > 0"),
+        (dict(gamma=0.0), "gamma must be >= 1"),
+        (dict(gamma=0.5), "gamma must be >= 1"),
+        (dict(K=0), "total steps K must be >= 1"),
+        (dict(variant="sgd"), "variant must be one of"),
+        (dict(n_chains=0), "n_chains must be an integer >= 1, got 0"),
+        (dict(n_chains=2.5), "n_chains must be an integer >= 1, got 2.5"),
+    ])
+    def test_ensemble_checks_sizes_and_step(self, kw, message):
+        args = dict(variant="svrg_ld", n_chains=4, K=8, eta=0.01, gamma=1.0, B=2, m=4) | kw
+        with pytest.raises(ValueError, match=message):
+            run_ensemble(quadratic(n=8), **args)
+
+    def test_ensemble_checks_the_schedule_epoch_zero(self):
+        """With a schedule, its epoch-0 (eta, gamma) is what is checked: here
+        gamma_0 = 0.1 (1 + log 3 / 13) < 1."""
+        sched = AnnealSchedule(eta_bar=0.01, gamma_bar=0.1, sigma=3.0, mu=13.0, g=math.e)
+        with pytest.raises(ValueError, match="gamma must be >= 1"):
+            run_ensemble(quadratic(n=8), "svrg_ld", 4, 8, B=2, m=4, sched=sched)
+
+    @pytest.mark.parametrize("many", [False, True])
+    @pytest.mark.parametrize("x0", [np.zeros(3), np.zeros(1), np.zeros((1, 2)), np.float64(0.0)])
+    def test_x0_of_another_dimension_is_refused(self, x0, many):
+        obj, cfg = quadratic(n=8, d=2), SamplerConfig(variant="sgld", eta=0.01, B=2, K=4)
+        with pytest.raises(ValueError, match="x0 must have dimension 2"):
+            run_replicates(obj, cfg, x0, 3) if many else run_chain(obj, cfg, x0)
+
+    @pytest.mark.parametrize("R", [0, -1, 2.5, "3"])
+    def test_replicate_count_must_be_a_positive_integer(self, R):
+        cfg = SamplerConfig(variant="sgld", eta=0.01, B=2, K=4)
+        with pytest.raises(ValueError, match=f"R must be an integer >= 1, got {R!r}"):
+            run_replicates(quadratic(n=8), cfg, np.zeros(2), R)
 
 
 class TestConfigValidation:
@@ -309,7 +352,7 @@ class TestConfigValidation:
         obj = quadratic()
         cfg = SamplerConfig(variant="svrg_ld", eta=0.001, B=4, m=3, K=10, seed=0)
         with pytest.raises(ValueError, match="partial epochs"):
-            vrld.run_svrg_ld(obj, cfg, np.zeros(obj.d))
+            run_chain(obj, cfg, np.zeros(obj.d))
 
     def test_gamma_below_one_rejected(self):
         with pytest.raises(ValueError, match="gamma"):
@@ -324,11 +367,11 @@ class TestThinning:
     def test_stride_keeps_final_state(self):
         obj = quadratic()
         cfg = SamplerConfig(variant="lmc", eta=0.01, K=103, seed=2, store_every=10)
-        trace = vrld.run_lmc(obj, cfg, np.zeros(obj.d))
+        trace = run_chain(obj, cfg, np.zeros(obj.d))
         assert trace.steps[0] == 0
         assert trace.steps[-1] == 103
         assert np.array_equal(trace.iterates[-1], trace.final_x)
-        full = vrld.run_lmc(obj, SamplerConfig(variant="lmc", eta=0.01, K=103, seed=2), np.zeros(obj.d))
+        full = run_chain(obj, SamplerConfig(variant="lmc", eta=0.01, K=103, seed=2), np.zeros(obj.d))
         np.testing.assert_array_equal(full.iterates[trace.steps], trace.iterates)
 
 
@@ -350,17 +393,18 @@ class TestAnnealedRunner:
         """For one epoch the annealed chain is the constant-(eta_0, gamma_0) chain."""
         obj = quadratic()
         x0 = np.ones(obj.d)
-        t_ann = run_annealed(obj, "svrg_ld", self.sched, B=4, m=4, K=4, seed=3, x0=x0)
         cfg = SamplerConfig(
             variant="svrg_ld", eta=self.sched.eta(0), gamma=self.sched.gamma(0),
             B=4, m=4, K=4, seed=3,
         )
-        t_const = vrld.run_svrg_ld(obj, cfg, x0)
+        t_ann = run_chain(obj, cfg, x0, sched=self.sched)
+        t_const = run_chain(obj, cfg, x0)
         np.testing.assert_array_equal(t_ann.iterates, t_const.iterates)
 
     def test_trace_records_schedule_values(self):
         obj = quadratic()
-        t = run_annealed(obj, "sarah_ld", self.sched, B=4, m=2, K=6, seed=3, x0=np.zeros(obj.d))
+        cfg = SamplerConfig(variant="sarah_ld", eta=0.01, B=4, m=2, K=6, seed=3)
+        t = run_chain(obj, cfg, np.zeros(obj.d), sched=self.sched)
         # stored steps after 0 belong to epochs 0, 0, 1, 1, 2, 2
         np.testing.assert_allclose(
             t.etas[1:], [self.sched.eta(s) for s in (0, 0, 1, 1, 2, 2)], rtol=1e-15
@@ -546,8 +590,8 @@ class TestReferenceEquivalence:
                         if variant in ("svrg_ld", "sarah_ld"):
                             sched = self.SCHED
                             self.check_trace(
-                                run_annealed(obj, variant, sched, B, m, K, 11, x0,
-                                             store_every=store_every, replicate=replicate),
+                                run_chain(obj, dataclasses.replace(cfg, seed=11), x0,
+                                          replicate=replicate, sched=sched),
                                 reference_chain(obj, variant, x0, K, m, B, 11,
                                                 lambda s: (sched.eta(s), sched.gamma(s)),
                                                 store_every, replicate),
