@@ -43,38 +43,12 @@ def _fmt(x) -> str:
 
 
 def build_objective(cfg: ExperimentConfig) -> FiniteSumObjective:
-    pot = cfg.potential
-    name = pot["name"]
-    params: dict = {}
-    if name == "gaussian_quadratic":
-        if pot.get("n") is None or pot.get("d") is None:
-            raise ConfigError("[potential] gaussian_quadratic needs n and d")
-        params = {
-            "n": pot["n"], "d": pot["d"], "seed": pot["seed"],
-            "spread": pot["spread"], "zero_mean": pot["zero_mean"],
-        }
-        if pot.get("scales") is not None:
-            params["scales"] = pot["scales"]
-    elif name == "double_well":
-        for key in ("a", "n_copies", "box"):
-            if pot.get(key) is not None:
-                params[key] = pot[key]
-        if pot.get("d") is not None:
-            params["d"] = pot["d"]
-    elif name == "gaussian_mixture":
-        if pot.get("mu") is not None:
-            params["mu"] = pot["mu"]
-        for key in ("sigma", "n_copies"):
-            if pot.get(key) is not None:
-                params[key] = pot[key]
-    elif name == "logistic_l2":
-        if pot.get("data") is None:
-            raise ConfigError("[potential] logistic_l2 needs data = <path>")
-        params = {"data_file": pot["data"]}
-        if pot.get("lam") is not None:
-            params["lam"] = pot["lam"]
+    """The [potential] section's built-in: every key the parser gave a value
+    goes to make_builtin as it is, data as data_file; the builder defaults the rest."""
+    params = {"data_file" if key == "data" else key: value
+              for key, value in cfg.potential.items() if key != "name" and value is not None}
     try:
-        return make_builtin(name, params)
+        return make_builtin(cfg.potential["name"], params)
     except (ValueError, OSError) as exc:
         raise ConfigError(f"[potential] {exc}") from exc
 
@@ -521,10 +495,8 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
         estimate, se = _grad_evals_to_threshold(metric, threshold, point, traces, fvals)
         rows.append((point.scfg.variant, "not_reached", "") if estimate is None
                     else (point.scfg.variant, repr(estimate), repr(se)))
-    with open(out_dir / "compare.csv", "w", encoding="utf-8") as fh:
-        fh.write(f"# metric = {metric}, threshold = {_fmt(threshold)}\n")
-        fh.write("variant,grad_evals_at_threshold,se\n")
-        fh.write("\n".join(",".join(row) for row in rows) + "\n")
+    _write_csv(out_dir / "compare.csv", [f"# metric = {metric}, threshold = {_fmt(threshold)}"],
+               dict(zip(("variant", "grad_evals_at_threshold", "se"), zip(*rows))))
     if not quiet:
         width = max(len(v) for v, _, _ in rows)
         print(f"grad evals to reach {metric} <= {_fmt(threshold)}")

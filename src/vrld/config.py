@@ -45,22 +45,7 @@ _REQUIRED = object()
 
 # section -> key -> (type, default); _REQUIRED marks keys that must appear
 _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
-    "potential": {
-        "name": ("str", _REQUIRED),
-        "n": ("int", None),
-        "d": ("int", None),
-        "seed": ("int", 0),
-        "spread": ("float", 1.0),
-        "zero_mean": ("bool", False),
-        "scales": ("floats", None),
-        "a": ("float", None),
-        "n_copies": ("int", None),
-        "box": ("float", None),
-        "mu": ("floats", None),
-        "sigma": ("float", None),
-        "data": ("str", None),
-        "lam": ("float", None),
-    },
+    "potential": {"name": ("str", _REQUIRED)},  # and the named built-in's keys, _POTENTIALS
     "sampler": {
         "variant": ("str", _REQUIRED),
         "eta": ("float", None),
@@ -110,13 +95,20 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
 
 _OPTIONAL_SECTIONS = {"theory", "anneal", "compare", "sweep"}
 
-# keys each built-in potential accepts beyond "name"
-_POTENTIAL_KEYS = {
-    "gaussian_quadratic": {"n", "d", "seed", "spread", "zero_mean", "scales"},
-    "double_well": {"a", "d", "n_copies", "box"},
-    "gaussian_mixture": {"mu", "sigma", "n_copies"},
-    "logistic_l2": {"data", "lam"},
+# built-in -> the keys its [potential] section takes besides name; a None
+# default leaves the value to the builder's own default
+_POTENTIALS: dict[str, dict[str, tuple[str, object]]] = {
+    "gaussian_quadratic": {"n": ("int", _REQUIRED), "d": ("int", _REQUIRED), "seed": ("int", 0),
+                           "spread": ("float", 1.0), "zero_mean": ("bool", False), "scales": ("floats", None)},
+    "double_well": {"a": ("float", None), "d": ("int", None), "n_copies": ("int", None), "box": ("float", None)},
+    "gaussian_mixture": {"mu": ("floats", None), "sigma": ("float", None), "n_copies": ("int", None)},
+    "logistic_l2": {"data": ("str", _REQUIRED), "lam": ("float", None)},
 }
+
+
+def _keys(section: str, potential: str | None = None) -> dict[str, tuple[str, object]]:
+    """The keys of a section; [potential] takes name and the named built-in's."""
+    return {**_SCHEMA[section], **_POTENTIALS.get(potential, {})} if section == "potential" else _SCHEMA[section]
 
 
 @dataclass
@@ -144,8 +136,9 @@ class ExperimentConfig:
             if data is None:
                 continue
             lines.append(f"[{section}]")
+            schema = _keys(section, data.get("name"))
             for key, value in data.items():
-                if value is None or (not self.is_set(section, key) and value == _SCHEMA[section][key][1]):
+                if value is None or (not self.is_set(section, key) and value == schema[key][1]):
                     continue
                 if isinstance(value, bool):
                     rendered = "true" if value else "false"
@@ -190,11 +183,19 @@ def parse_config_text(text: str) -> ExperimentConfig:
     parsed: dict[str, dict | None] = {}
     errors: list[str] = []
     for section, raw_items in sections.items():
-        schema = _SCHEMA[section]
+        name = raw_items.get("name", "").strip() if section == "potential" else None
+        if section == "potential" and name not in _POTENTIALS:
+            # a missing or unknown name: the section's other keys go unchecked
+            raw_items = {key: raw for key, raw in raw_items.items() if key == "name"}
+            if raw_items:
+                errors.append(f"[potential] unknown potential name {name!r}")
+        schema = _keys(section, name)
         out: dict = {}
         for key, raw in raw_items.items():
             if key not in schema:
-                errors.append(f"[{section}] unknown key {key!r}")
+                inapplicable = section == "potential" and any(key in keys for keys in _POTENTIALS.values())
+                errors.append(f"[potential] key {key!r} does not apply to {name!r}" if inapplicable
+                              else f"[{section}] unknown key {key!r}")
                 continue
             typ, _ = schema[key]
             try:
@@ -211,19 +212,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
     for optional in _OPTIONAL_SECTIONS:
         if optional not in sections:
             parsed[optional] = None
-
-    # potential-specific key hygiene: only keys meaningful for the named
-    # potential may be set explicitly
-    pot = parsed.get("potential") or {}
-    name = pot.get("name")
-    if name is not None:
-        allowed = _POTENTIAL_KEYS.get(name)
-        if allowed is None:
-            errors.append(f"[potential] unknown potential name {name!r}")
-        else:
-            for key in sections.get("potential", {}):
-                if key != "name" and key in _SCHEMA["potential"] and key not in allowed:
-                    errors.append(f"[potential] key {key!r} does not apply to {name!r}")
 
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))

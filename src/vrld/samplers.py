@@ -292,13 +292,16 @@ def _one_chain_rows(obj: FiniteSumObjective, X, IDX):
         return np.full(X.shape, np.nan)
 
 
-def _epoch_params(variant: str, eta, gamma, sched: AnnealSchedule | None):
-    """The epoch -> (eta, gamma) map of a run: constant, or the schedule's,
-    which only the epoch variants take."""
+def _epoch_params(cfg: SamplerConfig, sched: AnnealSchedule | None):
+    """The epoch -> (eta, gamma) map of a run: cfg's constant pair, or the
+    schedule's, which only the epoch variants take and which starts at cfg's."""
     if sched is None:
-        return lambda s: (eta, gamma)
-    if variant not in _ANCHORED:
+        return lambda s: (cfg.eta, cfg.gamma)
+    if cfg.variant not in _ANCHORED:
         raise ValueError("annealed runs support svrg_ld and sarah_ld")
+    if (cfg.eta, cfg.gamma) != (sched.eta(0), sched.gamma(0)):
+        raise ValueError(f"the schedule supplies the step size and inverse temperature; (eta, gamma) must be its "
+                         f"epoch-0 pair {(sched.eta(0), sched.gamma(0))}, got {(cfg.eta, cfg.gamma)}")
     return lambda s: (sched.eta(s), sched.gamma(s))
 
 
@@ -315,7 +318,7 @@ def _replicates(obj: FiniteSumObjective, cfg: SamplerConfig, x0, sched: AnnealSc
     own streams."""
     cfg.validate(obj.n)
     variant, K, B, store_every = cfg.variant, cfg.K, cfg.B, cfg.store_every
-    schedule = _epoch_params(variant, cfg.eta, cfg.gamma, sched)
+    schedule = _epoch_params(cfg, sched)
     n, d, R = obj.n, obj.d, len(replicates)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (d,):
@@ -387,9 +390,10 @@ def run_chain(obj: FiniteSumObjective, cfg: SamplerConfig, x0, replicate: int = 
     """K steps of ``cfg.variant`` from x0, replicate ``replicate`` of cfg.seed.
 
     Epoch s runs at cfg's constant (eta, gamma), or with ``sched`` (svrg_ld
-    and sarah_ld only) at (sched.eta(s), sched.gamma(s)), for both the drift
-    and the noise scale.  Per step: lmc costs n component evaluations and
-    sgld B; an anchored or recursive epoch of m steps costs n + 2B(m - 1).
+    and sarah_ld only, cfg at its epoch-0 pair) at (sched.eta(s),
+    sched.gamma(s)), for both the drift and the noise scale.  Per step: lmc
+    costs n component evaluations and sgld B; an anchored or recursive epoch
+    of m steps costs n + 2B(m - 1).
     A non-finite iterate or gradient ends the run with ``diverged`` set
     instead of raising.
     """
@@ -444,16 +448,21 @@ def run_ensemble(
     replicate-heavy desk experiments; single chains keep the per-replicate
     stream rule of :func:`chain_rngs`.  ``checkpoints`` are the steps to
     keep, integers in 0..K (default K).  Raises :class:`DivergedError` at
-    the first non-finite iterate or gradient.  Sizes and steps are checked as
+    the first non-finite iterate or gradient.  The chains run at (eta,
+    gamma) or at ``sched``, not both.  Sizes and steps are checked as
     :meth:`SamplerConfig.validate` checks them, at the schedule's epoch-0
     (eta, gamma) when there is one.
     """
+    if sched is not None and (eta is not None or gamma is not None):
+        raise ValueError("the schedule supplies the step size and inverse temperature; drop eta and gamma")
     if sched is None and (eta is None or gamma is None):
         raise ValueError("need eta and gamma (or a schedule)")
     _check_count("n_chains", n_chains)
-    first = (eta, gamma) if sched is None else (sched.eta(0), sched.gamma(0))
-    SamplerConfig(variant, *first, B=B, m=m, K=K, seed=seed).validate(obj.n)
-    schedule = _epoch_params(variant, eta, gamma, sched)
+    if sched is not None:
+        eta, gamma = sched.eta(0), sched.gamma(0)
+    cfg = SamplerConfig(variant, eta, gamma, B=B, m=m, K=K, seed=seed)
+    cfg.validate(obj.n)
+    schedule = _epoch_params(cfg, sched)
     R, d, n = n_chains, obj.d, obj.n
     noise_rng, index_rng = chain_rngs(seed)
     if x0 is None:

@@ -210,17 +210,8 @@ def recommended_eta(variant: str, eps: float, gamma: float, alpha: float, d: int
     """Step size for the B = m = sqrt(n) configuration: the step cap at
     m = sqrt(n) capped by the epsilon-driven value (coarse constants 448/320).
     """
-    variant = _check_variant(variant)
-    root_n = math.sqrt(n)
-    if variant == SVRG:
-        return min(
-            alpha / (16.0 * math.sqrt(6.0) * L * L * root_n * gamma),
-            3.0 * alpha * eps / (448.0 * d * L * L * gamma),
-        )
-    return min(
-        alpha / (16.0 * math.sqrt(2.0) * L * L * root_n * gamma),
-        3.0 * alpha * eps / (320.0 * d * L * L * gamma),
-    )
+    coarse = 448.0 if _check_variant(variant) == SVRG else 320.0
+    return min(step_size_cap(variant, alpha, L, math.sqrt(n), gamma), 3.0 * alpha * eps / (coarse * d * L * L * gamma))
 
 
 def iterations_for_eps(eps: float, H0: float, gamma: float, alpha: float, eta: float) -> int:
@@ -397,10 +388,8 @@ def kl_target_for_suboptimality(alpha: float, eps: float, L: float) -> float:
 def optimization_step_size(alpha: float, L: float, n: int, gamma: float, d: int, eps: float) -> float:
     """eta = alpha / (16 sqrt(6) L^2 sqrt(n) gamma)  ^  (3/1792) alpha^2 eps / (L^2 d gamma)."""
     _require(min(alpha, L, gamma, eps) > 0 and n >= 1 and d >= 1, "need positive inputs")
-    return min(
-        alpha / (16.0 * math.sqrt(6.0) * L * L * math.sqrt(n) * gamma),
-        (3.0 / 1792.0) * alpha * alpha * eps / (L * L * d * gamma),
-    )
+    return min(step_size_cap(SVRG, alpha, L, math.sqrt(n), gamma),
+               (3.0 / 1792.0) * alpha * alpha * eps / (L * L * d * gamma))
 
 
 def chi_constant(d: int, L: float, M: float, b: float) -> float:

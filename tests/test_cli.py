@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from vrld import theory
 from vrld.cli import _metric_series, execute, main, resolve
-from vrld.config import _OPTIONAL_SECTIONS, _POTENTIAL_KEYS, _REQUIRED, _SCHEMA, ConfigError, parse_config_text
+from vrld.config import _OPTIONAL_SECTIONS, _POTENTIALS, _REQUIRED, _SCHEMA, ConfigError, parse_config_text
 from vrld.potentials import make_builtin
 from vrld.samplers import SamplerConfig, grad_evals_at, run_chain
 
@@ -90,6 +90,27 @@ out = {out}
 """
 
 
+# a [potential] section for each built-in, with every key it takes that the
+# header renders as one value; logistic_l2 reads a data file
+POTENTIAL_SECTIONS = {
+    "gaussian_quadratic": "n = 8\nd = 2\nseed = 3\nspread = 0.5\nzero_mean = true\n",
+    "double_well": "a = 1.0\nd = 2\nn_copies = 8\nbox = 3.0\n",
+    "gaussian_mixture": "sigma = 0.8\nn_copies = 8\n",
+    "logistic_l2": "data = {data}\nlam = 0.5\n",
+}
+
+SGLD_RUN = """
+[sampler]
+variant = sgld
+eta = 0.01
+batch = 2
+steps = 8
+
+[run]
+out = {out}
+"""
+
+
 def write_cfg(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -110,17 +131,18 @@ _VALUES = {
 @st.composite
 def config_sections(draw):
     """Every section a config may hold: the required ones always, each
-    optional one or not, with its required keys and any of its other keys."""
-    name = draw(st.sampled_from(sorted(_POTENTIAL_KEYS)))
+    optional one or not, with its required keys and any of its other keys;
+    [potential] names a built-in and takes that built-in's keys."""
+    name = draw(st.sampled_from(sorted(_POTENTIALS)))
     sections = {}
     for section, schema in _SCHEMA.items():
         if section in _OPTIONAL_SECTIONS and not draw(st.booleans()):
             continue
-        keys = [key for key, (_, default) in schema.items()
-                if (section != "potential" or key in _POTENTIAL_KEYS[name])
-                and (default is _REQUIRED or draw(st.booleans()))]
+        if section == "potential":
+            schema = _POTENTIALS[name]
+        keys = [key for key, (_, default) in schema.items() if default is _REQUIRED or draw(st.booleans())]
         sections[section] = {key: draw(_VALUES[schema[key][0]]) for key in keys}
-    sections["potential"]["name"] = name
+    sections["potential"] = {"name": name, **sections["potential"]}
     return sections
 
 
@@ -188,6 +210,21 @@ class TestConfigFormat:
             parse_config_text(
                 "[potential]\nname = double_well\nspread = 2.0\n[sampler]\nvariant = lmc\n"
             )
+
+    @pytest.mark.parametrize(("section", "error"), [
+        ("name = gaussian_quadratic\nd = 2\n", "[potential] missing required key 'n'"),
+        ("name = gaussian_quadratic\nn = 4\n", "[potential] missing required key 'd'"),
+        ("name = logistic_l2\nlam = 0.5\n", "[potential] missing required key 'data'"),
+        ("name = double_well\nspread = 2.0\nfoo = 1\n",
+         "[potential] key 'spread' does not apply to 'double_well'\n  [potential] unknown key 'foo'"),
+        ("name = nope\nn = 4\nspread = 2.0\nfoo = 1\n", "[potential] unknown potential name 'nope'"),
+    ], ids=["quadratic-n", "quadratic-d", "logistic-data", "inapplicable-and-unknown", "unknown-name"])
+    def test_potential_keys_are_checked_against_the_named_builtin(self, section, error):
+        """Each built-in's keys are checked where every other key is; an
+        unknown name is the one error, whatever keys come with it."""
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(f"[potential]\n{section}[sampler]\nvariant = lmc\n")
+        assert str(info.value) == "invalid configuration:\n  " + error
 
     def test_type_errors_reported(self):
         with pytest.raises(ConfigError, match="steps"):
@@ -341,6 +378,20 @@ class TestRunCommand:
                        "potential.name = gaussian_quadratic"):
             assert f"# {needle}" in header
 
+    @pytest.mark.parametrize("name", sorted(POTENTIAL_SECTIONS))
+    def test_header_potential_lines_parse_back_to_the_potential(self, tmp_path, name):
+        """The header's potential.* lines, read back as a [potential] section,
+        parse to the run's own potential: they name only keys it takes."""
+        data = tmp_path / "data.txt"
+        data.write_text("0.5 -1.0 1.0\n-0.2 0.3 0.0\n1.5 0.7 1.0\n-0.4 -0.9 0.0\n")
+        out = tmp_path / "r"
+        text = f"[potential]\nname = {name}\n{POTENTIAL_SECTIONS[name].format(data=data)}" + SGLD_RUN.format(out=out)
+        assert main(["run", "--config", str(write_cfg(tmp_path, text)), "--quiet"]) == 0
+        keys = [line.removeprefix("# potential.") for line in (out / "summary.csv").read_text().splitlines()
+                if line.startswith("# potential.")]
+        again = parse_config_text("[potential]\n" + "\n".join(keys) + "\n[sampler]\nvariant = sgld\n")
+        assert again.potential == parse_config_text(text).potential
+
     def test_bound_overlay_columns_present(self, tmp_path):
         out = tmp_path / "r"
         cfg = write_cfg(tmp_path, BASE_CFG.format(out=out))
@@ -397,6 +448,14 @@ class TestRunCommand:
         main(["validate-config", "--config", str(cfg)])
         out = capsys.readouterr().out
         assert "B=m=4" in out
+
+    def test_auto_mode_refuses_gamma_zero(self, tmp_path, capsys):
+        """Auto mode's step size is the step cap's formula, which refuses
+        gamma = 0 by name rather than dividing by it."""
+        text = BASE_CFG.format(out=tmp_path / "r").replace("gamma = 1.0", "gamma = 0.0")
+        text = text.replace("eta = 0.005", "auto = true\neps = 0.5").replace("steps = 120", "")
+        assert main(["validate-config", "--config", str(write_cfg(tmp_path, text))]) == 2
+        assert capsys.readouterr().err == "need alpha, L, m, gamma > 0\n"
 
     def test_divergence_exit_code(self, tmp_path, capsys):
         text = BASE_CFG.format(out=tmp_path / "r")

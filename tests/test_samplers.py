@@ -283,6 +283,28 @@ class TestNoInputIgnored:
         with pytest.raises(ValueError, match="svrg_ld and sarah_ld"):
             run_ensemble(quadratic(n=16), variant, 8, 40, B=4, sched=sched)
 
+    @pytest.mark.parametrize("kw", [dict(eta=5.0), dict(gamma=1e6), dict(eta=5.0, gamma=1e6)])
+    def test_ensemble_refuses_eta_or_gamma_next_to_a_schedule(self, kw):
+        """The schedule supplies every epoch's (eta, gamma): an eta or gamma
+        beside it would go unused."""
+        sched = AnnealSchedule(eta_bar=0.01, gamma_bar=1.0, sigma=3.0, mu=13.0, g=math.e)
+        with pytest.raises(ValueError, match="the schedule supplies the step size and inverse temperature"):
+            run_ensemble(quadratic(n=8), "svrg_ld", 4, 8, B=2, m=4, sched=sched, **kw)
+
+    @pytest.mark.parametrize("many", [False, True])
+    @pytest.mark.parametrize("kw", [dict(eta=0.9, gamma=1e6), dict(eta=0.9), dict(gamma=1e6)])
+    def test_chain_refuses_a_pair_other_than_the_schedules_first(self, kw, many):
+        """cfg's (eta, gamma) must be the schedule's epoch-0 pair, the one
+        the chain runs at first; any other pair would go unused."""
+        sched = AnnealSchedule(eta_bar=0.01, gamma_bar=1.0, sigma=3.0, mu=13.0, g=math.e)
+        cfg = dataclasses.replace(
+            SamplerConfig(variant="svrg_ld", eta=sched.eta(0), gamma=sched.gamma(0), B=2, m=4, K=8), **kw)
+        with pytest.raises(ValueError, match="the schedule supplies the step size and inverse temperature"):
+            if many:
+                run_replicates(quadratic(n=8), cfg, np.zeros(2), 3, sched=sched)
+            else:
+                run_chain(quadratic(n=8), cfg, np.zeros(2), sched=sched)
+
     @pytest.mark.parametrize("B", [0, -3, 9])
     def test_ensemble_batch_out_of_range(self, B):
         with pytest.raises(ValueError, match="1 <= B"):
@@ -403,7 +425,8 @@ class TestAnnealedRunner:
 
     def test_trace_records_schedule_values(self):
         obj = quadratic()
-        cfg = SamplerConfig(variant="sarah_ld", eta=0.01, B=4, m=2, K=6, seed=3)
+        cfg = SamplerConfig(variant="sarah_ld", eta=self.sched.eta(0), gamma=self.sched.gamma(0),
+                            B=4, m=2, K=6, seed=3)
         t = run_chain(obj, cfg, np.zeros(obj.d), sched=self.sched)
         # stored steps after 0 belong to epochs 0, 0, 1, 1, 2, 2
         np.testing.assert_allclose(
@@ -589,9 +612,9 @@ class TestReferenceEquivalence:
                         )
                         if variant in ("svrg_ld", "sarah_ld"):
                             sched = self.SCHED
+                            annealed = dataclasses.replace(cfg, eta=sched.eta(0), gamma=sched.gamma(0), seed=11)
                             self.check_trace(
-                                run_chain(obj, dataclasses.replace(cfg, seed=11), x0,
-                                          replicate=replicate, sched=sched),
+                                run_chain(obj, annealed, x0, replicate=replicate, sched=sched),
                                 reference_chain(obj, variant, x0, K, m, B, 11,
                                                 lambda s: (sched.eta(s), sched.gamma(s)),
                                                 store_every, replicate),
@@ -605,7 +628,8 @@ class TestReferenceEquivalence:
                 for sched in scheds:
                     schedule = ((lambda s: (0.01, 2.0)) if sched is None
                                 else (lambda s: (sched.eta(s), sched.gamma(s))))
-                    res = run_ensemble(obj, variant, R, K, eta=0.01, gamma=2.0, B=B, m=m, seed=3,
+                    pair = dict(eta=0.01, gamma=2.0) if sched is None else {}
+                    res = run_ensemble(obj, variant, R, K, **pair, B=B, m=m, seed=3,
                                        x0=X0, checkpoints=wanted, sched=sched)
                     ref, final = reference_ensemble(obj, variant, R, K, m, B, 3, schedule, X0, wanted)
                     assert sorted(res.checkpoints) == sorted(ref) == sorted(res.grad_evals)
@@ -646,6 +670,7 @@ class TestReplicateEngine:
             assert trace.grad_evals.tolist() == [grad_evals_at(variant, k, n, B, m) for k in trace.steps.tolist()]
         if variant in ("svrg_ld", "sarah_ld"):
             sched = TestReferenceEquivalence.SCHED
+            cfg = dataclasses.replace(cfg, eta=sched.eta(0), gamma=sched.gamma(0))
             for r, trace in enumerate(run_replicates(obj, cfg, x0, R, sched=sched)):
                 TestReferenceEquivalence().check_trace(trace, reference_chain(
                     obj, variant, x0, K, m, B, seed, lambda s: (sched.eta(s), sched.gamma(s)), store_every, r))
