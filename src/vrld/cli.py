@@ -24,6 +24,7 @@ import numpy as np
 
 from . import diagnostics, samplers, theory
 from .config import ConfigError, ExperimentConfig, parse_config
+from .config import render_value as _fmt
 from .potentials import FiniteSumObjective, make_builtin
 from .samplers import RunTrace, SamplerConfig
 from .theory import HypothesisViolation
@@ -31,12 +32,6 @@ from .theory import HypothesisViolation
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
 
 
 # -- resolution ---------------------------------------------------------------

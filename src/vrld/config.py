@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["ConfigError", "ExperimentConfig", "parse_config", "parse_config_text"]
+__all__ = ["ConfigError", "ExperimentConfig", "parse_config", "parse_config_text", "render_value"]
 
 
 class ConfigError(ValueError):
@@ -40,6 +40,15 @@ _PARSERS = {
     "floats": _parse_floats,
     "strs": _parse_strs,
 }
+
+
+def render_value(value) -> str:
+    """A value as its key's parser reads it back: a float by repr, a tuple as
+    its rendered entries joined by commas."""
+    if isinstance(value, tuple):
+        return ", ".join(map(render_value, value))
+    return repr(value) if isinstance(value, float) else str(value)
+
 
 _REQUIRED = object()
 
@@ -140,14 +149,7 @@ class ExperimentConfig:
             for key, value in data.items():
                 if value is None or (not self.is_set(section, key) and value == schema[key][1]):
                     continue
-                if isinstance(value, bool):
-                    rendered = "true" if value else "false"
-                elif isinstance(value, tuple):
-                    rendered = ", ".join(repr(v) if isinstance(v, float) else str(v) for v in value)
-                elif isinstance(value, float):
-                    rendered = repr(value)
-                else:
-                    rendered = str(value)
+                rendered = ("true" if value else "false") if isinstance(value, bool) else render_value(value)
                 lines.append(f"{key} = {rendered}")
             lines.append("")
         return "\n".join(lines)

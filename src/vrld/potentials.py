@@ -63,11 +63,14 @@ class FiniteSumObjective:
 
     The evaluation counter tallies component-gradient evaluations: a full
     gradient costs n, a minibatch of size B costs B.  Each objective has one
-    row kernel, ``rows_fn(X, IDX)``: row r of an (R, d) X gets the minibatch
-    gradient over the index row IDX[r].  A minibatch gradient is that kernel
-    on one row, and a full gradient without ``grad_fn`` is that kernel over
-    all n components, the very call a full-batch minibatch makes; without
-    ``rows_fn`` the kernel loops over components.  ``full_kernel`` and
+    row kernel, ``rows_fn(X, IDX)``: X is shaped (..., R, d) against (R, B)
+    index rows, and row r of X gets the minibatch gradient over IDX[r] for
+    every leading index.  So a control-variate step evaluates its pair
+    (x, anchor) as one (2, R, d) call over one gather of the index rows.  A
+    minibatch gradient is that kernel on one row, and a full gradient without
+    ``grad_fn`` is that kernel over all n components, the very call a
+    full-batch minibatch makes; without ``rows_fn`` the kernel loops over
+    leading indices and components.  ``full_kernel`` and
     ``rows_kernel`` are the two kernels without counting or checks; a step
     loop that calls ``full_kernel`` counts for itself with ``add_grad_evals``.
     Evaluators are pure functions of x and are vectorised over leading axes,
@@ -135,6 +138,8 @@ class FiniteSumObjective:
 
     def _component_rows(self, X: np.ndarray, IDX: np.ndarray) -> np.ndarray:
         # the loop over components, for an objective with no row kernel
+        if X.ndim > 2:
+            return np.array([self._component_rows(x, IDX) for x in X]).reshape(X.shape)
         return np.array([sum(self._component_grad(int(i), x) for i in idx) / len(idx)
                          for x, idx in zip(X, IDX)]).reshape(X.shape)
 
@@ -203,11 +208,11 @@ class FiniteSumObjective:
         return g
 
     def minibatch_gradient_rows(self, X: np.ndarray, IDX: np.ndarray) -> np.ndarray:
-        """The row kernel at an (R, d) X and its (R, B) index rows IDX; counts
-        R*B component evaluations."""
-        IDX = np.asarray(IDX, dtype=int)
-        self.add_grad_evals(int(IDX.size))
-        return self.rows_kernel(np.asarray(X, dtype=float), IDX)
+        """The row kernel at a (..., R, d) X and its (R, B) index rows IDX;
+        counts B component evaluations for every row of X."""
+        X, IDX = np.asarray(X, dtype=float), np.asarray(IDX, dtype=int)
+        self.add_grad_evals(X.size // self.d * IDX.shape[-1])
+        return self.rows_kernel(X, IDX)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FiniteSumObjective({self.name!r}, n={self.n}, d={self.d}, L={self.L})"
@@ -265,8 +270,10 @@ def _gaussian_quadratic(params: dict) -> FiniteSumObjective:
         return s_mean * x - u
 
     def rows_fn(X, IDX):
-        sb = s[IDX]  # (R, B)
-        return sb.mean(axis=1)[:, None] * X - (sb[:, :, None] * centers[IDX]).mean(axis=1)
+        sb, B = s[IDX], IDX.shape[-1]  # (R, B)
+        uc = centers[IDX]  # (R, B, d), scaled in place; add.reduce / B is bitwise .mean
+        uc *= sb[:, :, None]
+        return (np.add.reduce(sb, axis=1) / B)[:, None] * X - np.add.reduce(uc, axis=1) / B
 
     return FiniteSumObjective(
         "gaussian_quadratic",
@@ -466,11 +473,11 @@ def _logistic_l2(params: dict) -> FiniteSumObjective:
         return np.logaddexp(0.0, -t).mean(axis=-1) + 0.5 * lam * np.sum(x * x, axis=-1)
 
     def rows_fn(X, IDX):
-        A = rows[IDX]  # (R, B, d)
+        A, yb = rows[IDX], y[IDX]  # (R, B, d), (R, B)
         # einsum, not matmul, so that a row's gradient is the same in any batch
-        t = np.einsum("rbd,rd->rb", A, X) * y[IDX]
+        t = np.einsum("rbd,...rd->...rb", A, X) * yb
         sig = 1.0 / (1.0 + np.exp(t))  # sigmoid(-margin)
-        return -((sig * y[IDX])[:, :, None] * A).mean(axis=1) + lam * X
+        return -((sig * yb)[..., None] * A).mean(axis=-2) + lam * X
 
     return FiniteSumObjective(
         "logistic_l2",

@@ -196,14 +196,14 @@ def sample_index_set(n: int, B: int, rng: np.random.Generator | list[np.random.G
            else np.stack([g.integers(0, bounds, size=(*shape, B)) for g in rng], axis=-2))
     rows = out.reshape(-1, B)  # a view: the rows are rewritten in place
     at = np.arange(0, len(rows) * n, n)[:, None]  # each row's offset in the flat bitmap
-    pos = rows + at  # each draw's bit
+    rows += at  # each draw's bit, until the offsets come off again below
     taken = np.zeros(len(rows) * n, dtype=bool)
-    taken[pos[:, 0]] = True
+    taken[rows[:, 0]] = True
     for j in range(1, B):
-        col = pos[:, j]  # a view: a replaced draw is rewritten in pos
+        col = rows[:, j]  # a view: a replaced draw is rewritten in rows
         np.copyto(col, at[:, 0] + (n - B + j), where=taken[col])
         taken[col] = True
-    np.subtract(pos, at, out=rows)
+    rows -= at
     rows.sort(axis=-1)
     return out
 
@@ -215,7 +215,7 @@ def _blocks(draw, total: int, span: int):
 
 
 def _langevin(obj: FiniteSumObjective, variant: str, X, K: int, m: int,
-              schedule, noise, subset, rows, record, diverged):
+              schedule, noise, subset, rows, stored, record, diverged):
     """The one Langevin step loop behind every runner.
 
     X is the (R, d) state of R chains that step together.  Epoch s is the m
@@ -225,10 +225,14 @@ def _langevin(obj: FiniteSumObjective, variant: str, X, K: int, m: int,
     oracle: lmc takes the full gradient at every step (m = 1) and sgld a
     minibatch; svrg_ld and sarah_ld take the full gradient at each epoch
     start, then the anchored or the recursive estimate at 2B evaluations.
-    The full gradient runs through the uncounted kernel, and the loop counts
-    its n evaluations per chain.  ``record(k, X, grad_evals, eta, gamma)``
-    sees every iterate k >= 1; grad_evals is the per-chain count of component
-    gradients so far.
+    That estimate needs the oracle at x_k and at the anchor (svrg_ld) or
+    x_{k-1} (sarah_ld) over one index set, so it is one call on the stacked
+    (2, R, d) pair against the step's (R, B) index rows, which the row
+    kernel gathers once.  The full gradient runs through the uncounted
+    kernel, and the loop counts its n evaluations per chain.
+    ``record(k, X, grad_evals, eta, gamma)`` sees iterate k at each step k of
+    ``stored``, an increasing iterable of steps in 1..K; grad_evals is the
+    per-chain count of component gradients so far.
 
     A chain stops at its first iterate that is non-finite or has a non-finite
     gradient estimate: step k + 1, or k when the estimate at iterate k is the
@@ -242,6 +246,8 @@ def _langevin(obj: FiniteSumObjective, variant: str, X, K: int, m: int,
     recursive = variant == "sarah_ld"
     count = 0
     ref = V_ref = X  # the anchor and its estimate, set at each epoch start
+    stored = iter(stored)
+    store = next(stored, None)
     # overflow is the divergence signal, checked below, not a warning condition
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(K):
@@ -260,14 +266,15 @@ def _langevin(obj: FiniteSumObjective, variant: str, X, K: int, m: int,
                 count += n
             else:
                 idx = subset()
-                # both terms of the control variate from one oracle call
-                G = rows(np.concatenate((X, ref)), np.concatenate((idx, idx)))
-                V = G[:len(X)] - G[len(X):] + V_ref
+                # both terms of the control variate from one oracle call over one gather
+                G = rows(np.array((X, ref)), idx)
+                V = G[0] - G[1] + V_ref
                 count += 2 * idx.shape[-1]
             new = X - eta * V + scale * eps
             idx = None  # a subset row keeps its block alive: free it before the next draw
-            # a finite sum proves every entry finite, at half the cost of isfinite
-            if not math.isfinite(new.sum()):
+            # a finite sum proves every entry finite, at half the cost of isfinite;
+            # an overflowing sum of finite entries falls through to the exact check
+            if not math.isfinite(np.add.reduce(new, None)):
                 bad = ~np.isfinite(new).all(axis=1)
                 if bad.any():
                     diverged(bad, np.where(np.isfinite(V[bad]).all(axis=1), k + 1, k), X[bad])
@@ -278,7 +285,9 @@ def _langevin(obj: FiniteSumObjective, variant: str, X, K: int, m: int,
             if recursive or l == 0:
                 ref, V_ref = X, V
             X = new
-            record(k + 1, X, count, eta, gamma)
+            if k + 1 == store:
+                record(k + 1, X, count, eta, gamma)
+                store = next(stored, None)
     return X
 
 
@@ -351,10 +360,9 @@ def _replicates(obj: FiniteSumObjective, cfg: SamplerConfig, x0, sched: AnnealSc
 
     def record(k, X, count, eta, gamma):
         nonlocal t
-        if k % store_every == 0 or k == K:
-            t += 1
-            iterates[t, live] = X
-            grad_evals[t], etas[t], gammas[t] = count, eta, gamma
+        t += 1
+        iterates[t, live] = X
+        grad_evals[t], etas[t], gammas[t] = count, eta, gamma
 
     def diverged(bad, at, last):
         nonlocal live
@@ -363,7 +371,8 @@ def _replicates(obj: FiniteSumObjective, cfg: SamplerConfig, x0, sched: AnnealSc
         for r, step, x in zip(gone, at.tolist(), last):
             kept[r], stops[r], final[r] = t + 1, step, x
 
-    final[live] = _langevin(obj, variant, final, K, m, schedule, noise, subset, rows, record, diverged)
+    final[live] = _langevin(obj, variant, final, K, m, schedule, noise, subset, rows, map(int, steps[1:]),
+                            record, diverged)
     return [
         RunTrace(variant=variant, steps=steps[:T].copy(), iterates=iterates[:T, r].copy(),
                  grad_evals=grad_evals[:T].copy(), etas=etas[:T].copy(), gammas=gammas[:T].copy(),
@@ -479,14 +488,14 @@ def run_ensemble(
     out = EnsembleResult(variant=variant, K=K)
 
     def record(k: int, X, count: int, *_) -> None:
-        if k in wanted:
-            out.checkpoints[k] = X.copy()
-            out.grad_evals[k] = count
+        out.checkpoints[k] = X.copy()
+        out.grad_evals[k] = count
 
     def diverged(bad, steps, last):
         raise DivergedError(int(steps.min()))
 
-    record(0, X, 0)
+    if 0 in wanted:
+        record(0, X, 0)
     m = m if variant in _ANCHORED else 1
     span = max(1, _BLOCK_VALUES // (R * max(d, n)))
     subsets = K if variant == "sgld" else K - K // m
@@ -494,6 +503,6 @@ def run_ensemble(
         obj, variant, X, K, m, schedule,
         _blocks(lambda c: noise_rng.standard_normal((c, R, d)), K, span).__next__,
         _blocks(lambda c: sample_index_set(n, B, index_rng, (c, R)), subsets, span).__next__,
-        obj.minibatch_gradient_rows, record, diverged,
+        obj.minibatch_gradient_rows, sorted(wanted - {0}), record, diverged,
     )
     return out

@@ -99,6 +99,14 @@ POTENTIAL_SECTIONS = {
     "logistic_l2": "data = {data}\nlam = 0.5\n",
 }
 
+# header cases: id -> (built-in, its [potential] keys, more [run] keys); the
+# last two set tuple-valued keys
+HEADER_CASES = {
+    **{name: (name, keys, "") for name, keys in POTENTIAL_SECTIONS.items()},
+    "gaussian_mixture-mu-x0": ("gaussian_mixture", "mu = 1.0, -0.5\nn_copies = 8\n", "x0 = 0.5, 0.5\n"),
+    "gaussian_quadratic-scales": ("gaussian_quadratic", "n = 4\nd = 2\nscales = 0.5, 1.0, 1.5, 2.0\n", ""),
+}
+
 SGLD_RUN = """
 [sampler]
 variant = sgld
@@ -378,19 +386,24 @@ class TestRunCommand:
                        "potential.name = gaussian_quadratic"):
             assert f"# {needle}" in header
 
-    @pytest.mark.parametrize("name", sorted(POTENTIAL_SECTIONS))
+    @pytest.mark.parametrize("name", sorted(HEADER_CASES))
     def test_header_potential_lines_parse_back_to_the_potential(self, tmp_path, name):
-        """The header's potential.* lines, read back as a [potential] section,
-        parse to the run's own potential: they name only keys it takes."""
+        """The header's potential.* and run.* lines, read back as sections,
+        parse to the run's own: they name only keys the potential takes, and
+        render tuples as the parser reads them."""
         data = tmp_path / "data.txt"
         data.write_text("0.5 -1.0 1.0\n-0.2 0.3 0.0\n1.5 0.7 1.0\n-0.4 -0.9 0.0\n")
         out = tmp_path / "r"
-        text = f"[potential]\nname = {name}\n{POTENTIAL_SECTIONS[name].format(data=data)}" + SGLD_RUN.format(out=out)
+        builtin, keys, run_keys = HEADER_CASES[name]
+        text = f"[potential]\nname = {builtin}\n{keys.format(data=data)}" + SGLD_RUN.format(out=out) + run_keys
         assert main(["run", "--config", str(write_cfg(tmp_path, text)), "--quiet"]) == 0
-        keys = [line.removeprefix("# potential.") for line in (out / "summary.csv").read_text().splitlines()
-                if line.startswith("# potential.")]
-        again = parse_config_text("[potential]\n" + "\n".join(keys) + "\n[sampler]\nvariant = sgld\n")
-        assert again.potential == parse_config_text(text).potential
+        header = (out / "summary.csv").read_text().splitlines()
+        back = {section: "\n".join(line.removeprefix(f"# {section}.") for line in header
+                                   if line.startswith(f"# {section}."))
+                for section in ("potential", "run")}
+        again = parse_config_text(f"[potential]\n{back['potential']}\n[sampler]\nvariant = sgld\n[run]\n{back['run']}\n")
+        given = parse_config_text(text)
+        assert (again.potential, again.run) == (given.potential, given.run)
 
     def test_bound_overlay_columns_present(self, tmp_path):
         out = tmp_path / "r"

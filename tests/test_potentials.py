@@ -167,6 +167,58 @@ class TestVectorisedOracle:
         assert blocked.shape == trace.shape and np.array_equal(blocked, rows)
 
 
+def pair_zoo():
+    """Every built-in, the quadratic with unequal scales in d = 3, and an
+    objective with no row kernel, whose rows run through the component loop."""
+    rng = np.random.default_rng(11)
+    rows = rng.standard_normal((7, 3))
+    labels = (rng.random(7) > 0.5).astype(float)
+    centers = rng.standard_normal((5, 2))
+    return [
+        make_builtin("gaussian_quadratic", {"n": 6, "d": 3, "seed": 4, "scales": np.linspace(0.5, 2.0, 6)}),
+        make_builtin("logistic_l2", {"rows": rows, "labels": labels, "lam": 0.25}),
+        make_builtin("double_well", {"a": 1.0, "n_copies": 4}),
+        make_builtin("double_well", {"a": 1.0, "d": 2, "n_copies": 4}),
+        make_builtin("gaussian_mixture", {"mu": [1.2, -0.3], "n_copies": 4}),
+        FiniteSumObjective(
+            "loop", 5, 2,
+            component_value=lambda i, x: 0.5 * np.sum((x - centers[i]) ** 2, axis=-1),
+            component_grad=lambda i, x: x - centers[i],
+        ),
+    ]
+
+
+class TestPairContract:
+    """A row kernel takes X shaped (..., R, d) against (R, B) index rows: the
+    (x, anchor) pair of a control-variate step is one call over one gather."""
+
+    R, B = 4, 3
+
+    def pair(self, obj):
+        rng = np.random.default_rng(obj.n)
+        X, ref = rng.standard_normal((2, self.R, obj.d))
+        idx = np.array([np.sort(rng.choice(obj.n, self.B, replace=False)) for _ in range(self.R)])
+        return X, ref, idx
+
+    @pytest.mark.parametrize("k", range(len(pair_zoo())))
+    def test_pair_equals_the_stacked_rows(self, k):
+        obj = pair_zoo()[k]
+        X, ref, idx = self.pair(obj)
+        pair = obj.rows_kernel(np.array((X, ref)), idx)
+        stacked = obj.rows_kernel(np.concatenate((X, ref)), np.concatenate((idx, idx)))
+        assert pair.shape == (2, self.R, obj.d), obj.name
+        assert np.array_equal(pair.reshape(stacked.shape), stacked), obj.name
+
+    @pytest.mark.parametrize("k", range(len(pair_zoo())))
+    def test_counted_pair_counts_every_row(self, k):
+        obj = pair_zoo()[k]
+        X, ref, idx = self.pair(obj)
+        obj.reset_grad_evals()
+        G = obj.minibatch_gradient_rows(np.array((X, ref)), idx)
+        assert obj.grad_evals == 2 * self.R * self.B, obj.name
+        assert np.array_equal(G, obj.rows_kernel(np.array((X, ref)), idx)), obj.name
+
+
 class TestMakeBuiltin:
     def test_names(self):
         assert set(BUILTIN_NAMES) == {

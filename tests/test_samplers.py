@@ -255,6 +255,21 @@ class TestDivergence:
             run_ensemble(obj, "lmc", 4, 2000, eta=1e8, gamma=1.0, seed=0,
                          x0=np.ones(obj.d), checkpoints=[2000])
 
+    # From entries near the largest float, the state's sum overflows to inf
+    # while every entry and every gradient stays finite: no chain stops.
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_an_overflowing_sum_of_finite_entries_stops_no_chain(self, variant):
+        obj = quadratic()
+        x0 = np.full(obj.d, 1e308)
+        traces = run_replicates(obj, SamplerConfig(variant=variant, eta=0.01, B=2, m=4, K=8, seed=0), x0, 3)
+        res = run_ensemble(obj, variant, 3, 8, eta=0.01, gamma=1.0, B=2, m=4, x0=x0, checkpoints=[4, 8])
+        for X in [t.iterates for t in traces] + [res.final]:
+            assert np.all(np.isfinite(X))
+            with np.errstate(over="ignore"):
+                assert np.all(np.isinf(X.sum(axis=-1)))
+        assert not any(t.diverged for t in traces)
+        assert [t.steps[-1] for t in traces] == [8] * 3
+
     # From x0 = 30 with eta = 0.9 the quartic's gradient first overflows at
     # iterate 4, whatever the estimator: the components are identical.
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -620,7 +635,7 @@ class TestReferenceEquivalence:
                                                 store_every, replicate),
                             )
         # n = 64 makes the R = 3000 ensembles span several blocks
-        for obj in (logistic(), quadratic(n=64)):
+        for obj in (logistic(), quadratic(n=64), heterogeneous(n=64)):
             for R, K, B, m in ((1, 30, 3, 3), (5, 60, obj.n, 1), (3000, 24, 5, 3), (3000, 24, 5, 8)):
                 X0 = np.random.default_rng(R).standard_normal((R, obj.d))
                 wanted = [0, 7, K]
