@@ -13,7 +13,7 @@ from vrld import theory
 from vrld.cli import _metric_series, execute, main, resolve
 from vrld.config import _OPTIONAL_SECTIONS, _POTENTIALS, _REQUIRED, _SCHEMA, ConfigError, parse_config_text
 from vrld.potentials import make_builtin
-from vrld.samplers import SamplerConfig, grad_evals_at, run_chain
+from vrld.samplers import AnnealSchedule, SamplerConfig, grad_evals_at, run_chain
 
 
 BASE_CFG = """
@@ -245,6 +245,50 @@ class TestConfigFormat:
         assert cfg.potential["name"] == "double_well"
 
 
+# every theory query at fixed arguments, with its printed (name, value)
+# pairs computed by calling the theory function itself
+THEORY_QUERIES = [
+    ("xi n=16 B=4", lambda: [("xi", theory.minibatch_variance_factor(16, 4))]),
+    ("upsilon n=16 B=4 m=4",
+     lambda: list(zip(("xi", "lambda", "upsilon"), theory.variance_reduction_factors(16, 4, 4)))),
+    ("step_cap svrg alpha=1 L=1 m=4 gamma=1", lambda: [("cap", theory.step_size_cap("svrg", 1.0, 1.0, 4, 1.0))]),
+    ("bias sarah eta=0.01 gamma=2 d=2 L=1.5 alpha=0.5 n=16 B=4 m=4",
+     lambda: [("bias", theory.bias_term("sarah", 0.01, 2.0, 2, 1.5, 0.5, 16, 4, 4)),
+              ("bias_coarse", theory.bias_term_coarse(0.01, 2.0, 2, 1.5, 0.5))]),
+    ("kl_bound sarah H0=8 k=100 eta=0.001 gamma=1 alpha=1 d=2 L=1 n=16 B=4 m=4",
+     lambda: [(key, getattr(theory.kl_bound("sarah", 8.0, 100, 0.001, 1.0, 1.0, 2, 1.0, 16, 4, 4), key))
+              for key in ("decay", "bias", "total", "bias_coarse")]),
+    ("eta_for_eps sarah eps=0.1 gamma=1 alpha=1 d=2 L=1 n=16 B=4 m=4",
+     lambda: [("eta", theory.eta_for_eps("sarah", 0.1, 1.0, 1.0, 2, 1.0, 16, 4, 4))]),
+    ("iters_for_eps eps=0.1 H0=8 gamma=1 alpha=1 eta=0.001",
+     lambda: [("k", theory.iterations_for_eps(0.1, 8.0, 1.0, 1.0, 0.001))]),
+    ("grad_complexity k=100 B=4 m=4 n=16", lambda: [("count", theory.gradient_complexity(100, 4, 4, 16))]),
+    ("talagrand_w2 H=0.5 alpha=2", lambda: [("w2", theory.talagrand_w2_bound(0.5, 2.0))]),
+    ("lsi_dissipative gamma=2 L=1 M=1 b=1 d=1 A_star=0.1 B_star=0.1 C_star=1.5",
+     lambda: [(key, getattr(theory.lsi_constant_dissipative(2.0, 1.0, 1.0, 1.0, 1, 0.1, 0.1, 1.5), key))
+              for key in ("alpha", "log_alpha", "C1", "C2")]),
+    ("lsi_weak_morse gamma=1e9 lambda_dagger=0.5 M=1 L=1 d=1 L_prime=0.1 C_F=1",
+     lambda: [(key, getattr(theory.lsi_constant_weak_morse(1e9, 0.5, 1.0, 1.0, 1, 0.1, 1.0), key))
+              for key in ("alpha", "gamma_floor", "C3", "bracket")]),
+    ("gamma_opt eps=0.5 d=1 L=1 M=1 b=0.25",
+     lambda: [("gamma", theory.inverse_temperature_for_accuracy(0.5, 1, 1.0, 1.0, 0.25))]),
+    ("gibbs_bound gamma=4 d=1 L=1 M=1 b=0.25",
+     lambda: [("bound", theory.gibbs_suboptimality_bound(4.0, 1, 1.0, 1.0, 0.25))]),
+    ("subopt_decomp w2=0.1 L=1 gamma=4 d=1 M=1 b=0.25",
+     lambda: [("bound", theory.suboptimality_decomposition(0.1, 1.0, 4.0, 1, 1.0, 0.25))]),
+    ("kl_target alpha=0.5 eps=0.1 L=2", lambda: [("kl", theory.kl_target_for_suboptimality(0.5, 0.1, 2.0))]),
+    ("opt_eta alpha=1 L=1 n=16 gamma=2 d=1 eps=0.1",
+     lambda: [("eta", theory.optimization_step_size(1.0, 1.0, 16, 2.0, 1, 0.1))]),
+    ("chi d=1 L=2 M=1 b=0.25", lambda: [("chi", theory.chi_constant(1, 2.0, 1.0, 0.25))]),
+    ("anneal_sigma_floor L=1 g=3 eta_bar=0.1 mu=4 C1=0.5 C2=0.5",
+     lambda: [("sigma", theory.anneal_sigma_floor(1.0, 3.0, 0.1, 4.0, 0.5, 0.5))]),
+    ("anneal_eta eta_bar=0.1 sigma=3 mu=4 s=2",
+     lambda: [("eta_s", AnnealSchedule(eta_bar=0.1, gamma_bar=1.0, sigma=3.0, mu=4.0, g=3.0).eta(2))]),
+    ("anneal_gamma gamma_bar=1 g=3 sigma=3 mu=4 s=2",
+     lambda: [("gamma_s", AnnealSchedule(eta_bar=0.1, gamma_bar=1.0, sigma=3.0, mu=4.0, g=3.0).gamma(2))]),
+]
+
+
 class TestTheoryCommand:
     def test_xi_query(self, capsys):
         assert main(["theory", "xi", "n=16", "B=4"]) == 0
@@ -293,6 +337,16 @@ class TestTheoryCommand:
         assert default.out == capsys.readouterr().out
         assert default.err == ""
         assert "CAVEAT: C_star defaults to 1" in default.out
+
+    @pytest.mark.parametrize("tokens,expected", THEORY_QUERIES,
+                             ids=[tokens.split()[0] for tokens, _ in THEORY_QUERIES])
+    def test_every_query_prints_its_function_values(self, capsys, tokens, expected):
+        """Each query prints `name = repr(value)` for the values its theory
+        function returns, in order, then its formula line."""
+        assert main(["theory", *tokens.split()]) == 0
+        *values, formula = capsys.readouterr().out.splitlines()
+        assert values == [f"{name} = {value!r}" for name, value in expected()]
+        assert formula.startswith("formula: ") and len(formula) > len("formula: ")
 
     @pytest.mark.parametrize("tokens,message", [
         (["n=abc", "B=4"], "n must be an integer, got 'abc'"),
