@@ -14,6 +14,7 @@ diverged).
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import sys
 from dataclasses import replace
@@ -178,7 +179,7 @@ def resolve_sampler(
             m = 1
         eta, gamma, B, K = s["eta"], s["gamma"], s["batch"], s["steps"]
     resolved = SamplerConfig(variant=variant, eta=eta, gamma=gamma, B=B, m=m, K=K, seed=cfg.run["seed"],
-                             store_every=cfg.run["thin"], burn_in=cfg.run["burn_in"])
+                             store_every=cfg.run["thin"])
     try:
         resolved.validate(obj.n)
     except ValueError as exc:
@@ -289,6 +290,8 @@ def resolve(cfg: ExperimentConfig, command: str) -> list[Point]:
         x0 = np.zeros(obj.d) if cfg.run.get("x0") is None else np.asarray(cfg.run["x0"], dtype=float)
         if x0.shape != (obj.d,):
             raise ConfigError(f"x0 must have dimension {obj.d}")
+        if not 0 <= cfg.run["burn_in"] <= scfg.K:
+            raise ConfigError(f"[run] burn_in must lie in [0, K={scfg.K}], got {cfg.run['burn_in']}")
         if command == "compare":
             _check_metric(cfg.compare["metric"], obj, scfg.gamma, cfg.run["replicates"])
         findings = check_run(pcfg, obj, scfg, sched, lsi) if command in ("run", "validate-config") else []
@@ -386,19 +389,19 @@ def _summary_columns(cfg: ExperimentConfig, obj: FiniteSumObjective, scfg: Sampl
     return cols
 
 
-def _burn_in_footer(obj: FiniteSumObjective, scfg: SamplerConfig, traces: list[RunTrace],
+def _burn_in_footer(obj: FiniteSumObjective, burn_in: int, traces: list[RunTrace],
                     fvals: list[np.ndarray]) -> list[str]:
-    """Time-averaged statistics over the stored post-burn-in steps, pooled
-    across replicates over the steps each one reached."""
-    post = [f[t.steps >= scfg.burn_in] for t, f in zip(traces, fvals)]
+    """Time-averaged statistics over the stored steps from [run] burn_in on,
+    pooled across replicates over the steps each one reached."""
+    post = [f[t.steps >= burn_in] for t, f in zip(traces, fvals)]
     sizes = {p.size for p in post}
     if sizes == {0}:
-        return [f"# post_burn_in = none (burn_in={scfg.burn_in} exceeds stored steps)"]
+        return [f"# post_burn_in = none (burn_in={burn_in} exceeds stored steps)"]
     with np.errstate(over="ignore", invalid="ignore"):
         mean_f = float(np.concatenate(post).mean())
     # replicates that stopped at different steps reach different counts: give their total
     count = f"{sizes.pop()} per replicate" if len(sizes) == 1 else f"{sum(p.size for p in post)} in all"
-    lines = [f"# post_burn_in_steps = {count} (burn_in={scfg.burn_in})",
+    lines = [f"# post_burn_in_steps = {count} (burn_in={burn_in})",
              f"# post_burn_in_mean_f = {_fmt(mean_f)}"]
     if obj.F_star is not None:
         lines.append(f"# post_burn_in_suboptimality = {_fmt(mean_f - obj.F_star)}")
@@ -424,7 +427,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
         _write_csv(out_dir / f"replicate_{r:03d}.csv", header + [f"# replicate = {r}"], cols)
     _write_csv(out_dir / "summary.csv", header,
                _summary_columns(cfg, obj, scfg, traces, fvals, point.lsi.alpha, point.findings, point.sched is not None),
-               _burn_in_footer(obj, scfg, traces, fvals))
+               _burn_in_footer(obj, cfg.run["burn_in"], traces, fvals))
     diverged = [r for r, t in enumerate(traces) if t.diverged]
     if not quiet:
         print(f"wrote {len(traces)} replicate trace(s) and summary.csv to {out_dir}")
@@ -537,112 +540,69 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
 
 _ALIASES = {"α": "alpha", "γ": "gamma", "η": "eta", "ε": "eps", "η̄": "eta_bar", "λ": "lambda_dagger"}
 
-
-def _q(names: str):
-    return names.split()
-
-
-def _kl_bound_query(a: dict) -> dict:
-    kb = theory.kl_bound(
-        a["variant"], a["H0"], a["k"], a["eta"], a["gamma"], a["alpha"],
-        a["d"], a["L"], a["n"], a["B"], a["m"],
-    )
-    return {"decay": kb.decay, "bias": kb.bias, "total": kb.total, "bias_coarse": kb.bias_coarse}
-
-
-_QUERIES: dict[str, tuple[list[str], object, str]] = {
-    "xi": (_q("n B"), lambda a: {"xi": theory.minibatch_variance_factor(a["n"], a["B"])},
-           "xi = (n - B) / (B * (n - 1)); xi(1, 1) = 0 by convention"),
-    "upsilon": (_q("n B m"), lambda a: dict(zip(("xi", "lambda", "upsilon"),
-                theory.variance_reduction_factors(a["n"], a["B"], a["m"]))),
+# query -> (the theory functions it calls, the names of the values they
+# return, in order, and its formula line).  A query's parameters are its
+# functions' parameters, optional where every function that takes one has a
+# default.  A function returns one value, a tuple of values, or an object
+# whose attributes the names read; an object's function is its query's only one.
+_QUERIES: dict[str, tuple[tuple, str, str]] = {
+    "xi": ((theory.minibatch_variance_factor,), "xi", "xi = (n - B) / (B * (n - 1)); xi(1, 1) = 0 by convention"),
+    "upsilon": ((theory.variance_reduction_factors,), "xi lambda upsilon",
                 "upsilon = (1 + 2 xi) + xi + 1 + 2 m xi, capped universally at 7"),
-    "step_cap": (_q("variant alpha L m gamma"),
-                 lambda a: {"cap": theory.step_size_cap(a["variant"], a["alpha"], a["L"], a["m"], a["gamma"])},
-                 "cap = alpha / (16 sqrt(6 or 2) L^2 m gamma)  [anchored / recursive]"),
-    "bias": (_q("variant eta gamma d L alpha n B m"),
-             lambda a: {
-                 "bias": theory.bias_term(a["variant"], a["eta"], a["gamma"], a["d"], a["L"],
-                                          a["alpha"], a["n"], a["B"], a["m"]),
-                 "bias_coarse": theory.bias_term_coarse(a["eta"], a["gamma"], a["d"], a["L"], a["alpha"]),
-             },
+    "step_cap": ((theory.step_size_cap,), "cap", "cap = alpha / (16 sqrt(6 or 2) L^2 m gamma)  [anchored / recursive]"),
+    "bias": ((theory.bias_term, theory.bias_term_coarse), "bias bias_coarse",
              "bias = (32 eta gamma d L^2 / 3 alpha) * factor; coarse = 224 eta gamma d L^2 / (3 alpha)"),
-    "kl_bound": (_q("variant H0 k eta gamma alpha d L n B m"),
-                 lambda a: _kl_bound_query(a),
-                 "KL <= exp(-alpha eta k / gamma) H0 + bias"),
-    "eta_for_eps": (_q("variant eps gamma alpha d L n B m"),
-                    lambda a: {"eta": theory.eta_for_eps(a["variant"], a["eps"], a["gamma"], a["alpha"],
-                                                         a["d"], a["L"],
-                                                         a.get("n"),
-                                                         a.get("B"),
-                                                         a.get("m"))},
-                    "largest eta keeping the bias at eps/2"),
-    "iters_for_eps": (_q("eps H0 gamma alpha eta"),
-                      lambda a: {"k": theory.iterations_for_eps(a["eps"], a["H0"], a["gamma"], a["alpha"], a["eta"])},
-                      "k = ceil((gamma / alpha eta) log(2 H0 / eps))"),
-    "grad_complexity": (_q("k B m n"),
-                        lambda a: {"count": theory.gradient_complexity(a["k"], a["B"], a["m"], a["n"])},
-                        "count = (k / m)(n + 2 B (m - 1))"),
-    "talagrand_w2": (_q("H alpha"), lambda a: {"w2": theory.talagrand_w2_bound(a["H"], a["alpha"])},
-                     "W2 <= sqrt(2 H / alpha)"),
-    "lsi_dissipative": (_q("gamma L M b d A_star B_star C_star"),
-                        lambda a: theory.lsi_constant_dissipative(a["gamma"], a["L"], a["M"], a["b"],
-                                                                  a["d"], a["A_star"], a["B_star"],
-                                                                  a.get("C_star", 1.0)).__dict__,
+    "kl_bound": ((theory.kl_bound,), "decay bias total bias_coarse", "KL <= exp(-alpha eta k / gamma) H0 + bias"),
+    "eta_for_eps": ((theory.eta_for_eps,), "eta", "largest eta keeping the bias at eps/2"),
+    "iters_for_eps": ((theory.iterations_for_eps,), "k", "k = ceil((gamma / alpha eta) log(2 H0 / eps))"),
+    "grad_complexity": ((theory.gradient_complexity,), "count", "count = (k / m)(n + 2 B (m - 1))"),
+    "talagrand_w2": ((theory.talagrand_w2_bound,), "w2", "W2 <= sqrt(2 H / alpha)"),
+    "lsi_dissipative": ((theory.lsi_constant_dissipative,), "alpha log_alpha C1 C2",
                         "alpha = gamma C1 exp(-C2 gamma); CAVEAT: C_star defaults to 1, true value unknown"),
-    "lsi_weak_morse": (_q("gamma lambda_dagger M L d L_prime C_F"),
-                       lambda a: theory.lsi_constant_weak_morse(a["gamma"], a["lambda_dagger"], a["M"],
-                                                                a["L"], a["d"], a["L_prime"],
-                                                                a["C_F"]).__dict__,
+    "lsi_weak_morse": ((theory.lsi_constant_weak_morse,), "alpha gamma_floor C3 bracket",
                        "alpha = C3 / gamma above the gamma floor"),
-    "gamma_opt": (_q("eps d L M b"),
-                  lambda a: {"gamma": theory.inverse_temperature_for_accuracy(a["eps"], a["d"], a["L"], a["M"], a["b"])},
+    "gamma_opt": ((theory.inverse_temperature_for_accuracy,), "gamma",
                   "gamma = max((4d/eps) log(eL/M), 16 d b / eps^2, 1, 2/M), so gibbs_bound <= eps/4: "
                   "the first term puts (d/2 gamma) log(eL/M) <= eps/8, and log(1+x) <= sqrt(x) puts "
                   "the rest <= sqrt(d b / gamma)/2 <= eps/8; replaces the published 8 d b / eps^2, "
                   "which is a factor 2 short"),
-    "gibbs_bound": (_q("gamma d L M b"),
-                    lambda a: {"bound": theory.gibbs_suboptimality_bound(a["gamma"], a["d"], a["L"], a["M"], a["b"])},
-                    "bound = (d / 2 gamma) log((eL/M)(b gamma / d + 1))"),
-    "subopt_decomp": (_q("w2 L gamma d M b"),
-                      lambda a: {"bound": theory.suboptimality_decomposition(a["w2"], a["L"], a["gamma"], a["d"], a["M"], a["b"])},
-                      "bound = L W2^2 + 2 * gibbs_bound"),
-    "kl_target": (_q("alpha eps L"),
-                  lambda a: {"kl": theory.kl_target_for_suboptimality(a["alpha"], a["eps"], a["L"])},
-                  "kl = alpha eps / (4 L)"),
-    "opt_eta": (_q("alpha L n gamma d eps"),
-                lambda a: {"eta": theory.optimization_step_size(a["alpha"], a["L"], a["n"], a["gamma"], a["d"], a["eps"])},
+    "gibbs_bound": ((theory.gibbs_suboptimality_bound,), "bound", "bound = (d / 2 gamma) log((eL/M)(b gamma / d + 1))"),
+    "subopt_decomp": ((theory.suboptimality_decomposition,), "bound", "bound = L W2^2 + 2 * gibbs_bound"),
+    "kl_target": ((theory.kl_target_for_suboptimality,), "kl", "kl = alpha eps / (4 L)"),
+    "opt_eta": ((theory.optimization_step_size,), "eta",
                 "eta = min(alpha / (16 sqrt(6) L^2 sqrt(n) gamma), (3/1792) alpha^2 eps / (L^2 d gamma))"),
-    "chi": (_q("d L M b"), lambda a: {"chi": theory.chi_constant(a["d"], a["L"], a["M"], a["b"])},
-            "chi = max over gamma >= 1 of (d/gamma) log((eL/M)(b gamma/d + 1))"),
-    "anneal_sigma_floor": (_q("L g eta_bar mu C1 C2"),
-                           lambda a: {"sigma": theory.anneal_sigma_floor(a["L"], a["g"], a["eta_bar"], a["mu"], a["C1"], a["C2"])},
+    "chi": ((theory.chi_constant,), "chi", "chi = max over gamma >= 1 of (d/gamma) log((eL/M)(b gamma/d + 1))"),
+    "anneal_sigma_floor": ((theory.anneal_sigma_floor,), "sigma",
                            "sigma = max(3, (8 L g^2 / C1^2 eta_bar)^(mu/(mu-3)), (2 / (mu C2 L^2 eta_bar^2))^(mu/(mu-2)))"),
-    "anneal_eta": (_q("eta_bar sigma mu s"),
-                   lambda a: {"eta_s": a["eta_bar"] * (a["s"] + a["sigma"]) ** (-1.0 / a["mu"])},
-                   "eta_s = eta_bar (s + sigma)^(-1/mu)"),
-    "anneal_gamma": (_q("gamma_bar g sigma mu s"),
-                     lambda a: {"gamma_s": a["gamma_bar"] * (math.log(a["g"]) + math.log(a["s"] + a["sigma"]) / a["mu"])},
-                     "gamma_s = gamma_bar log(g (s + sigma)^(1/mu))"),
+    "anneal_eta": ((theory.anneal_eta,), "eta_s", "eta_s = eta_bar (s + sigma)^(-1/mu)"),
+    "anneal_gamma": ((theory.anneal_gamma,), "gamma_s", "gamma_s = gamma_bar log(g (s + sigma)^(1/mu))"),
 }
 
-
 # theory query parameters that are counts, parsed as integers
-_INT_PARAMS = frozenset(_q("n B m d k"))
-# the parameters a query may leave out, with the default its lambda supplies
-_OPTIONAL_PARAMS = {"eta_for_eps": frozenset(_q("n B m")), "lsi_dissipative": frozenset(_q("C_star"))}
+_INT_PARAMS = frozenset(("n", "B", "m", "d", "k"))
+
+
+def _query_params(fns: tuple) -> dict[str, bool]:
+    """Each parameter of the query's functions, in order -> whether it is optional."""
+    params: dict[str, bool] = {}
+    for fn in fns:
+        for p in inspect.signature(fn).parameters.values():
+            params[p.name] = params.get(p.name, True) and p.default is not p.empty
+    return params
 
 
 def cmd_theory(tokens: list[str]) -> int:
     if not tokens:
         print("available theory queries (optional parameters in brackets):")
-        for name, (params, _, formula) in sorted(_QUERIES.items()):
-            optional = _OPTIONAL_PARAMS.get(name, ())
-            print(f"  {name} {' '.join(f'[{p}=..]' if p in optional else f'{p}=..' for p in params)}")
+        for name, (fns, _, _) in sorted(_QUERIES.items()):
+            params = _query_params(fns)
+            print(f"  {name} {' '.join(f'[{p}=..]' if params[p] else f'{p}=..' for p in params)}")
         return EXIT_OK
     name = tokens[0]
     if name not in _QUERIES:
         raise ConfigError(f"unknown theory query {name!r}; run `vrld theory` for the list")
-    params, fn, formula = _QUERIES[name]
+    fns, names, formula = _QUERIES[name]
+    params = _query_params(fns)
     args: dict = {}
     for token in tokens[1:]:
         if token in ("svrg", "sarah", "svrg_ld", "sarah_ld"):
@@ -660,14 +620,18 @@ def cmd_theory(tokens: list[str]) -> int:
         except ValueError:
             raise ConfigError(f"{key} must be {'an integer' if key in _INT_PARAMS else 'a number'}, "
                               f"got {value!r}") from None
-    missing = [p for p in params if p not in args and p not in _OPTIONAL_PARAMS.get(name, ())]
+    missing = [p for p, optional in params.items() if p not in args and not optional]
     if missing:
         raise ConfigError(f"{name} needs {', '.join(missing)}")
+    keys, values = names.split(), []
     try:
-        result = fn(args)
-    except (HypothesisViolation, ValueError) as exc:
+        for fn in fns:
+            result = fn(**{p: args[p] for p in inspect.signature(fn).parameters if p in args})
+            values += (result if isinstance(result, tuple) else [result] if isinstance(result, (int, float))
+                       else [getattr(result, key) for key in keys])
+    except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"hypothesis violation: {exc}") from exc
-    for key, value in result.items():
+    for key, value in zip(keys, values):
         print(f"{key} = {_fmt(value)}")
     print(f"formula: {formula}")
     return EXIT_OK

@@ -12,7 +12,6 @@ for the full-gradient chain and clearly labeled a surrogate otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -21,7 +20,6 @@ from .potentials import _BLOCK_VALUES, FiniteSumObjective, GaussianMoments
 from .theory import minibatch_variance_factor
 
 __all__ = [
-    "SampleStats",
     "gaussian_moment_oracle_lmc",
     "lmc_stationary_covariance",
     "kl_gaussians",
@@ -41,38 +39,6 @@ __all__ = [
     "kl_gaussian_vs_gibbs_1d",
     "gibbs_log_partition_1d",
 ]
-
-
-@dataclass
-class SampleStats:
-    count: int
-    mean: np.ndarray
-    cov: np.ndarray
-    mean_value: float | None = None
-    se_mean: np.ndarray = None
-    se_value: float | None = None
-
-    @classmethod
-    def from_samples(cls, samples: np.ndarray, obj: FiniteSumObjective | None = None) -> "SampleStats":
-        X = np.atleast_2d(np.asarray(samples, dtype=float))
-        N = X.shape[0]
-        if N < 2:
-            raise ValueError("need at least two samples")
-        mean = X.mean(axis=0)
-        cov = np.cov(X, rowvar=False, ddof=1).reshape(X.shape[1], X.shape[1])
-        mean_value = se_value = None
-        if obj is not None:
-            fs = np.asarray(obj.value(X), dtype=float)
-            mean_value = float(fs.mean())
-            se_value = float(fs.std(ddof=1) / math.sqrt(N))
-        return cls(
-            count=N,
-            mean=mean,
-            cov=cov,
-            mean_value=mean_value,
-            se_mean=np.sqrt(np.diag(cov) / N),
-            se_value=se_value,
-        )
 
 
 # -- exact Gaussian machinery -----------------------------------------------------
@@ -231,8 +197,11 @@ def suboptimality(obj: FiniteSumObjective, samples: np.ndarray) -> tuple[float, 
     """(mean F over samples - F*, standard error); needs a declared F*."""
     if obj.F_star is None:
         raise ValueError(f"objective {obj.name!r} declares no F_star")
-    stats = SampleStats.from_samples(np.atleast_2d(samples), obj=obj)
-    return stats.mean_value - obj.F_star, stats.se_value
+    X = np.atleast_2d(np.asarray(samples, dtype=float))
+    if X.shape[0] < 2:
+        raise ValueError("need at least two samples")
+    fs = np.asarray(obj.value(X), dtype=float)
+    return float(fs.mean()) - obj.F_star, float(fs.std(ddof=1) / math.sqrt(X.shape[0]))
 
 
 # -- exact subset-enumeration identities ---------------------------------------------

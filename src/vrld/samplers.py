@@ -43,6 +43,7 @@ import numpy as np
 import numpy.random  # numpy loads it lazily; load it with the module, not at a run's first stream
 
 from .potentials import FiniteSumObjective, NumericalDomainError
+from .theory import anneal_eta, anneal_gamma
 
 __all__ = [
     "VARIANTS",
@@ -84,7 +85,6 @@ class SamplerConfig:
     K: int = 1
     seed: int = 0
     store_every: int = 1
-    burn_in: int = 0
 
     def validate(self, n: int) -> None:
         if self.variant not in VARIANTS:
@@ -105,14 +105,12 @@ class SamplerConfig:
             )
         if self.store_every < 1:
             raise ValueError("store_every must be >= 1")
-        if not 0 <= self.burn_in <= self.K:
-            raise ValueError("burn_in must lie in [0, K]")
 
 
 @dataclass(frozen=True)
 class AnnealSchedule:
-    """Per-epoch schedule eta_s = eta_bar (s + sigma)^(-1/mu),
-    gamma_s = gamma_bar log(g (s + sigma)^(1/mu))."""
+    """Per-epoch schedule: eta_s and gamma_s at epoch s are
+    :func:`theory.anneal_eta` and :func:`theory.anneal_gamma` of these constants."""
 
     eta_bar: float
     gamma_bar: float
@@ -131,10 +129,10 @@ class AnnealSchedule:
             raise ValueError(f"need sigma >= 3, got {self.sigma}")
 
     def eta(self, s: int) -> float:
-        return self.eta_bar * (s + self.sigma) ** (-1.0 / self.mu)
+        return anneal_eta(self.eta_bar, self.sigma, self.mu, s)
 
     def gamma(self, s: int) -> float:
-        return self.gamma_bar * (math.log(self.g) + math.log(s + self.sigma) / self.mu)
+        return anneal_gamma(self.gamma_bar, self.g, self.sigma, self.mu, s)
 
 
 @dataclass

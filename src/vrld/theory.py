@@ -44,6 +44,8 @@ __all__ = [
     "optimization_step_size",
     "chi_constant",
     "anneal_sigma_floor",
+    "anneal_eta",
+    "anneal_gamma",
     "anneal_validate",
     "AnnealReport",
     "cf_grid_estimate",
@@ -122,8 +124,9 @@ def bias_term(
 
     Anchored variant: (32 eta gamma d L^2 / (3 alpha)) * Upsilon;
     recursive variant: (32 eta gamma d L^2 / (3 alpha)) * (2 + Xi + 2 m Xi).
-    Evaluated as a formula; hypothesis checks live in :func:`kl_bound`.
+    Evaluated as a formula for alpha > 0; hypothesis checks live in :func:`kl_bound`.
     """
+    _require(alpha > 0, "need alpha > 0")
     xi, _, upsilon = variance_reduction_factors(n, B, m)
     base = 32.0 * eta * gamma * d * L * L / (3.0 * alpha)
     if _check_variant(variant) == SVRG:
@@ -198,6 +201,7 @@ def eta_for_eps(
     3 alpha eps / (64 gamma d L^2 (2 + Xi + 2 m Xi)) (needs n, B, m).
     """
     _require(eps > 0, "need eps > 0")
+    _require(gamma > 0 and alpha > 0 and L > 0 and d >= 1, "need gamma, alpha, L > 0 and d >= 1")
     if _check_variant(variant) == SVRG:
         return 3.0 * alpha * eps / (448.0 * gamma * d * L * L)
     if n is None or B is None or m is None:
@@ -219,6 +223,7 @@ def iterations_for_eps(eps: float, H0: float, gamma: float, alpha: float, eta: f
     k = ceil((gamma / (alpha eta)) log(2 H0 / eps)); 0 when eps >= 2 H0."""
     _require(eps > 0, "need eps > 0")
     _require(H0 > 0, "need H0 > 0")
+    _require(alpha > 0 and eta > 0, "need alpha, eta > 0")
     arg = 2.0 * H0 / eps
     if arg <= 1.0:
         return 0
@@ -228,6 +233,7 @@ def iterations_for_eps(eps: float, H0: float, gamma: float, alpha: float, eta: f
 def gradient_complexity(k: int, B: int, m: int, n: int) -> int:
     """Exact component-gradient count of a k-step anchored/recursive run:
     (k / m) * (n + 2 B (m - 1)), requiring m | k."""
+    _require(m >= 1, f"need m >= 1, got m={m}")
     if k % m != 0:
         raise ValueError(f"epoch length m={m} must divide step count k={k}")
     return (k // m) * (n + 2 * B * (m - 1))
@@ -273,8 +279,8 @@ def lsi_constant_dissipative(
     gamma >= 2/M.  ``log_alpha`` carries log(gamma) + log(C1) - C2 gamma so the
     result stays usable when the linear value underflows.
     """
-    _require(gamma >= 2.0 / M, f"hypothesis gamma >= 2/M violated: gamma={gamma}, 2/M={2.0 / M}")
     _require(min(L, M, b, C_star) > 0 and d >= 1, "need positive L, M, b, C_star and d >= 1")
+    _require(gamma >= 2.0 / M, f"hypothesis gamma >= 2/M violated: gamma={gamma}, 2/M={2.0 / M}")
     inv_c1 = (2.0 * M * M + 2.0 * L * L) / (M * M * L) + (6.0 * L * d / M + 2.0) * (
         1.0 / (M * d) + (2.0 * C_star * d / M) * math.exp((2.0 * d / M) * (L + B_star))
     )
@@ -293,11 +299,18 @@ class LsiWeakMorse:
     bracket: float
 
 
-def weak_morse_gamma_floor(d: int, L: float, L_prime: float, lambda_dagger: float, C_F: float) -> float:
-    """gamma floor max(1, a^2 4 d L'^2 / lambda^2, 4 L'^2 a^6) evaluated at
-    the smallest admissible a^2 = 24 d L / C_F^2."""
+def _weak_morse_floor_terms(d: int, L: float, L_prime: float, lambda_dagger: float, C_F: float) -> dict[str, float]:
+    """The terms of the gamma floor max(1, a^2 4 d L'^2 / lambda^2, 4 L'^2 a^6),
+    by name, at the smallest admissible a^2 = 24 d L / C_F^2."""
     a2 = 24.0 * d * L / (C_F * C_F)
-    return max(1.0, a2 * 4.0 * d * L_prime * L_prime / (lambda_dagger * lambda_dagger), 4.0 * L_prime * L_prime * a2**3)
+    return {"1": 1.0,
+            "a^2 * 4 d L'^2 / lambda^2": a2 * 4.0 * d * L_prime * L_prime / (lambda_dagger * lambda_dagger),
+            "4 L'^2 a^6": 4.0 * L_prime * L_prime * a2**3}
+
+
+def weak_morse_gamma_floor(d: int, L: float, L_prime: float, lambda_dagger: float, C_F: float) -> float:
+    """The weak-Morse gamma floor, the largest of its terms."""
+    return max(_weak_morse_floor_terms(d, L, L_prime, lambda_dagger, C_F).values())
 
 
 def lsi_constant_weak_morse(
@@ -318,18 +331,11 @@ def lsi_constant_weak_morse(
     _require(0.0 < lambda_dagger <= 1.0, f"need lambda_dagger in (0, 1], got {lambda_dagger}")
     _require(min(M, L, L_prime, C_F) > 0 and d >= 1, "need positive constants and d >= 1")
     _require(C_F <= 1.0, f"need C_F <= 1, got {C_F}")
-    floor = weak_morse_gamma_floor(d, L, L_prime, lambda_dagger, C_F)
-    a2 = 24.0 * d * L / (C_F * C_F)
-    terms = {
-        "1": 1.0,
-        "a^2 * 4 d L'^2 / lambda^2": a2 * 4.0 * d * L_prime**2 / lambda_dagger**2,
-        "4 L'^2 a^6": 4.0 * L_prime**2 * a2**3,
-    }
+    terms = _weak_morse_floor_terms(d, L, L_prime, lambda_dagger, C_F)
+    binding = max(terms, key=terms.get)
+    floor = terms[binding]
     if gamma < floor:
-        failing = max(terms, key=terms.get)
-        raise HypothesisViolation(
-            f"gamma={gamma} is below the weak-Morse floor {floor} (binding term: {failing})"
-        )
+        raise HypothesisViolation(f"gamma={gamma} is below the weak-Morse floor {floor} (binding term: {binding})")
     bracket = (2.0 * M * M + 8.0 * L * L) / (M * M * L) + (6.0 * L * (d + 1) / M + 2.0) * (
         35.0 / lambda_dagger
     )
@@ -366,6 +372,7 @@ def inverse_temperature_for_accuracy(eps: float, d: int, L: float, M: float, b: 
 def gibbs_suboptimality_bound(gamma: float, d: int, L: float, M: float, b: float) -> float:
     """E_nu[F] - F* <= (d / 2 gamma) log((e L / M)(b gamma / d + 1)) for
     gamma >= 2/M."""
+    _require(M > 0 and d >= 1, "need M > 0 and d >= 1")
     _require(gamma >= 2.0 / M, f"hypothesis gamma >= 2/M violated: gamma={gamma}, 2/M={2.0 / M}")
     return d / (2.0 * gamma) * math.log(math.e * L / M * (b * gamma / d + 1.0))
 
@@ -420,6 +427,28 @@ def anneal_sigma_floor(L: float, g: float, eta_bar: float, mu: float, C1: float,
     t2 = (8.0 * L * g * g / (C1 * C1 * eta_bar)) ** (mu / (mu - 3.0))
     t3 = (2.0 / (mu * C2 * L * L * eta_bar * eta_bar)) ** (mu / (mu - 2.0))
     return max(3.0, t2, t3)
+
+
+def _check_epoch(sigma: float, mu: float, s: float) -> None:
+    """The schedule's power (s + sigma)^(1/mu) is real only for mu > 0 and
+    s + sigma > 0.  Raised directly, not by _require, so that a chain's call
+    at each epoch formats no message."""
+    if not mu > 0:
+        raise HypothesisViolation(f"need mu > 0, got {mu}")
+    if not s + sigma > 0:
+        raise HypothesisViolation(f"need s + sigma > 0, got s={s}, sigma={sigma}")
+
+
+def anneal_eta(eta_bar: float, sigma: float, mu: float, s: float) -> float:
+    """Epoch-s step size eta_s = eta_bar (s + sigma)^(-1/mu)."""
+    _check_epoch(sigma, mu, s)
+    return eta_bar * (s + sigma) ** (-1.0 / mu)
+
+
+def anneal_gamma(gamma_bar: float, g: float, sigma: float, mu: float, s: float) -> float:
+    """Epoch-s inverse temperature gamma_s = gamma_bar log(g (s + sigma)^(1/mu))."""
+    _check_epoch(sigma, mu, s)
+    return gamma_bar * (math.log(g) + math.log(s + sigma) / mu)
 
 
 @dataclass

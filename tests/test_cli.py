@@ -349,6 +349,30 @@ class TestTheoryCommand:
         assert formula.startswith("formula: ") and len(formula) > len("formula: ")
 
     @pytest.mark.parametrize("tokens,message", [
+        ("grad_complexity k=100 B=4 m=0 n=16", "need m >= 1, got m=0"),
+        ("iters_for_eps eps=0.1 H0=8 gamma=1 alpha=0 eta=0.001", "need alpha, eta > 0"),
+        ("eta_for_eps svrg eps=0.1 gamma=1 alpha=1 d=0 L=1", "need gamma, alpha, L > 0 and d >= 1"),
+        ("gibbs_bound gamma=4 d=0 L=1 M=1 b=0.25", "need M > 0 and d >= 1"),
+        ("gibbs_bound gamma=4 d=1 L=1 M=0 b=0.25", "need M > 0 and d >= 1"),
+        ("lsi_dissipative gamma=2 L=1 M=0 b=1 d=1 A_star=0.1 B_star=0.1", "need positive L, M, b, C_star and d >= 1"),
+        ("bias svrg eta=0.01 gamma=2 d=2 L=1.5 alpha=0 n=16 B=4 m=4", "need alpha > 0"),
+        ("anneal_eta eta_bar=0.1 sigma=3 mu=0 s=2", "need mu > 0, got 0.0"),
+        ("anneal_eta eta_bar=0.1 sigma=3 mu=4 s=-5", "need s + sigma > 0, got s=-5.0, sigma=3.0"),
+        ("anneal_gamma gamma_bar=1 g=3 sigma=3 mu=0 s=2", "need mu > 0, got 0.0"),
+        ("anneal_gamma gamma_bar=1 g=3 sigma=3 mu=4 s=-5", "need s + sigma > 0, got s=-5.0, sigma=3.0"),
+        ("anneal_sigma_floor L=1 g=3 eta_bar=1e-300 mu=3.0000001 C1=0.5 C2=0.5", "out of range"),
+    ], ids=["grad_complexity-m0", "iters_for_eps-alpha0", "eta_for_eps-d0", "gibbs_bound-d0", "gibbs_bound-M0",
+            "lsi_dissipative-M0", "bias-alpha0", "anneal_eta-mu0", "anneal_eta-negative-base", "anneal_gamma-mu0",
+            "anneal_gamma-negative-log", "anneal_sigma_floor-overflow"])
+    def test_input_outside_a_formula_domain_exits_2(self, capsys, tokens, message):
+        """A zero divisor, a negative base or an overflow is refused with one
+        line on stderr: no traceback, and no complex number on stdout."""
+        assert main(["theory", *tokens.split()]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("hypothesis violation: ") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize("tokens,message", [
         (["n=abc", "B=4"], "n must be an integer, got 'abc'"),
         (["n=16.5", "B=4"], "n must be an integer, got '16.5'"),
         (["n=16", "B=4", "foo=3"], "xi takes no foo; its parameters are n B"),
@@ -957,6 +981,8 @@ BAD_EDITS = {
     "x0": ([("[run]\n", "[run]\nx0 = 1.0, 2.0, 3.0\n")], "x0 must have dimension 2"),
     "eta": ([("eta = 0.005", "eta = 0.0")], "[sampler] step size eta must be > 0"),
     "B": ([("batch = 4", "batch = 32")], "[sampler] batch size must satisfy 1 <= B <= n=16, got 32"),
+    "burn_in=-1": ([("[run]\n", "[run]\nburn_in = -1\n")], "[run] burn_in must lie in [0, K=120], got -1"),
+    "burn_in=K+1": ([("[run]\n", "[run]\nburn_in = 121\n")], "[run] burn_in must lie in [0, K=120], got 121"),
     "anneal": ([("eta = 0.005\n", ""), ("gamma = 1.0\n", ""),
                 ("[run]\n", "[anneal]\neta_bar = 0.001\ngamma_bar = 1.0\nsigma = 3.0\nmu = 13.0\n\n[run]\n")],
                "[{command}] annealed configs are not supported"),

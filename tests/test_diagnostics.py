@@ -147,6 +147,11 @@ class TestSuboptimality:
         expected = 0.5 * (2 * sd**2) + 0.5 * float(m @ m)
         assert val == pytest.approx(expected, abs=4 * se)
 
+    def test_needs_two_samples(self):
+        obj = make_builtin("gaussian_quadratic", {"n": 3, "d": 2, "seed": 5})
+        with pytest.raises(ValueError, match="at least two samples"):
+            dg.suboptimality(obj, np.zeros((1, 2)))
+
     def test_requires_declared_minimum(self):
         obj = make_builtin("gaussian_mixture", {"mu": [1.0]})
         with pytest.raises(ValueError, match="F_star"):
@@ -250,18 +255,6 @@ class TestGibbsQuadrature:
         assert dg.gibbs_moments(obj, 2.0) is None
 
 
-class TestSampleStats:
-    def test_needs_two_samples(self):
-        with pytest.raises(ValueError):
-            dg.SampleStats.from_samples(np.zeros((1, 2)))
-
-    def test_moments_psd(self):
-        rng = np.random.default_rng(31)
-        X = rng.standard_normal((100, 3))
-        mom = dg.moments_of(X)
-        assert np.linalg.eigvalsh(mom.cov).min() > 0
-
-
 def _kl_reference(p, q):
     """KL by solves, one checkpoint at a time: the per-checkpoint formula the
     batched kernel replaced."""
@@ -302,6 +295,12 @@ def _stack(d, R=9, T=40, seed=0):
 
 
 class TestMomentSurrogates:
+    def test_moments_psd(self):
+        rng = np.random.default_rng(31)
+        X = rng.standard_normal((100, 3))
+        mom = dg.moments_of(X)
+        assert np.linalg.eigvalsh(mom.cov).min() > 0
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_per_checkpoint_formulas(self, d):
         X, target = _stack(d)
