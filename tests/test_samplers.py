@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -53,6 +53,25 @@ class TestSteps:
         lmc = run_replicates(obj, SamplerConfig(variant="lmc", **kw), np.array([0.4]), 8)
         misses = {round(float(s.final_x[0] - l.final_x[0]), 12) for s, l in zip(sgld, lmc)}
         assert len(misses) == 2 and abs(sum(misses)) <= 1e-12
+
+
+def floyd_subset(n, B, g):
+    """Floyd's algorithm (Bentley & Floyd 1987), one index at a time: index j
+    draws t uniform on 0..n-B+j and keeps n-B+j if t is already taken.
+    B = n takes every index and draws nothing."""
+    if B == n:
+        return list(range(n))
+    row = []
+    for j in range(B):
+        t = int(g.integers(0, n - B + j + 1))
+        row.append(n - B + j if t in row else t)
+    return sorted(row)
+
+
+@st.composite
+def floyd_sizes(draw):
+    n = draw(st.integers(1, 70) | st.just(513))
+    return n, draw(st.sampled_from(sorted({1, max(n - 1, 1), n})) | st.integers(1, n))
 
 
 class TestIndexSampling:
@@ -122,6 +141,25 @@ class TestIndexSampling:
             single = np.array([sample_index_set(n, B, alone) for _ in range(math.prod(shape))])
             own = block[..., r, :] if chains else block
             assert own.reshape(-1, B).tobytes() == single.tobytes()
+            assert rng.random() == alone.random()
+
+    @given(floyd_sizes(), st.sampled_from([(), (5,), (2, 3)]), st.sampled_from([None, 1, 3]), st.integers(0, 2**16))
+    @example((64, 1), (4,), None, 0)
+    @example((64, 63), (4,), 3, 1)
+    @example((64, 48), (2, 3), 3, 2)
+    @example((513, 48), (5,), None, 3)
+    @example((513, 512), (), 3, 4)
+    def test_equals_floyds_algorithm_one_index_at_a_time(self, sizes, shape, chains, seed):
+        """Each row is the subset that Floyd's algorithm, transcribed one
+        index at a time, draws from the row's own generator in C order, and
+        the block leaves every stream where the transcription leaves it."""
+        n, B = sizes
+        streams = [chain_rngs(seed, r)[1] for r in range(chains or 1)]
+        block = sample_index_set(n, B, streams if chains else streams[0], shape)
+        for r, rng in enumerate(streams):
+            alone = chain_rngs(seed, r)[1]
+            own = block[..., r, :] if chains else block
+            assert own.reshape(-1, B).tolist() == [floyd_subset(n, B, alone) for _ in range(math.prod(shape))]
             assert rng.random() == alone.random()
 
     def test_full_batch_draws_nothing(self):
