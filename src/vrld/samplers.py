@@ -27,9 +27,10 @@ RNG discipline, two layouts:
 Both layouts draw a block's subsets in one :func:`sample_index_set` call
 (Floyd's algorithm over the block's rows, sorted; the replicates pass their
 R index streams, the ensemble its one), and size blocks by one rule: c steps
-of R chains hold c * R * max(d, n) <= ``_BLOCK_VALUES`` values.  A block
-draw equals the same draws made one step at a time, so the block size never
-changes a stream.
+of R chains hold c * R * max(d, n) <= ``_BLOCK_VALUES`` values, which bounds
+both the block's noise rows (c * R * d) and its subset rows (c * R * B).  A
+block draw equals the same draws made one step at a time, so the block size
+never changes a stream.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ __all__ = [
 VARIANTS = ("lmc", "sgld", "svrg_ld", "sarah_ld")
 _ANCHORED = ("svrg_ld", "sarah_ld")
 # bound on c * R * max(d, n) for a pre-drawn block of c steps of R chains:
-# its noise rows, subset rows and the subsets' (c * R, n) bitmap stay a few MB
+# its noise rows and subset rows stay a few MB
 _BLOCK_VALUES = 2_000_000
 
 
@@ -179,11 +180,13 @@ def sample_index_set(n: int, B: int, rng: np.random.Generator | list[np.random.G
     rng[r] alone gives.  Each row draws B bounded integers, column j uniform
     on 0..n-B+j (exact: numpy's bounded integers reject, they do not round);
     a column-j value already in its row is replaced by n-B+j, which no
-    earlier column can hold.  A (rows, n) bitmap answers "already in its
-    row", so a row costs O(B) draws and updates.  Each generator fills its
-    rows in C order and each row is formed on its own, so a block equals its
-    one-subset calls bit for bit and leaves the stream where they leave it.
-    B = n takes every index and draws nothing."""
+    earlier column can hold.  "Already in its row" is one broadcast compare
+    of column j against columns 0..j-1 over the whole block, so an index
+    costs one draw and O(B) compares, and a block holds O(rows * B) values
+    whatever n is.  Each generator fills its rows in C order and each row is
+    formed on its own, so a block equals its one-subset calls bit for bit
+    and leaves the stream where they leave it.  B = n takes every index and
+    draws nothing."""
     if not 1 <= B <= n:
         raise ValueError(f"need 1 <= B <= n, got B={B}, n={n}")
     single = isinstance(rng, np.random.Generator)
@@ -193,15 +196,10 @@ def sample_index_set(n: int, B: int, rng: np.random.Generator | list[np.random.G
     out = (rng.integers(0, bounds, size=(*shape, B)) if single
            else np.stack([g.integers(0, bounds, size=(*shape, B)) for g in rng], axis=-2))
     rows = out.reshape(-1, B)  # a view: the rows are rewritten in place
-    at = np.arange(0, len(rows) * n, n)[:, None]  # each row's offset in the flat bitmap
-    rows += at  # each draw's bit, until the offsets come off again below
-    taken = np.zeros(len(rows) * n, dtype=bool)
-    taken[rows[:, 0]] = True
+    cols = rows.T.copy()  # (B, rows): each column contiguous
     for j in range(1, B):
-        col = rows[:, j]  # a view: a replaced draw is rewritten in rows
-        np.copyto(col, at[:, 0] + (n - B + j), where=taken[col])
-        taken[col] = True
-    rows -= at
+        np.copyto(cols[j], n - B + j, where=(cols[:j] == cols[j]).any(axis=0))
+    rows[...] = cols.T
     rows.sort(axis=-1)
     return out
 

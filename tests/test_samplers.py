@@ -162,6 +162,15 @@ class TestIndexSampling:
             assert own.reshape(-1, B).tolist() == [floyd_subset(n, B, alone) for _ in range(math.prod(shape))]
             assert rng.random() == alone.random()
 
+    def test_memory_does_not_grow_with_n(self):
+        """A draw holds O(rows * B) values, so n = 2**40 is as cheap as n = 64."""
+        n, rng, ref = 2**40, chain_rngs(1)[1], chain_rngs(1)[1]
+        rows = sample_index_set(n, 3, rng, (1000,))
+        assert rows.shape == (1000, 3) and (np.diff(rows, axis=1) > 0).all()
+        assert rows.min() >= 0 and rows.max() < n
+        assert rows.tolist() == [floyd_subset(n, 3, ref) for _ in range(1000)]
+        assert rng.random() == ref.random()
+
     def test_full_batch_draws_nothing(self):
         rng = chain_rngs(5)[1]
         np.testing.assert_array_equal(sample_index_set(6, 6, rng, (3,)), np.tile(np.arange(6), (3, 1)))
@@ -698,7 +707,7 @@ class TestReferenceEquivalence:
 @st.composite
 def engine_sizes(draw):
     variant = draw(st.sampled_from(VARIANTS))
-    n = draw(st.integers(1, 8) | st.just(513))  # a large n: a wide membership bitmap per subset
+    n = draw(st.integers(1, 8) | st.just(513))  # a large n: subsets from a wide index range
     B = draw(st.integers(1, n))
     m = draw(st.integers(1, 4))  # lmc and sgld run without epochs whatever m is
     K = m * draw(st.integers(1, 6))
