@@ -251,7 +251,8 @@ def _gaussian_quadratic(params: dict) -> FiniteSumObjective:
         if s.shape != (n,) or np.any(s <= 0):
             raise ValueError("scales must be positive with one entry per component")
     s_mean = float(s.mean())
-    u = (s[:, None] * centers).mean(axis=0)
+    sc = s[:, None] * centers  # s_i c_i, gathered by the row kernel
+    u = sc.mean(axis=0)
     x_star = u / s_mean
     F_star = float(0.5 * np.mean(s * np.sum((x_star - centers) ** 2, axis=1)))
 
@@ -270,10 +271,8 @@ def _gaussian_quadratic(params: dict) -> FiniteSumObjective:
         return s_mean * x - u
 
     def rows_fn(X, IDX):
-        sb, B = s[IDX], IDX.shape[-1]  # (R, B)
-        uc = centers[IDX]  # (R, B, d), scaled in place; add.reduce / B is bitwise .mean
-        uc *= sb[:, :, None]
-        return (np.add.reduce(sb, axis=1) / B)[:, None] * X - np.add.reduce(uc, axis=1) / B
+        B = IDX.shape[-1]  # add.reduce / B is bitwise .mean
+        return (np.add.reduce(s[IDX], axis=1) / B)[:, None] * X - np.add.reduce(sc[IDX], axis=1) / B
 
     return FiniteSumObjective(
         "gaussian_quadratic",
