@@ -424,9 +424,23 @@ def anneal_sigma_floor(L: float, g: float, eta_bar: float, mu: float, C1: float,
     _require(mu > 3.0, f"need mu > 3, got {mu}")
     _require(g >= math.e, f"need g >= e, got {g}")
     _require(min(L, eta_bar, C1, C2) > 0, "need positive L, eta_bar, C1, C2")
-    t2 = (8.0 * L * g * g / (C1 * C1 * eta_bar)) ** (mu / (mu - 3.0))
-    t3 = (2.0 / (mu * C2 * L * L * eta_bar * eta_bar)) ** (mu / (mu - 2.0))
+    t2 = _float_term("(8 L g^2 / (C1^2 eta_bar))^(mu/(mu-3))", mu,
+                     lambda: (8.0 * L * g * g / (C1 * C1 * eta_bar)) ** (mu / (mu - 3.0)))
+    t3 = _float_term("(2 / (mu C2 L^2 eta_bar^2))^(mu/(mu-2))", mu,
+                     lambda: (2.0 / (mu * C2 * L * L * eta_bar * eta_bar)) ** (mu / (mu - 2.0)))
     return max(3.0, t2, t3)
+
+
+def _float_term(term: str, mu: float, value) -> float:
+    """``value()``, refused by name where it leaves the floats: near mu = 3 the
+    powers mu/(mu-3) and mu/(mu-2) overflow, and a tiny eta_bar or L can
+    underflow a denominator to 0."""
+    try:
+        t = value()
+    except ArithmeticError:
+        t = math.inf
+    _require(t < math.inf, f"{term} is out of range at mu = {mu}")
+    return t
 
 
 def _check_epoch(sigma: float, mu: float, s: float) -> None:
@@ -446,7 +460,10 @@ def anneal_eta(eta_bar: float, sigma: float, mu: float, s: float) -> float:
 
 
 def anneal_gamma(gamma_bar: float, g: float, sigma: float, mu: float, s: float) -> float:
-    """Epoch-s inverse temperature gamma_s = gamma_bar log(g (s + sigma)^(1/mu))."""
+    """Epoch-s inverse temperature gamma_s = gamma_bar log(g (s + sigma)^(1/mu)).
+    g >= e, as :class:`AnnealSchedule` requires, keeps log(g) >= 1."""
+    if not g >= math.e:
+        raise HypothesisViolation(f"need g >= e, got {g}")
     _check_epoch(sigma, mu, s)
     return gamma_bar * (math.log(g) + math.log(s + sigma) / mu)
 

@@ -373,6 +373,20 @@ class TestTheoryCommand:
         assert message in err
 
     @pytest.mark.parametrize("tokens,message", [
+        ("anneal_gamma gamma_bar=1 g=0 sigma=3 mu=4 s=2", "need g >= e, got 0.0"),
+        ("anneal_gamma gamma_bar=1 g=0.5 sigma=3 mu=4 s=2", "need g >= e, got 0.5"),
+        ("anneal_sigma_floor L=1 g=3 eta_bar=1e-300 mu=3.0000001 C1=0.5 C2=0.5",
+         "(8 L g^2 / (C1^2 eta_bar))^(mu/(mu-3)) is out of range at mu = 3.0000001"),
+        ("anneal_sigma_floor L=1e-100 g=3 eta_bar=1 mu=3.5 C1=0.5 C2=0.5",
+         "(2 / (mu C2 L^2 eta_bar^2))^(mu/(mu-2)) is out of range at mu = 3.5"),
+    ], ids=["anneal_gamma-g0", "anneal_gamma-g-below-e", "anneal_sigma_floor-first-term", "anneal_sigma_floor-second-term"])
+    def test_schedule_query_refuses_an_input_by_name(self, capsys, tokens, message):
+        """A schedule query refuses g < e, as every AnnealSchedule does, and
+        the sigma floor names its term that leaves the floats, with mu."""
+        assert main(["theory", *tokens.split()]) == 2
+        assert capsys.readouterr() == ("", f"hypothesis violation: {message}\n")
+
+    @pytest.mark.parametrize("tokens,message", [
         (["n=abc", "B=4"], "n must be an integer, got 'abc'"),
         (["n=16.5", "B=4"], "n must be an integer, got '16.5'"),
         (["n=16", "B=4", "foo=3"], "xi takes no foo; its parameters are n B"),
