@@ -68,6 +68,16 @@ def floyd_subset(n, B, g):
     return sorted(row)
 
 
+def stream_state(rng):
+    """The whole state of a generator's bit stream, with the buffered 32-bit
+    half of a 64-bit word that ``random()`` neither reads nor moves."""
+    def plain(value):
+        if isinstance(value, dict):
+            return {key: plain(v) for key, v in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+    return plain(rng.bit_generator.state)
+
+
 @st.composite
 def floyd_sizes(draw):
     n = draw(st.integers(1, 70) | st.just(513))
@@ -111,7 +121,7 @@ class TestIndexSampling:
         single = np.array([sample_index_set(n, B, single_rng) for _ in range(37)])
         assert block.shape == (37, B) and block.dtype == single.dtype
         assert block.tobytes() == single.tobytes()
-        assert block_rng.random() == single_rng.random()
+        assert stream_state(block_rng) == stream_state(single_rng)
 
     def test_uniform_where_the_replacement_fires_most(self):
         """Chi-square over the 15 subsets of size 4 from 6: with B > n/2 most
@@ -141,7 +151,7 @@ class TestIndexSampling:
             single = np.array([sample_index_set(n, B, alone) for _ in range(math.prod(shape))])
             own = block[..., r, :] if chains else block
             assert own.reshape(-1, B).tobytes() == single.tobytes()
-            assert rng.random() == alone.random()
+            assert stream_state(rng) == stream_state(alone)
 
     @given(floyd_sizes(), st.sampled_from([(), (5,), (2, 3)]), st.sampled_from([None, 1, 3]), st.integers(0, 2**16))
     @example((64, 1), (4,), None, 0)
@@ -149,10 +159,15 @@ class TestIndexSampling:
     @example((64, 48), (2, 3), 3, 2)
     @example((513, 48), (5,), None, 3)
     @example((513, 512), (), 3, 4)
+    @example((3 * 2**30, 5), (2, 3), None, 0)  # numpy rejects about 1 word in 4: the block rewinds
+    @example((2**32, 3), (5,), 3, 0)  # the top bound's range is the whole 32-bit word
+    @example((2**32 + 1, 3), (5,), None, 0)  # numpy draws 64-bit words for the bound n
+    @example((3 * 2**30, 2), (2,), 3, 17)  # chain 1 alone meets a rejected word
     def test_equals_floyds_algorithm_one_index_at_a_time(self, sizes, shape, chains, seed):
         """Each row is the subset that Floyd's algorithm, transcribed one
         index at a time, draws from the row's own generator in C order, and
-        the block leaves every stream where the transcription leaves it."""
+        the block leaves every stream where the transcription leaves it,
+        also at the 32-bit edges of numpy's bounded draw."""
         n, B = sizes
         streams = [chain_rngs(seed, r)[1] for r in range(chains or 1)]
         block = sample_index_set(n, B, streams if chains else streams[0], shape)
@@ -160,7 +175,7 @@ class TestIndexSampling:
             alone = chain_rngs(seed, r)[1]
             own = block[..., r, :] if chains else block
             assert own.reshape(-1, B).tolist() == [floyd_subset(n, B, alone) for _ in range(math.prod(shape))]
-            assert rng.random() == alone.random()
+            assert stream_state(rng) == stream_state(alone)
 
     def test_memory_does_not_grow_with_n(self):
         """A draw holds O(rows * B) values, so n = 2**40 is as cheap as n = 64."""
@@ -169,13 +184,13 @@ class TestIndexSampling:
         assert rows.shape == (1000, 3) and (np.diff(rows, axis=1) > 0).all()
         assert rows.min() >= 0 and rows.max() < n
         assert rows.tolist() == [floyd_subset(n, 3, ref) for _ in range(1000)]
-        assert rng.random() == ref.random()
+        assert stream_state(rng) == stream_state(ref)
 
     def test_full_batch_draws_nothing(self):
         rng = chain_rngs(5)[1]
         np.testing.assert_array_equal(sample_index_set(6, 6, rng, (3,)), np.tile(np.arange(6), (3, 1)))
         sample_index_set(6, 6, rng)
-        assert rng.random() == chain_rngs(5)[1].random()
+        assert stream_state(rng) == stream_state(chain_rngs(5)[1])
 
     def test_deterministic_given_seed(self):
         a = [tuple(sample_index_set(10, 3, chain_rngs(99)[1])) for _ in range(1)]
