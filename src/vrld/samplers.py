@@ -44,7 +44,7 @@ import numpy as np
 import numpy.random  # numpy loads it lazily; load it with the module, not at a run's first stream
 
 from .potentials import FiniteSumObjective, NumericalDomainError
-from .theory import anneal_eta, anneal_gamma
+from .theory import anneal_eta, anneal_gamma, anneal_hypotheses
 
 __all__ = [
     "VARIANTS",
@@ -122,12 +122,7 @@ class AnnealSchedule:
     def __post_init__(self) -> None:
         if self.eta_bar <= 0 or self.gamma_bar <= 0:
             raise ValueError("eta_bar and gamma_bar must be > 0")
-        if self.mu <= 3.0:
-            raise ValueError(f"need mu > 3, got {self.mu}")
-        if self.g < math.e:
-            raise ValueError(f"need g >= e, got {self.g}")
-        if self.sigma < 3.0:
-            raise ValueError(f"need sigma >= 3, got {self.sigma}")
+        anneal_hypotheses(self.mu, self.g, self.sigma)
 
     def eta(self, s: int) -> float:
         return anneal_eta(self.eta_bar, self.sigma, self.mu, s)

@@ -43,6 +43,7 @@ __all__ = [
     "kl_target_for_suboptimality",
     "optimization_step_size",
     "chi_constant",
+    "anneal_hypotheses",
     "anneal_sigma_floor",
     "anneal_eta",
     "anneal_gamma",
@@ -419,10 +420,21 @@ def chi_constant(d: int, L: float, M: float, b: float) -> float:
 # -- annealing schedule constants -------------------------------------------------
 
 
+def anneal_hypotheses(mu: float, g: float | None = None, sigma: float | None = None) -> None:
+    """The annealing schedule's hypotheses, each stated once: mu > 3, g >= e
+    (so log(g) >= 1) and sigma >= 3; a None is not checked.  Raised directly,
+    not by _require, so that a chain's call at each epoch formats no message."""
+    if not mu > 3.0:
+        raise HypothesisViolation(f"need mu > 3, got {mu}")
+    if g is not None and not g >= math.e:
+        raise HypothesisViolation(f"need g >= e, got {g}")
+    if sigma is not None and not sigma >= 3.0:
+        raise HypothesisViolation(f"need sigma >= 3, got {sigma}")
+
+
 def anneal_sigma_floor(L: float, g: float, eta_bar: float, mu: float, C1: float, C2: float) -> float:
     """sigma = 3 v (8 L g^2 / (C1^2 eta_bar))^{mu/(mu-3)} v (2 / (mu C2 L^2 eta_bar^2))^{mu/(mu-2)}."""
-    _require(mu > 3.0, f"need mu > 3, got {mu}")
-    _require(g >= math.e, f"need g >= e, got {g}")
+    anneal_hypotheses(mu, g)
     _require(min(L, eta_bar, C1, C2) > 0, "need positive L, eta_bar, C1, C2")
     t2 = _float_term("(8 L g^2 / (C1^2 eta_bar))^(mu/(mu-3))", mu,
                      lambda: (8.0 * L * g * g / (C1 * C1 * eta_bar)) ** (mu / (mu - 3.0)))
@@ -445,8 +457,7 @@ def _float_term(term: str, mu: float, value) -> float:
 
 def _check_epoch(sigma: float, mu: float, s: float) -> None:
     """The schedule's power (s + sigma)^(1/mu) is real only for mu > 0 and
-    s + sigma > 0.  Raised directly, not by _require, so that a chain's call
-    at each epoch formats no message."""
+    s + sigma > 0; raised directly, as :func:`anneal_hypotheses` is."""
     if not mu > 0:
         raise HypothesisViolation(f"need mu > 0, got {mu}")
     if not s + sigma > 0:
@@ -456,15 +467,14 @@ def _check_epoch(sigma: float, mu: float, s: float) -> None:
 def anneal_eta(eta_bar: float, sigma: float, mu: float, s: float) -> float:
     """Epoch-s step size eta_s = eta_bar (s + sigma)^(-1/mu)."""
     _check_epoch(sigma, mu, s)
+    anneal_hypotheses(mu, sigma=sigma)
     return eta_bar * (s + sigma) ** (-1.0 / mu)
 
 
 def anneal_gamma(gamma_bar: float, g: float, sigma: float, mu: float, s: float) -> float:
-    """Epoch-s inverse temperature gamma_s = gamma_bar log(g (s + sigma)^(1/mu)).
-    g >= e, as :class:`AnnealSchedule` requires, keeps log(g) >= 1."""
-    if not g >= math.e:
-        raise HypothesisViolation(f"need g >= e, got {g}")
+    """Epoch-s inverse temperature gamma_s = gamma_bar log(g (s + sigma)^(1/mu))."""
     _check_epoch(sigma, mu, s)
+    anneal_hypotheses(mu, g, sigma)
     return gamma_bar * (math.log(g) + math.log(s + sigma) / mu)
 
 
