@@ -22,6 +22,7 @@ from vrld.samplers import (
     run_chain,
     run_ensemble,
     run_replicates,
+    _word_columns,
     sample_index_set,
 )
 
@@ -176,6 +177,16 @@ class TestIndexSampling:
             own = block[..., r, :] if chains else block
             assert own.reshape(-1, B).tolist() == [floyd_subset(n, B, alone) for _ in range(math.prod(shape))]
             assert stream_state(rng) == stream_state(alone)
+
+    def test_a_block_without_a_rejected_word_takes_the_word_draw(self):
+        """With no rejected word the block is drawn from 32-bit words, not by
+        the rewind: the columns are numpy's bounded integers of the same
+        stream, which ends where numpy's own draw leaves it."""
+        rng, ref = chain_rngs(3)[1], chain_rngs(3)[1]
+        cols = np.empty((8, 1000), np.uint64)
+        assert _word_columns(64, 8, [rng], (1000, 8), cols)
+        assert cols.T.tolist() == ref.integers(0, np.arange(57, 65), size=(1000, 8)).tolist()
+        assert stream_state(rng) == stream_state(ref)
 
     def test_memory_does_not_grow_with_n(self):
         """A draw holds O(rows * B) values, so n = 2**40 is as cheap as n = 64."""
