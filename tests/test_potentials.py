@@ -219,6 +219,55 @@ class TestPairContract:
         assert np.array_equal(G, obj.rows_kernel(np.array((X, ref)), idx)), obj.name
 
 
+class TestRowKernelsBitwise:
+    """The row kernels equal the plain expressions they replace, bit for bit:
+    the quadratic's curvature-weighted gather (exactly X minus the centre mean
+    when every s_i is 1) and the logistic kernel's ``.mean`` over the batch."""
+
+    n, R = 20, 6
+
+    def draw(self, d, B, stacked):
+        rng = np.random.default_rng(100 * d + B)
+        X = rng.standard_normal((2, self.R, d) if stacked else (self.R, d))
+        IDX = np.array([np.sort(rng.choice(self.n, B, replace=False)) for _ in range(self.R)])
+        return X, IDX
+
+    @pytest.mark.parametrize("scales", ["default", "ones", "unequal"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("B", [1, 7, 8, 16])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_quadratic_kernel(self, scales, d, B, stacked):
+        params = {"n": self.n, "d": d, "seed": d}
+        if scales == "ones":
+            params["scales"] = np.ones(self.n)
+        elif scales == "unequal":
+            params["scales"] = np.random.default_rng(d).uniform(0.5, 2.0, self.n)
+        obj = make_builtin("gaussian_quadratic", params)
+        s = obj.meta["scales"]
+        sc = s[:, None] * obj.meta["centers"]
+        X, IDX = self.draw(d, B, stacked)
+        expected = (np.add.reduce(s[IDX], axis=1) / B)[:, None] * X - np.add.reduce(sc[IDX], axis=1) / B
+        got = obj.rows_kernel(X, IDX)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("B", [1, 7, 8, 16])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_logistic_kernel(self, d, B, stacked):
+        rng = np.random.default_rng(d)
+        rows = rng.standard_normal((self.n, d))
+        labels = (rng.random(self.n) > 0.5).astype(float)
+        lam = 0.3
+        obj = make_builtin("logistic_l2", {"rows": rows, "labels": labels, "lam": lam})
+        y = np.where(labels > 0.5, 1.0, -1.0)
+        X, IDX = self.draw(d, B, stacked)
+        A, yb = rows[IDX], y[IDX]
+        sig = 1.0 / (1.0 + np.exp(np.einsum("rbd,...rd->...rb", A, X) * yb))
+        expected = -((sig * yb)[..., None] * A).mean(axis=-2) + lam * X
+        got = obj.rows_kernel(X, IDX)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
 class TestMakeBuiltin:
     def test_names(self):
         assert set(BUILTIN_NAMES) == {
