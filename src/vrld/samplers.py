@@ -126,9 +126,7 @@ class AnnealSchedule:
     g: float
 
     def __post_init__(self) -> None:
-        if self.eta_bar <= 0 or self.gamma_bar <= 0:
-            raise ValueError("eta_bar and gamma_bar must be > 0")
-        anneal_hypotheses(self.mu, self.g, self.sigma)
+        anneal_hypotheses(self.mu, self.g, self.sigma, self.eta_bar, self.gamma_bar)
 
     def eta(self, s: int) -> float:
         return anneal_eta(self.eta_bar, self.sigma, self.mu, s)

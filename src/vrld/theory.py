@@ -420,22 +420,28 @@ def chi_constant(d: int, L: float, M: float, b: float) -> float:
 # -- annealing schedule constants -------------------------------------------------
 
 
-def anneal_hypotheses(mu: float, g: float | None = None, sigma: float | None = None) -> None:
+def anneal_hypotheses(mu: float, g: float | None = None, sigma: float | None = None,
+                      eta_bar: float | None = None, gamma_bar: float | None = None) -> None:
     """The annealing schedule's hypotheses, each stated once: mu > 3, g >= e
-    (so log(g) >= 1) and sigma >= 3; a None is not checked.  Raised directly,
-    not by _require, so that a chain's call at each epoch formats no message."""
+    (so log(g) >= 1), sigma >= 3, eta_bar > 0 and gamma_bar > 0; a None is not
+    checked.  Raised directly, not by _require, so that a chain's call at each
+    epoch formats no message."""
     if not mu > 3.0:
         raise HypothesisViolation(f"need mu > 3, got {mu}")
     if g is not None and not g >= math.e:
         raise HypothesisViolation(f"need g >= e, got {g}")
     if sigma is not None and not sigma >= 3.0:
         raise HypothesisViolation(f"need sigma >= 3, got {sigma}")
+    if eta_bar is not None and not eta_bar > 0:
+        raise HypothesisViolation(f"need eta_bar > 0, got {eta_bar}")
+    if gamma_bar is not None and not gamma_bar > 0:
+        raise HypothesisViolation(f"need gamma_bar > 0, got {gamma_bar}")
 
 
 def anneal_sigma_floor(L: float, g: float, eta_bar: float, mu: float, C1: float, C2: float) -> float:
     """sigma = 3 v (8 L g^2 / (C1^2 eta_bar))^{mu/(mu-3)} v (2 / (mu C2 L^2 eta_bar^2))^{mu/(mu-2)}."""
-    anneal_hypotheses(mu, g)
-    _require(min(L, eta_bar, C1, C2) > 0, "need positive L, eta_bar, C1, C2")
+    anneal_hypotheses(mu, g, eta_bar=eta_bar)
+    _require(min(L, C1, C2) > 0, "need positive L, C1, C2")
     t2 = _float_term("(8 L g^2 / (C1^2 eta_bar))^(mu/(mu-3))", mu,
                      lambda: (8.0 * L * g * g / (C1 * C1 * eta_bar)) ** (mu / (mu - 3.0)))
     t3 = _float_term("(2 / (mu C2 L^2 eta_bar^2))^(mu/(mu-2))", mu,
@@ -467,14 +473,14 @@ def _check_epoch(sigma: float, mu: float, s: float) -> None:
 def anneal_eta(eta_bar: float, sigma: float, mu: float, s: float) -> float:
     """Epoch-s step size eta_s = eta_bar (s + sigma)^(-1/mu)."""
     _check_epoch(sigma, mu, s)
-    anneal_hypotheses(mu, sigma=sigma)
+    anneal_hypotheses(mu, sigma=sigma, eta_bar=eta_bar)
     return eta_bar * (s + sigma) ** (-1.0 / mu)
 
 
 def anneal_gamma(gamma_bar: float, g: float, sigma: float, mu: float, s: float) -> float:
     """Epoch-s inverse temperature gamma_s = gamma_bar log(g (s + sigma)^(1/mu))."""
     _check_epoch(sigma, mu, s)
-    anneal_hypotheses(mu, g, sigma)
+    anneal_hypotheses(mu, g, sigma, gamma_bar=gamma_bar)
     return gamma_bar * (math.log(g) + math.log(s + sigma) / mu)
 
 

@@ -383,13 +383,15 @@ class TestTheoryCommand:
         ("anneal_gamma gamma_bar=1 g=3 sigma=1 mu=2 s=0", "need mu > 3, got 2.0"),
         ("anneal_eta eta_bar=1 sigma=1 mu=4 s=0", "need sigma >= 3, got 1.0"),
         ("anneal_gamma gamma_bar=1 g=3 sigma=2.5 mu=4 s=0", "need sigma >= 3, got 2.5"),
+        ("anneal_eta eta_bar=-1 sigma=3 mu=4 s=0", "need eta_bar > 0, got -1.0"),
+        ("anneal_gamma gamma_bar=-2 g=3 sigma=3 mu=4 s=0", "need gamma_bar > 0, got -2.0"),
     ], ids=["anneal_gamma-g0", "anneal_gamma-g-below-e", "anneal_sigma_floor-first-term", "anneal_sigma_floor-second-term",
             "anneal_eta-mu-not-above-3", "anneal_gamma-mu-not-above-3", "anneal_eta-sigma-below-3",
-            "anneal_gamma-sigma-below-3"])
+            "anneal_gamma-sigma-below-3", "anneal_eta-eta_bar-negative", "anneal_gamma-gamma_bar-negative"])
     def test_schedule_query_refuses_an_input_by_name(self, capsys, tokens, message):
-        """A schedule query refuses what every AnnealSchedule refuses (mu <= 3,
-        g < e, sigma < 3), and the sigma floor names its term that leaves the
-        floats, with mu."""
+        """A schedule query refuses what every AnnealSchedule refuses (eta_bar
+        <= 0, gamma_bar <= 0, mu <= 3, g < e, sigma < 3), and the sigma floor
+        names its term that leaves the floats, with mu."""
         assert main(["theory", *tokens.split()]) == 2
         assert capsys.readouterr() == ("", f"hypothesis violation: {message}\n")
 
