@@ -70,7 +70,9 @@ class FiniteSumObjective:
     minibatch gradient is that kernel on one row, and a full gradient without
     ``grad_fn`` is that kernel over all n components, the very call a
     full-batch minibatch makes; without ``rows_fn`` the kernel loops over
-    leading indices and components.  ``full_kernel`` and
+    leading indices and components.  With ``identical_components`` every f_i
+    is f_0, so the row kernel is grad f_0 and reads no index; the runners then
+    draw no subsets.  ``full_kernel`` and
     ``rows_kernel`` are the two kernels without counting or checks; a step
     loop that calls ``full_kernel`` counts for itself with ``add_grad_evals``.
     Evaluators are pure functions of x and are vectorised over leading axes,
@@ -93,6 +95,7 @@ class FiniteSumObjective:
         value_fn: Callable[[np.ndarray], np.ndarray] | None = None,
         grad_fn: Callable[[np.ndarray], np.ndarray] | None = None,
         rows_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+        identical_components: bool = False,
         estimated_constants: frozenset[str] = frozenset(),
         meta: dict | None = None,
     ):
@@ -100,6 +103,8 @@ class FiniteSumObjective:
             raise ValueError("component count n must be >= 1")
         if d < 1:
             raise ValueError("dimension d must be >= 1")
+        if identical_components and rows_fn is not None:
+            raise ValueError("identical components take no rows_fn: every minibatch gradient is grad f_0")
         for cname, cval in (("L", L), ("M", M), ("b", b)):
             if cval is not None and cval <= 0:
                 raise ValueError(f"declared constant {cname} must be > 0")
@@ -115,7 +120,11 @@ class FiniteSumObjective:
         self.x_star = None if x_star is None else np.asarray(x_star, dtype=float)
         self._value_fn = value_fn
         self._all = np.arange(n)
-        self.rows_kernel = rows_fn if rows_fn is not None else self._component_rows
+        self.identical_components = identical_components
+        if identical_components:
+            self.rows_kernel = lambda X, IDX: component_grad(0, X)
+        else:
+            self.rows_kernel = rows_fn if rows_fn is not None else self._component_rows
         self.full_kernel = grad_fn if grad_fn is not None else lambda x: self._rows_at(x, self._all)
         self.estimated_constants = frozenset(estimated_constants)
         self.meta = dict(meta or {})
@@ -208,10 +217,10 @@ class FiniteSumObjective:
         return g
 
     def minibatch_gradient_rows(self, X: np.ndarray, IDX: np.ndarray) -> np.ndarray:
-        """The row kernel at a (..., R, d) X and its (R, B) index rows IDX;
-        counts B component evaluations for every row of X."""
-        X, IDX = np.asarray(X, dtype=float), np.asarray(IDX, dtype=int)
-        self.add_grad_evals(X.size // self.d * IDX.shape[-1])
+        """The row kernel at a float array X shaped (..., R, d) and an integer
+        array IDX of its (R, B) index rows; counts B component evaluations for
+        every row of X.  It takes arrays as they are: the step loop calls it."""
+        self._grad_evals += X.size // self.d * IDX.shape[-1]
         return self.rows_kernel(X, IDX)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -270,9 +279,18 @@ def _gaussian_quadratic(params: dict) -> FiniteSumObjective:
     def grad_fn(x):
         return s_mean * x - u
 
-    def rows_fn(X, IDX):
-        B = IDX.shape[-1]  # add.reduce / B is bitwise .mean
-        return (np.add.reduce(s[IDX], axis=1) / B)[:, None] * X - np.add.reduce(sc[IDX], axis=1) / B
+    # take, not sc[IDX]: the same gather, three times faster on an (n, d) table
+    if np.all(s == 1.0):
+
+        def rows_fn(X, IDX):
+            # B ones sum to B and 1.0 X is X: the general kernel, bit for bit
+            return X - np.add.reduce(np.take(sc, IDX, axis=0), axis=1) / IDX.shape[-1]
+    else:
+
+        def rows_fn(X, IDX):
+            B = IDX.shape[-1]  # add.reduce / B is bitwise .mean
+            curvature = np.add.reduce(np.take(s, IDX), axis=1) / B
+            return curvature[:, None] * X - np.add.reduce(np.take(sc, IDX, axis=0), axis=1) / B
 
     return FiniteSumObjective(
         "gaussian_quadratic",
@@ -362,8 +380,7 @@ def _double_well(params: dict) -> FiniteSumObjective:
         x_star=x_star,
         value_fn=lambda x: comp_value(0, x),
         grad_fn=grad_fn,
-        # identical components: any minibatch gradient equals the full one
-        rows_fn=lambda X, IDX: grad_fn(X),
+        identical_components=True,
         estimated_constants=frozenset({"L"}),
         meta={"a": a, "box": r},
     )
@@ -412,7 +429,7 @@ def _gaussian_mixture(params: dict) -> FiniteSumObjective:
         b=max(mu2, s2) / (2.0 * s2),
         value_fn=lambda x: comp_value(0, x),
         grad_fn=grad_fn,
-        rows_fn=lambda X, IDX: grad_fn(X),
+        identical_components=True,
         meta={"mu": mu, "sigma": sigma},
     )
 
@@ -476,7 +493,8 @@ def _logistic_l2(params: dict) -> FiniteSumObjective:
         # einsum, not matmul, so that a row's gradient is the same in any batch
         t = np.einsum("rbd,...rd->...rb", A, X) * yb
         sig = 1.0 / (1.0 + np.exp(t))  # sigmoid(-margin)
-        return -((sig * yb)[..., None] * A).mean(axis=-2) + lam * X
+        # add.reduce / B is bitwise .mean, without numpy's Python wrapper
+        return -np.add.reduce((sig * yb)[..., None] * A, axis=-2) / IDX.shape[-1] + lam * X
 
     return FiniteSumObjective(
         "logistic_l2",

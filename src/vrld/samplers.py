@@ -35,12 +35,16 @@ never changes a stream.  The draw's bounded integers are the ones numpy's
 Lemire's multiply-shift straight into the column layout the duplicate test
 reads (:func:`_word_columns`); numpy's per-element loop draws only a block
 in which it would reject a word (about 1 block in 1,200 at n = 64, B = 8
-and 20,000 rows) and blocks with n > 2**32.
+and 20,000 rows) and blocks with n > 2**32.  An objective with identical
+components draws no subsets: its row kernel reads no index, so every step
+gets one constant valid block, the gradient counts are unchanged and the
+index stream is never read.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -242,6 +246,15 @@ def _blocks(draw, total: int, span: int):
         yield from draw(min(span, total - start))
 
 
+def _subsets(obj: FiniteSumObjective, B: int, R: int, draw, total: int, span: int):
+    """The (R, B) index rows of a run's subset steps, ``_blocks(draw, total,
+    span)``; for identical components, whose row kernel reads no index, one
+    constant valid block for every step, so the index stream is left unread."""
+    if obj.identical_components:
+        return itertools.repeat(np.broadcast_to(np.arange(B), (R, B)))
+    return _blocks(draw, total, span)
+
+
 def _langevin(obj: FiniteSumObjective, variant: str, X, K: int, m: int,
               schedule, noise, subset, rows, stored, record, diverged):
     """The one Langevin step loop behind every runner.
@@ -365,7 +378,8 @@ def _replicates(obj: FiniteSumObjective, cfg: SamplerConfig, x0, sched: AnnealSc
     span = max(1, _BLOCK_VALUES // (R * max(d, n)))
     noise_rows = _blocks(lambda c: np.stack([g.standard_normal((c, d)) for g, _ in streams], axis=1), K, span)
     subsets = K if variant == "sgld" else K - K // m
-    subset_rows = _blocks(lambda c: sample_index_set(n, B, [g for _, g in streams], (c,)), subsets, span)
+    subset_rows = _subsets(obj, B, R, lambda c: sample_index_set(n, B, [g for _, g in streams], (c,)),
+                           subsets, span)
     steps = np.r_[0:K + 1:store_every]  # the stored steps: 0, every store_every-th, and K
     if K % store_every:
         steps = np.append(steps, K)
@@ -530,7 +544,7 @@ def run_ensemble(
     out.final = _langevin(
         obj, variant, X, K, m, schedule,
         _blocks(lambda c: noise_rng.standard_normal((c, R, d)), K, span).__next__,
-        _blocks(lambda c: sample_index_set(n, B, index_rng, (c, R)), subsets, span).__next__,
+        _subsets(obj, B, R, lambda c: sample_index_set(n, B, index_rng, (c, R)), subsets, span).__next__,
         obj.minibatch_gradient_rows, sorted(wanted - {0}), record, diverged,
     )
     return out

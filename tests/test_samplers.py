@@ -727,6 +727,60 @@ class TestReferenceEquivalence:
                     assert_bitwise(res.final, final)
 
 
+class TestIdenticalComponents:
+    """An objective declared with identical components reads no index, so the
+    runners draw no subsets for it: every output and count equals the same
+    objective's run without the declaration, which draws them and ignores them."""
+
+    @staticmethod
+    def pair(kind):
+        params = {"double_well": {"a": 1.0, "n_copies": 6}, "double_well_2d": {"a": 1.0, "d": 2, "n_copies": 6},
+                  "gaussian_mixture": {"mu": [1.2, -0.3], "n_copies": 6}}[kind]
+        declared, plain = (make_builtin(kind.removesuffix("_2d"), params) for _ in range(2))
+        assert declared.identical_components
+        plain.identical_components = False
+        return declared, plain
+
+    @staticmethod
+    def run(obj, runner, variant, x0, eta):
+        cfg = SamplerConfig(variant=variant, eta=eta, gamma=2.0, B=3, m=3, K=24, seed=5, store_every=2)
+        if runner == "run_chain":
+            traces = [run_chain(obj, cfg, x0, replicate=1)]
+        elif runner == "run_replicates":
+            traces = run_replicates(obj, cfg, x0, 4)
+        else:
+            try:
+                res = run_ensemble(obj, variant, 50, 24, eta=eta, gamma=2.0, B=3, m=3, seed=5,
+                                   x0=np.random.default_rng(0).normal(x0, 1.0, (50, obj.d)), checkpoints=[0, 7, 24])
+            except DivergedError as exc:
+                return exc.step, obj.grad_evals
+            return [res.checkpoints[k].tobytes() for k in (0, 7, 24)], res.grad_evals, res.final.tobytes(), \
+                obj.grad_evals
+        return [(t.steps.tolist(), t.iterates.tobytes(), t.grad_evals.tolist(), t.final_x.tobytes(),
+                 t.diverged_step) for t in traces], obj.grad_evals
+
+    @pytest.mark.parametrize("kind", ["double_well", "double_well_2d", "gaussian_mixture"])
+    @pytest.mark.parametrize("runner", ["run_chain", "run_replicates", "run_ensemble"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_runs_equal_the_undeclared_objective_and_draw_nothing(self, kind, runner, variant, monkeypatch):
+        declared, plain = self.pair(kind)
+        # from 2.5 at eta = 0.4 the double well's chains overflow at their own steps
+        starts = [(0.3, 0.05), (2.5, 0.4)] if kind.startswith("double_well") else [(0.3, 0.05)]
+        undeclared = [self.run(plain, runner, variant, np.full(plain.d, x0), eta) for x0, eta in starts]
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sample_index_set called for identical components")
+
+        monkeypatch.setattr(vrld.samplers, "sample_index_set", no_draw)
+        assert [self.run(declared, runner, variant, np.full(declared.d, x0), eta)
+                for x0, eta in starts] == undeclared
+
+    def test_a_row_kernel_is_refused(self):
+        with pytest.raises(ValueError, match="identical components take no rows_fn"):
+            vrld.FiniteSumObjective("f", 2, 1, lambda i, x: x[..., 0], lambda i, x: x,
+                                    rows_fn=lambda X, IDX: X, identical_components=True)
+
+
 # -- the replicate engine, for any sizes --------------------------------------------
 
 
