@@ -1,6 +1,7 @@
 """Tests for the configuration format and the command-line surface."""
 
 import math
+import re
 import string
 import warnings
 
@@ -536,6 +537,22 @@ class TestRunCommand:
         lines = (out / "summary.csv").read_text().splitlines()
         assert any(l.startswith("# note: the step cap") for l in lines)
         assert not any("bound_kl" in l for l in lines)
+
+    @pytest.mark.parametrize("edit, refusal", [
+        (("eta = 1e-5", "auto = true\neps = 0.5"), r"\[sampler\] auto mode refuses .*L"),
+        (("alpha = 0.5", "alpha_mode = dissipative\nA_star = 0.0\nB_star = 0.0"),
+         r"\[theory\] refusing to feed .*L.* into an LSI formula"),
+        (("alpha = 0.5", "alpha_mode = weak_morse\nlambda_dagger = 1.0\nL_prime = 6.0\nC_F = 1.0"),
+         r"\[theory\] refusing to feed .*L.* into an LSI formula"),
+    ], ids=["auto", "dissipative", "weak_morse"])
+    def test_box_restricted_L_is_refused_by_theory_driven_modes(self, tmp_path, capsys, edit, refusal):
+        """Auto mode and the two LSI modes would feed the double well's L, which
+        bounds the curvature only on its box, into a global formula."""
+        text = GRID_L_CFG.format(out=tmp_path / "r").replace(*edit)
+        for command in ("validate-config", "run"):
+            assert main([command, "--config", str(write_cfg(tmp_path, text)), "--quiet"]) == 2
+            assert re.fullmatch(refusal + ".*\n", capsys.readouterr().err)
+        assert not (tmp_path / "r").exists()
 
     def test_small_L_note_is_written_printed_and_drops_the_overlay(self, tmp_path, capsys):
         out = tmp_path / "r"
