@@ -330,11 +330,12 @@ def _double_well(params: dict) -> FiniteSumObjective:
         raise ValueError("double_well supports d in {1, 2}")
     n = int(params.get("n_copies", 1))
     r = float(params.get("box", 2.0))
-    if r < a:
-        raise ValueError("box must contain the wells (box >= a)")
+    if not r > 0:
+        raise ValueError(f"double_well needs box > 0, got {r}")
+    if r < abs(a):
+        raise ValueError(f"the box must hold both wells: need box >= |a|, got box={r}, a={a}")
+    # |F''| = |3 x^2 - a^2| peaks at the box edge, since 3 r^2 - a^2 >= 2 a^2 >= a^2
     L_box = max(3.0 * r * r - a * a, 1.0 if d == 2 else 0.0)
-    if L_box <= 0:
-        L_box = a * a  # degenerate tiny box; curvature at the saddle
     b_diss = (a * a + 0.5) ** 2 / 4.0
 
     def quartic(x1):

@@ -299,6 +299,17 @@ class TestMakeBuiltin:
         assert obj.value(np.array([-1.0])) == 0.0
         assert obj.value(np.array([0.0])) == 0.25
 
+    @pytest.mark.parametrize("params, message", [
+        ({"a": -1.0, "box": 0.7}, r"box >= \|a\|, got box=0.7, a=-1.0"),
+        ({"a": 0.0, "box": 0.0}, r"box > 0, got 0.0"),
+        ({"a": 1.0, "box": -2.0}, r"box > 0, got -2.0"),
+    ])
+    def test_double_well_box_must_hold_the_wells(self, params, message):
+        """A box that misses a well at -|a| would declare an L that |F''| exceeds
+        on it: box = 0.7 with a = -1 gives L = 0.47, but F''(0) = -1."""
+        with pytest.raises(ValueError, match=message):
+            make_builtin("double_well", params)
+
     def test_logistic_smoothness_constant(self):
         """L = lam + max row-norm^2 / 4 bounds the finite-difference Hessian."""
         rng = np.random.default_rng(11)
