@@ -1,12 +1,7 @@
 """Variance-reduced stochastic gradient Langevin dynamics over finite-sum
 potentials, with a closed-form theory calculator and desk-scale diagnostics."""
 
-from .potentials import (
-    FiniteSumObjective,
-    GaussianMoments,
-    make_builtin,
-    probe_regularity,
-)
+from .potentials import FiniteSumObjective, GaussianMoments, make_builtin
 from .samplers import (
     AnnealSchedule,
     RunTrace,
@@ -23,7 +18,6 @@ __all__ = [
     "FiniteSumObjective",
     "GaussianMoments",
     "make_builtin",
-    "probe_regularity",
     "SamplerConfig",
     "AnnealSchedule",
     "RunTrace",

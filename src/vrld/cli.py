@@ -61,7 +61,7 @@ class Lsi(NamedTuple):
 
 def resolve_alpha(cfg: ExperimentConfig, obj: FiniteSumObjective, gamma: float) -> tuple[Lsi, list[str]]:
     """Log-Sobolev constant per [theory] alpha_mode: declared, dissipative, or
-    weak_morse.  Refuses estimated L and violated gamma floors."""
+    weak_morse.  Refuses a box-restricted L and violated gamma floors."""
     th = cfg.theory or {}
     mode = th.get("alpha_mode", "declared")
     notes: list[str] = []
@@ -69,10 +69,10 @@ def resolve_alpha(cfg: ExperimentConfig, obj: FiniteSumObjective, gamma: float) 
         return Lsi(th.get("alpha")), notes
     if obj.L is None:
         raise ConfigError("[theory] LSI modes need a declared smoothness constant L")
-    if "L" in obj.estimated_constants:
+    if obj.L_box is not None:
         raise ConfigError(
-            "[theory] refusing to feed a grid-estimated L into an LSI formula; "
-            "declare alpha explicitly instead"
+            f"[theory] refusing to feed an L that holds only on the box |x_j| <= {_fmt(obj.L_box)} "
+            "into an LSI formula; declare alpha explicitly instead"
         )
     if obj.M is None or obj.b is None:
         raise ConfigError("[theory] LSI modes need dissipativity constants (M, b)")
@@ -148,8 +148,8 @@ def resolve_sampler(
             raise ConfigError("[sampler] auto mode applies to svrg_ld / sarah_ld")
         if obj.L is None:
             raise ConfigError("[sampler] auto mode needs a declared L")
-        if "L" in obj.estimated_constants:
-            raise ConfigError("[sampler] auto mode refuses a grid-estimated L")
+        if obj.L_box is not None:
+            raise ConfigError(f"[sampler] auto mode refuses an L that holds only on the box |x_j| <= {_fmt(obj.L_box)}")
         th = cfg.theory or {}
         if th.get("H0") is None:
             raise ConfigError("[theory] auto mode needs H0 (initial KL estimate)")
@@ -198,7 +198,7 @@ def check_run(cfg: ExperimentConfig, obj: FiniteSumObjective, scfg: SamplerConfi
     return theory.check_hypotheses(
         scfg.variant, scfg.eta, scfg.gamma, lsi.alpha, obj.L, scfg.B, scfg.m,
         M=obj.M if lsi_mode else None, sched=sched, epochs=scfg.K // scfg.m,
-        C1=lsi.C1, C2=lsi.C2, L_estimated="L" in obj.estimated_constants,
+        C1=lsi.C1, C2=lsi.C2, L_box=obj.L_box,
     )
 
 
@@ -408,6 +408,21 @@ def _burn_in_footer(obj: FiniteSumObjective, burn_in: int, traces: list[RunTrace
     return lines
 
 
+def _box_notes(obj: FiniteSumObjective, traces: list[RunTrace]) -> list[str]:
+    """A note for each replicate with a stored iterate outside the box on
+    which a box-restricted L holds, naming the first such stored step."""
+    if obj.L_box is None:
+        return []
+    notes = []
+    for r, trace in enumerate(traces):
+        # not <=, so that a nan iterate counts as outside
+        outside = np.flatnonzero(~(np.abs(trace.iterates) <= obj.L_box).all(axis=1))
+        if outside.size:
+            notes.append(f"replicate {r} is outside the box |x_j| <= {_fmt(obj.L_box)}, where L holds, "
+                         f"first at stored step {trace.steps[outside[0]]}")
+    return notes
+
+
 def cmd_run(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     [point] = resolve(cfg, "run")
     obj, scfg = point.obj, point.scfg
@@ -417,6 +432,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     notes = point.notes + [f.message for f in point.findings]
     out_dir.mkdir(parents=True, exist_ok=True)
     traces, fvals = execute(point, values=True)
+    notes += _box_notes(obj, traces)
     header = _resolved_header(cfg, obj, scfg) + [f"# note: {note}" for note in notes]
     for r, (trace, f) in enumerate(zip(traces, fvals)):
         cols = {**_trace_columns(trace), "f": _cells(f)}

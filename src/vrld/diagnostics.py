@@ -34,8 +34,6 @@ __all__ = [
     "svrg_subset_mean",
     "sarah_increment_mean",
     "svrg_variance_identity_check",
-    "grad_second_moment_bound_check",
-    "polyak_gap_check",
     "kl_gaussian_vs_gibbs_1d",
     "gibbs_log_partition_1d",
 ]
@@ -270,36 +268,6 @@ def svrg_variance_identity_check(obj: FiniteSumObjective, x, anchor, B: int) -> 
     lhs = lhs_acc / count
     rhs = minibatch_variance_factor(n, B) * float(np.mean(np.sum(w * w, axis=1)))
     return {"lhs": lhs, "rhs": rhs, "gap": abs(lhs - rhs)}
-
-
-# -- bound spot checks ------------------------------------------------------------------
-
-
-def grad_second_moment_bound_check(obj: FiniteSumObjective, gamma: float, samples: np.ndarray) -> dict:
-    """Monte-Carlo E||grad F||^2 under (approximate) Gibbs samples against the
-    smoothness bound d L / gamma."""
-    if obj.L is None:
-        raise ValueError("needs a declared L")
-    X = np.atleast_2d(np.asarray(samples, dtype=float))
-    g = obj.gradient(X)
-    sq = np.sum(g * g, axis=-1)
-    lhs = float(sq.mean())
-    se = float(sq.std(ddof=1) / math.sqrt(sq.size))
-    bound = obj.d * obj.L / gamma
-    return {"lhs": lhs, "se": se, "bound": bound, "ok": lhs <= bound + 3.0 * se}
-
-
-def polyak_gap_check(obj: FiniteSumObjective, grid: np.ndarray) -> dict:
-    """min over the grid of (F - F*) - ||grad F||^2 / (2L), which the
-    smoothness descent lemma keeps nonnegative."""
-    if obj.F_star is None or obj.L is None:
-        raise ValueError("needs declared F_star and L")
-    X = np.atleast_2d(np.asarray(grid, dtype=float))
-    vals = np.asarray(obj.value(X), dtype=float)
-    g = obj.gradient(X)
-    gaps = (vals - obj.F_star) - np.sum(g * g, axis=-1) / (2.0 * obj.L)
-    i = int(np.argmin(gaps))
-    return {"min_gap": float(gaps[i]), "argmin": X[i], "ok": bool(gaps[i] >= -1e-10)}
 
 
 # -- 1-d Gibbs quadrature ------------------------------------------------------------------

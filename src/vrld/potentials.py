@@ -2,15 +2,15 @@
 
 Every objective carries its regularity metadata (smoothness constant L,
 dissipativity pair (M, b), known minimum) and a counter of
-component-gradient evaluations.  Constants that were estimated on a grid
-rather than derived analytically are listed in ``estimated_constants`` and
-must not be fed silently into theory-mode computations.
+component-gradient evaluations.  An L that holds only on a box
+[-r, r]^d, not on all of R^d, declares r as ``L_box``: the theory-driven
+modes refuse such an L, and a run notes each replicate that leaves the box.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -18,10 +18,8 @@ import numpy as np
 __all__ = [
     "FiniteSumObjective",
     "GaussianMoments",
-    "RegularityReport",
     "make_builtin",
     "load_labeled_matrix",
-    "probe_regularity",
     "BUILTIN_NAMES",
 ]
 
@@ -72,7 +70,8 @@ class FiniteSumObjective:
     full-batch minibatch makes; without ``rows_fn`` the kernel loops over
     leading indices and components.  With ``identical_components`` every f_i
     is f_0, so the row kernel is grad f_0 and reads no index; the runners then
-    draw no subsets.  ``full_kernel`` and
+    draw no subsets.  ``L_box`` is the half-width r of the box [-r, r]^d
+    on which L holds, None when L holds everywhere.  ``full_kernel`` and
     ``rows_kernel`` are the two kernels without counting or checks; a step
     loop that calls ``full_kernel`` counts for itself with ``add_grad_evals``.
     Evaluators are pure functions of x and are vectorised over leading axes,
@@ -96,7 +95,7 @@ class FiniteSumObjective:
         grad_fn: Callable[[np.ndarray], np.ndarray] | None = None,
         rows_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
         identical_components: bool = False,
-        estimated_constants: frozenset[str] = frozenset(),
+        L_box: float | None = None,
         meta: dict | None = None,
     ):
         if n < 1:
@@ -105,7 +104,7 @@ class FiniteSumObjective:
             raise ValueError("dimension d must be >= 1")
         if identical_components and rows_fn is not None:
             raise ValueError("identical components take no rows_fn: every minibatch gradient is grad f_0")
-        for cname, cval in (("L", L), ("M", M), ("b", b)):
+        for cname, cval in (("L", L), ("M", M), ("b", b), ("L_box", L_box)):
             if cval is not None and cval <= 0:
                 raise ValueError(f"declared constant {cname} must be > 0")
         self.name = name
@@ -114,6 +113,7 @@ class FiniteSumObjective:
         self._component_value = component_value
         self._component_grad = component_grad
         self.L = L
+        self.L_box = L_box
         self.M = M
         self.b = b
         self.F_star = F_star
@@ -126,7 +126,6 @@ class FiniteSumObjective:
         else:
             self.rows_kernel = rows_fn if rows_fn is not None else self._component_rows
         self.full_kernel = grad_fn if grad_fn is not None else lambda x: self._rows_at(x, self._all)
-        self.estimated_constants = frozenset(estimated_constants)
         self.meta = dict(meta or {})
         self._grad_evals = 0
 
@@ -318,9 +317,9 @@ def _double_well(params: dict) -> FiniteSumObjective:
     2-d adds a quadratic confinement in the second coordinate:
     F(x, y) = (x^2 - a^2)^2 / 4 + y^2 / 2.
 
-    The quartic is not globally L-smooth; L is declared as the curvature
-    maximum over the documented box [-r, r]^d (r = ``box``) and flagged as
-    box-restricted.  Dissipativity holds globally with M = 1/2 and
+    The quartic is not globally L-smooth: L is the exact maximum of |F''| over
+    the box [-r, r]^d (r = ``box``, which must hold both wells), declared as
+    ``L_box = r``.  Dissipativity holds globally with M = 1/2 and
     b = (a^2 + 1/2)^2 / 4 (+ nothing extra for the quadratic coordinate):
     <F'(x), x> = x^4 - a^2 x^2 >= x^2/2 - b  iff  b >= (a^2 + 1/2)^2 / 4.
     """
@@ -335,7 +334,7 @@ def _double_well(params: dict) -> FiniteSumObjective:
     if r < abs(a):
         raise ValueError(f"the box must hold both wells: need box >= |a|, got box={r}, a={a}")
     # |F''| = |3 x^2 - a^2| peaks at the box edge, since 3 r^2 - a^2 >= 2 a^2 >= a^2
-    L_box = max(3.0 * r * r - a * a, 1.0 if d == 2 else 0.0)
+    L = max(3.0 * r * r - a * a, 1.0 if d == 2 else 0.0)
     b_diss = (a * a + 0.5) ** 2 / 4.0
 
     def quartic(x1):
@@ -375,7 +374,7 @@ def _double_well(params: dict) -> FiniteSumObjective:
         d,
         comp_value,
         comp_grad,
-        L=L_box,
+        L=L,
         M=0.5,
         b=b_diss,
         F_star=0.0,
@@ -383,8 +382,8 @@ def _double_well(params: dict) -> FiniteSumObjective:
         value_fn=lambda x: comp_value(0, x),
         grad_fn=grad_fn,
         identical_components=True,
-        estimated_constants=frozenset({"L"}),
-        meta={"a": a, "box": r},
+        L_box=r,
+        meta={"a": a},
     )
 
 
@@ -531,77 +530,3 @@ def make_builtin(name: str, params: dict | None = None) -> FiniteSumObjective:
         raise ValueError(f"unknown potential {name!r}; choose from {BUILTIN_NAMES}") from None
     return builder(dict(params or {}))
 
-
-# -- numerical regularity probing ---------------------------------------------
-
-
-@dataclass
-class RegularityReport:
-    """Worst-case finite-difference estimates over a probe grid."""
-
-    max_local_lipschitz: float
-    min_dissipativity_slack: float | None
-    worst_lipschitz_point: np.ndarray
-    declared_L: float | None = None
-    declared_M: float | None = None
-    declared_b: float | None = None
-    notes: list[str] = field(default_factory=list)
-
-
-def _fd_hessian_norm(obj: FiniteSumObjective, x: np.ndarray, h: float) -> float:
-    d = obj.d
-    H = np.empty((d, d))
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = h
-        H[:, j] = (obj.gradient(x + e) - obj.gradient(x - e)) / (2.0 * h)
-    H = 0.5 * (H + H.T)
-    return float(np.abs(np.linalg.eigvalsh(H)).max())
-
-
-def probe_regularity(
-    obj: FiniteSumObjective,
-    grid: np.ndarray,
-    *,
-    M: float | None = None,
-    b: float | None = None,
-    h: float = 1e-5,
-) -> RegularityReport:
-    """Report the max finite-difference Hessian norm and the min dissipativity
-    slack <grad F(x), x> - M||x||^2 + b over the probe points.
-
-    Uses declared (M, b) when none are passed; with neither available the
-    slack is omitted and the report carries estimates only.
-    """
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    if grid.shape[0] == 0:
-        raise ValueError("probe grid must be nonempty")
-    M = obj.M if M is None else M
-    b = obj.b if b is None else b
-    max_lip = -np.inf
-    worst = grid[0]
-    min_slack = np.inf
-    for x in grid:
-        lip = _fd_hessian_norm(obj, x, h)
-        if lip > max_lip:
-            max_lip, worst = lip, x
-        if M is not None and b is not None:
-            g = obj.gradient(x)
-            slack = float(g @ x - M * (x @ x) + b)
-            min_slack = min(min_slack, slack)
-    notes = []
-    if obj.L is not None and max_lip > obj.L * (1.0 + 1e-6):
-        notes.append(
-            f"finite-difference Hessian norm {max_lip:.6g} exceeds declared L={obj.L:.6g}"
-        )
-    if "L" in obj.estimated_constants:
-        notes.append("declared L is a grid/box estimate, not an analytic bound")
-    return RegularityReport(
-        max_local_lipschitz=float(max_lip),
-        min_dissipativity_slack=None if M is None or b is None else float(min_slack),
-        worst_lipschitz_point=np.asarray(worst),
-        declared_L=obj.L,
-        declared_M=M,
-        declared_b=b,
-        notes=notes,
-    )

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 __all__ = [
     "HypothesisViolation",
     "Violation",
@@ -49,7 +47,6 @@ __all__ = [
     "anneal_gamma",
     "anneal_validate",
     "AnnealReport",
-    "cf_grid_estimate",
 ]
 
 SVRG = "svrg_ld"
@@ -309,11 +306,6 @@ def _weak_morse_floor_terms(d: int, L: float, L_prime: float, lambda_dagger: flo
             "4 L'^2 a^6": 4.0 * L_prime * L_prime * a2**3}
 
 
-def weak_morse_gamma_floor(d: int, L: float, L_prime: float, lambda_dagger: float, C_F: float) -> float:
-    """The weak-Morse gamma floor, the largest of its terms."""
-    return max(_weak_morse_floor_terms(d, L, L_prime, lambda_dagger, C_F).values())
-
-
 def lsi_constant_weak_morse(
     gamma: float,
     lambda_dagger: float,
@@ -551,7 +543,7 @@ class Violation:
 def check_hypotheses(variant: str, eta: float, gamma: float, alpha: float | None, L: float | None,
                      B: int, m: int, *, M: float | None = None, sched=None, epochs: int = 0,
                      C1: float | None = None, C2: float | None = None,
-                     L_estimated: bool = False) -> list[Violation]:
+                     L_box: float | None = None) -> list[Violation]:
     """Every hypothesis of the KL bound the inputs violate, then the notes,
     each inequality stated once.  Violations: gamma >= 1; B >= m for the
     anchored variant; with alpha and L known, 0 < eta < the variant's step cap
@@ -559,9 +551,9 @@ def check_hypotheses(variant: str, eta: float, gamma: float, alpha: float | None
     alpha); and for an annealing ``sched`` (whose epochs cap the step instead)
     :func:`anneal_validate` over ``epochs`` epochs, with condition (b) only
     when C1, C2 are known.  Notes: L < 1, the validator's notes, a step cap
-    and alpha <= gamma L left unchecked because L is a grid estimate, which
-    bounds nothing beyond its grid, and a schedule left unchecked because L
-    is unknown or a grid estimate.
+    and alpha <= gamma L left unchecked because L holds only on the box
+    |x_j| <= ``L_box`` and bounds nothing beyond it, and a schedule left
+    unchecked because L is unknown or holds only on that box.
     """
     violations: list[str] = []
     notes: list[str] = []
@@ -570,8 +562,9 @@ def check_hypotheses(variant: str, eta: float, gamma: float, alpha: float | None
     if variant == SVRG and B < m:
         violations.append(f"B >= m violated for the anchored variant: B={B}, m={m}")
     capped = sched is None and alpha is not None and L is not None and variant in (SVRG, SARAH)
-    if capped and L_estimated:
-        notes.append("the step cap and alpha <= gamma*L are not checked: L is a grid estimate")
+    on_box = f"L holds only on the box |x_j| <= {L_box}"
+    if capped and L_box is not None:
+        notes.append(f"the step cap and alpha <= gamma*L are not checked: {on_box}")
     elif capped:
         cap = step_size_cap(variant, alpha, L, m, gamma)
         if not 0.0 < eta < cap:
@@ -583,9 +576,9 @@ def check_hypotheses(variant: str, eta: float, gamma: float, alpha: float | None
         violations.append(f"gamma >= 2/M violated: gamma={gamma}, 2/M={2.0 / M}")
     if L is not None and L < 1.0:
         notes.append(f"L={L} < 1; several closed-form constants assume L >= 1")
-    if sched is not None and (L is None or L_estimated):
+    if sched is not None and (L is None or L_box is not None):
         notes.append("the [anneal] schedule is not checked: it needs a smoothness bound L, and "
-                     + ("L is a grid estimate" if L_estimated else "none is declared"))
+                     + ("none is declared" if L is None else on_box))
     elif sched is not None:
         report = anneal_validate(sched, L, C1, C2, epochs=epochs)
         if not report.ok:
@@ -594,36 +587,3 @@ def check_hypotheses(variant: str, eta: float, gamma: float, alpha: float | None
         notes.extend(report.notes)
     return [Violation("violation", v) for v in violations] + [Violation("note", n) for n in notes]
 
-
-# -- heuristic gradient-floor constant ------------------------------------------
-
-
-def cf_grid_estimate(obj, lambda_dagger: float, L_prime: float, *, half_width: float = 4.0,
-                     points: int = 2001) -> float:
-    """Grid lower estimate of the gradient-floor constant
-    min(1, lambda/2, inf ||grad F(x)|| / dist(x, stationary set)) for 1-d and
-    2-d objectives.  Heuristic: the infimum is scanned on a finite box, so the
-    result is an estimate, not a certified bound.
-    """
-    if obj.d > 2:
-        raise ValueError("grid estimate only supports d <= 2")
-    if obj.d == 1:
-        xs = np.linspace(-half_width, half_width, points)[:, None]
-    else:
-        side = int(math.isqrt(points))
-        g = np.linspace(-half_width, half_width, side)
-        xs = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
-    grads = np.stack([obj.gradient(x) for x in xs])
-    gnorm = np.linalg.norm(grads, axis=1)
-    stationary = xs[gnorm < 1e-6 * (1.0 + gnorm.max())]
-    if stationary.shape[0] == 0:
-        # refine: take the local gradient-norm minima as stationary candidates
-        order = np.argsort(gnorm)
-        stationary = xs[order[: max(1, points // 100)]]
-    dists = np.min(
-        np.linalg.norm(xs[:, None, :] - stationary[None, :, :], axis=2), axis=1
-    )
-    cutoff = lambda_dagger / (4.0 * obj.d * L_prime)
-    mask = dists > cutoff
-    ratio = np.min(gnorm[mask] / dists[mask]) if np.any(mask) else 1.0
-    return float(min(1.0, lambda_dagger / 2.0, ratio))

@@ -66,8 +66,8 @@ out = {out}
 """
 
 
-# the double well's L = 11 is a grid estimate over its box
-GRID_L_CFG = """
+# the double well's L = 11 holds only on its default box |x| <= 2
+BOX_L_CFG = """
 [potential]
 name = double_well
 a = 1.0
@@ -527,11 +527,11 @@ class TestRunCommand:
         for part in ("total", "decay", "bias"):
             assert col[f"bound_kl_{part}"] == [repr(getattr(b, part)) for b in bounds]
 
-    def test_grid_estimated_L_is_a_note_and_drops_the_overlay(self, tmp_path, capsys):
-        """The double well's L is a box estimate: its step cap is 2.6e-5 there, and
-        eta = 1e-5 under it proves nothing, so no bound is written."""
+    def test_box_restricted_L_is_a_note_and_drops_the_overlay(self, tmp_path, capsys):
+        """The double well's L holds only on its box: its step cap is 2.6e-5 there,
+        and eta = 1e-5 under it proves nothing, so no bound is written."""
         out = tmp_path / "r"
-        cfg = write_cfg(tmp_path, GRID_L_CFG.format(out=out))
+        cfg = write_cfg(tmp_path, BOX_L_CFG.format(out=out))
         assert main(["run", "--config", str(cfg)]) == 0
         assert "note: the step cap and alpha <= gamma*L are not checked" in capsys.readouterr().out
         lines = (out / "summary.csv").read_text().splitlines()
@@ -548,11 +548,44 @@ class TestRunCommand:
     def test_box_restricted_L_is_refused_by_theory_driven_modes(self, tmp_path, capsys, edit, refusal):
         """Auto mode and the two LSI modes would feed the double well's L, which
         bounds the curvature only on its box, into a global formula."""
-        text = GRID_L_CFG.format(out=tmp_path / "r").replace(*edit)
+        text = BOX_L_CFG.format(out=tmp_path / "r").replace(*edit)
         for command in ("validate-config", "run"):
             assert main([command, "--config", str(write_cfg(tmp_path, text)), "--quiet"]) == 2
             assert re.fullmatch(refusal + ".*\n", capsys.readouterr().err)
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("x0, left", [("3.0", [0, 0]), ("0.0", [])])
+    def test_a_replicate_outside_the_box_is_a_note(self, tmp_path, capsys, x0, left):
+        """From x0 = 3 every replicate starts outside the box |x| <= 2 on which L
+        holds, which the run notes at stored step 0; from x0 = 0 the chains stay
+        well inside it, and no such note is written."""
+        out = tmp_path / "r"
+        text = BOX_L_CFG.format(out=out).replace("seed = 5", f"seed = 5\nx0 = {x0}")
+        assert main(["run", "--config", str(write_cfg(tmp_path, text))]) == 0
+        notes = [f"replicate {r} is outside the box |x_j| <= 2.0, where L holds, first at stored step {k}"
+                 for r, k in enumerate(left)]
+        printed = capsys.readouterr().out.splitlines()
+        assert [l for l in printed if "outside the box" in l] == [f"note: {n}" for n in notes]
+        for csv in ("summary.csv", "replicate_000.csv", "replicate_001.csv"):
+            lines = (out / csv).read_text().splitlines()
+            assert [l for l in lines if "outside the box" in l] == [f"# note: {n}" for n in notes]
+
+    def test_the_box_note_names_the_first_stored_step_outside(self, tmp_path, capsys):
+        """From x0 = 1.9 the replicates leave the box |x| <= 2 at different steps
+        before they diverge; each note names the first step whose iterate, in the
+        replicate's own CSV, lies outside."""
+        out = tmp_path / "r"
+        text = UNEVEN_CFG.format(out=out).replace("x0 = 2.5", "x0 = 1.9")
+        assert main(["run", "--config", str(write_cfg(tmp_path, text))]) == 3
+        first = []
+        for r in range(6):
+            rows = [l.split(",") for l in (out / f"replicate_{r:03d}.csv").read_text().splitlines()
+                    if l and not l.startswith(("#", "step"))]
+            first.append(next(int(row[0]) for row in rows if abs(float(row[-1])) > 2.0))
+        assert len(set(first)) > 2
+        assert [l for l in capsys.readouterr().out.splitlines() if "outside the box" in l] == [
+            f"note: replicate {r} is outside the box |x_j| <= 2.0, where L holds, first at stored step {k}"
+            for r, k in enumerate(first)]
 
     def test_small_L_note_is_written_printed_and_drops_the_overlay(self, tmp_path, capsys):
         out = tmp_path / "r"
@@ -716,7 +749,7 @@ class TestAnnealedRun:
             assert main([command, "--config", str(cfg), "--quiet"]) == 2
             assert "eta_s^2 L^2 <= 1/4 at epoch 0" in capsys.readouterr().err
 
-    def test_schedule_is_not_checked_against_a_grid_estimated_L(self, tmp_path, capsys):
+    def test_schedule_is_not_checked_against_a_box_restricted_L(self, tmp_path, capsys):
         out = tmp_path / "r"
         assert main(["run", "--config", str(write_cfg(tmp_path, ANNEAL_CFG.format(out=out)))]) == 0
         assert "schedule is not checked" in capsys.readouterr().out

@@ -204,40 +204,6 @@ class TestVarianceIdentity:
             dg.svrg_variance_identity_check(obj, np.zeros(1), np.ones(1), 2)
 
 
-class TestGradSecondMomentBound:
-    @pytest.mark.parametrize("d,gamma", [(2, 1.0), (2, 4.0), (1, 1.0)])
-    def test_tight_on_quadratic(self, d, gamma):
-        """E||grad F||^2 = d/gamma under the exact Gibbs law, matching d L / gamma."""
-        obj = make_builtin("gaussian_quadratic", {"n": 4, "d": d, "seed": 8, "zero_mean": True})
-        rng = np.random.default_rng(16)
-        samples = rng.standard_normal((120000, d)) / math.sqrt(gamma)
-        res = dg.grad_second_moment_bound_check(obj, gamma, samples)
-        assert res["bound"] == pytest.approx(d / gamma, rel=1e-12)
-        assert res["lhs"] == pytest.approx(res["bound"], abs=4 * res["se"])
-        assert res["ok"]
-
-
-class TestPolyakGap:
-    def test_zero_at_minimiser(self):
-        obj = make_builtin("gaussian_quadratic", {"n": 4, "d": 2, "seed": 9})
-        res = dg.polyak_gap_check(obj, obj.x_star[None, :])
-        assert res["min_gap"] == pytest.approx(0.0, abs=1e-14)
-
-    def test_equality_on_unit_quadratic(self):
-        """F - F* = ||grad F||^2 / 2 exactly when L = 1."""
-        obj = make_builtin("gaussian_quadratic", {"n": 4, "d": 2, "seed": 9})
-        grid = np.random.default_rng(2).standard_normal((50, 2)) * 3
-        res = dg.polyak_gap_check(obj, grid)
-        assert abs(res["min_gap"]) <= 1e-10
-        assert res["ok"]
-
-    def test_double_well_grid_scan(self):
-        obj = make_builtin("double_well", {"a": 1.0, "box": 3.0})
-        grid = np.linspace(-3, 3, 301)[:, None]
-        res = dg.polyak_gap_check(obj, grid)
-        assert res["ok"]
-
-
 class TestGibbsQuadrature:
     def test_matches_closed_form_on_quadratic(self):
         """The quadrature KL agrees with the Gaussian closed form when the

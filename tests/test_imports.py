@@ -157,9 +157,9 @@ def test_public_names_resolve_and_the_benchmark_calls_still_run():
     reference checks make into vrld still take the arguments it passes, so
     a later deletion cannot silently turn a reference check off."""
     import vrld
-    from vrld import potentials, samplers
+    from vrld import config, diagnostics, potentials, samplers, theory
 
-    for module in (vrld, samplers, potentials):
+    for module in (vrld, samplers, potentials, theory, diagnostics, config):
         assert [name for name in module.__all__ if not hasattr(module, name)] == [], module.__name__
     obj = vrld.make_builtin("gaussian_quadratic", {"n": 8, "d": 2, "seed": 1, "zero_mean": True})
     cfg = vrld.SamplerConfig(variant="lmc", eta=0.01, gamma=1.0, K=4, seed=2, store_every=2)

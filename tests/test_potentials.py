@@ -9,7 +9,6 @@ from vrld.potentials import (
     FiniteSumObjective,
     GaussianMoments,
     make_builtin,
-    probe_regularity,
 )
 
 
@@ -311,15 +310,14 @@ class TestMakeBuiltin:
             make_builtin("double_well", params)
 
     def test_logistic_smoothness_constant(self):
-        """L = lam + max row-norm^2 / 4 bounds the finite-difference Hessian."""
+        """L = lam + max row-norm^2 / 4; TestDeclaredConstants checks that it
+        bounds the Hessian."""
         rng = np.random.default_rng(11)
         rows = rng.standard_normal((8, 3)) * 1.5
         labels = (rng.random(8) > 0.4).astype(float)
         lam = 0.3
         obj = make_builtin("logistic_l2", {"rows": rows, "labels": labels, "lam": lam})
         assert obj.L == pytest.approx(lam + np.max(np.sum(rows**2, axis=1)) / 4)
-        report = probe_regularity(obj, rng.standard_normal((20, 3)))
-        assert report.max_local_lipschitz <= obj.L * (1 + 1e-6)
 
     def test_logistic_file_loading(self, tmp_path):
         data = tmp_path / "rows.txt"
@@ -334,42 +332,39 @@ class TestMakeBuiltin:
             make_builtin("logistic_l2", {"data_file": data})
 
 
-class TestProbeRegularity:
-    def test_quadratic_hessian_is_identity(self):
-        obj = make_builtin("gaussian_quadratic", {"n": 4, "d": 2, "seed": 9})
-        grid = np.random.default_rng(0).standard_normal((15, 2)) * 2
-        report = probe_regularity(obj, grid)
-        assert abs(report.max_local_lipschitz - 1.0) <= 1e-4
-        assert report.min_dissipativity_slack >= 0.0
+def _logistic_params():
+    rng = np.random.default_rng(11)
+    return {"rows": rng.standard_normal((8, 3)) * 1.5, "labels": (rng.random(8) > 0.4).astype(float), "lam": 0.3}
 
-    def test_mixture_hessian_bound(self):
-        """The mixture's declared L dominates finite-difference Hessian norms."""
-        obj = make_builtin("gaussian_mixture", {"mu": [1.5, -0.5], "sigma": 0.8})
-        grid = np.random.default_rng(4).standard_normal((25, 2)) * 2
-        report = probe_regularity(obj, grid)
-        assert report.max_local_lipschitz <= obj.L * (1 + 1e-6)
 
-    def test_double_well_dissipative_on_grid(self):
-        """<F'(x), x> = x^2 (x^2 - 1) >= x^2/2 - 1 on [-3, 3]."""
-        obj = make_builtin("double_well", {"a": 1.0, "box": 3.0})
-        grid = np.linspace(-3, 3, 61)[:, None]
-        report = probe_regularity(obj, grid, M=0.5, b=1.0)
-        assert report.min_dissipativity_slack >= 0.0
+# a built-in each, with constants that are not all trivial
+DECLARED_CASES = {
+    "gaussian_quadratic": {"n": 4, "d": 2, "seed": 9, "scales": [0.5, 1.0, 1.5, 2.0]},
+    "double_well": {"a": 1.0, "d": 2, "box": 3.0},
+    "gaussian_mixture": {"mu": [1.5, -0.5], "sigma": 0.8},
+    "logistic_l2": _logistic_params(),
+}
 
-    def test_estimates_only_without_declared_constants(self):
-        obj = FiniteSumObjective(
-            "bare", 1, 1,
-            component_value=lambda i, x: 0.5 * np.sum(x * x, axis=-1),
-            component_grad=lambda i, x: x,
-        )
-        report = probe_regularity(obj, np.linspace(-1, 1, 5)[:, None])
-        assert report.min_dissipativity_slack is None
-        assert report.declared_L is None
 
-    def test_empty_grid_rejected(self):
-        obj = make_builtin("double_well", {})
-        with pytest.raises(ValueError, match="nonempty"):
-            probe_regularity(obj, np.empty((0, 1)))
+class TestDeclaredConstants:
+    @pytest.mark.parametrize("name", sorted(DECLARED_CASES))
+    def test_declared_L_M_b_hold_on_a_grid(self, name):
+        """On a seeded grid, with the corners of its box, the declared L bounds
+        the finite-difference Hessian norm of the full gradient, and
+        <grad F(x), x> >= M ||x||^2 - b.  The double well's grid is its box,
+        where its L is |F''| at the corners."""
+        obj = make_builtin(name, DECLARED_CASES[name])
+        r, h = obj.L_box or 3.0, 1e-5
+        corners = np.array(np.meshgrid(*[[-r, r]] * obj.d)).reshape(obj.d, -1).T
+        grid = np.vstack([corners, np.random.default_rng(4).uniform(-r, r, (40, obj.d))])
+        E = h * np.eye(obj.d)
+        for x in grid:
+            H = (obj.gradient(x + E) - obj.gradient(x - E)).T / (2.0 * h)  # column j: d grad / d x_j
+            assert np.abs(np.linalg.eigvalsh(0.5 * (H + H.T))).max() <= obj.L * (1 + 1e-6), x
+        slack = np.sum(obj.gradient(grid) * grid, axis=1) - obj.M * np.sum(grid * grid, axis=1) + obj.b
+        assert slack.min() >= 0.0
+        if name == "double_well":
+            assert obj.L == 3.0 * r * r - 1.0
 
 
 class TestGaussianMoments:

@@ -235,7 +235,7 @@ class TestLsiWeakMorse:
         assert res.gamma_floor == pytest.approx(55296.0, abs=1e-9)
 
     def test_alpha_gamma_product_constant(self):
-        floor = th.weak_morse_gamma_floor(2, 2.0, 1.0, 0.5, 0.5)
+        floor = th.lsi_constant_weak_morse(math.inf, 0.5, 1.0, 2.0, 2, 1.0, 0.5).gamma_floor
         products = [
             th.lsi_constant_weak_morse(g, 0.5, 1.0, 2.0, 2, 1.0, 0.5).alpha * g
             for g in (floor, 2 * floor, 5 * floor)
@@ -380,18 +380,30 @@ class TestCheckHypotheses:
         assert "eta_s^2 L^2 <= 1/4 at epoch 0" in found[0].message
         assert any(f.kind == "note" and "14.43" in f.message for f in found)
 
-    @pytest.mark.parametrize("L, L_estimated", [(None, False), (11.0, True)])
-    def test_schedule_without_a_smoothness_bound_is_a_note(self, L, L_estimated):
+    @pytest.mark.parametrize("L, L_box, reason", [(None, None, "none is declared"),
+                                                  (11.0, 2.0, "L holds only on the box |x_j| <= 2.0")])
+    def test_schedule_without_a_smoothness_bound_is_a_note(self, L, L_box, reason):
         sched = AnnealSchedule(eta_bar=5.0, gamma_bar=1.0, sigma=3.0, mu=4.0, g=math.e)
-        found = self.check(sched=sched, epochs=100, L=L, L_estimated=L_estimated)
+        found = self.check(sched=sched, epochs=100, L=L, L_box=L_box)
         assert [f.kind for f in found] == ["note"] and "not checked" in found[0].message
+        assert found[0].message.endswith(reason)
 
-    def test_grid_estimated_L_leaves_the_step_cap_unchecked(self):
-        """A box L bounds nothing beyond its grid: the step cap and alpha <= gamma L
-        it would set are a note, as an unchecked schedule is."""
-        found = self.check(eta=1.0, alpha=30.0, L=11.0, L_estimated=True)
-        assert [f.kind for f in found] == ["note"] and "not checked" in found[0].message
-        assert [f.kind for f in self.check(gamma=0.5, L=11.0, L_estimated=True)] == ["violation", "note"]
+    def test_box_restricted_L_leaves_the_step_cap_unchecked(self):
+        """An L that holds only on a box bounds nothing beyond it: the step cap and
+        alpha <= gamma L it would set are a note, as an unchecked schedule is."""
+        found = self.check(eta=1.0, alpha=30.0, L=11.0, L_box=2.0)
+        assert [f.kind for f in found] == ["note"]
+        assert found[0].message == ("the step cap and alpha <= gamma*L are not checked: "
+                                    "L holds only on the box |x_j| <= 2.0")
+        assert [f.kind for f in self.check(gamma=0.5, L=11.0, L_box=2.0)] == ["violation", "note"]
+
+    @pytest.mark.parametrize("M", [0.5, 0.3, 1.7])
+    def test_gamma_at_2_over_M_is_the_edge(self, M):
+        """gamma >= 2/M holds with equality at gamma = 2/M, and fails one float below."""
+        edge = 2.0 / M
+        assert self.check(gamma=edge, alpha=1e-3, eta=1e-9, M=M) == []
+        [found] = self.check(gamma=math.nextafter(edge, 0.0), alpha=1e-3, eta=1e-9, M=M)
+        assert found.kind == "violation" and found.message.startswith("gamma >= 2/M violated")
 
     @given(st.sampled_from(["svrg_ld", "sarah_ld"]), st.floats(-12.0, -1.0), st.floats(0.5, 4.0),
            st.floats(0.01, 8.0), st.floats(0.3, 4.0), st.integers(1, 64), st.data())
@@ -406,12 +418,3 @@ class TestCheckHypotheses:
         except th.HypothesisViolation:
             holds = False
         assert clean == holds
-
-
-class TestCfGridEstimate:
-    def test_double_well_estimate_positive_and_capped(self):
-        from vrld.potentials import make_builtin
-
-        obj = make_builtin("double_well", {"a": 1.0})
-        cf = th.cf_grid_estimate(obj, lambda_dagger=1.0, L_prime=6.0)
-        assert 0.0 < cf <= 1.0
