@@ -356,7 +356,7 @@ class TestDeclaredConstants:
         obj = make_builtin(name, DECLARED_CASES[name])
         r, h = obj.L_box or 3.0, 1e-5
         corners = np.array(np.meshgrid(*[[-r, r]] * obj.d)).reshape(obj.d, -1).T
-        grid = np.vstack([corners, np.random.default_rng(4).uniform(-r, r, (40, obj.d))])
+        grid = np.vstack([corners, np.random.default_rng(4).uniform(-r, r, (200, obj.d))])
         E = h * np.eye(obj.d)
         for x in grid:
             H = (obj.gradient(x + E) - obj.gradient(x - E)).T / (2.0 * h)  # column j: d grad / d x_j
