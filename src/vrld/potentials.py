@@ -529,4 +529,3 @@ def make_builtin(name: str, params: dict | None = None) -> FiniteSumObjective:
     except KeyError:
         raise ValueError(f"unknown potential {name!r}; choose from {BUILTIN_NAMES}") from None
     return builder(dict(params or {}))
-

@@ -586,4 +586,3 @@ def check_hypotheses(variant: str, eta: float, gamma: float, alpha: float | None
                               f"{report.first_violation} (epochs 0..{epochs - 1} checked)")
         notes.extend(report.notes)
     return [Violation("violation", v) for v in violations] + [Violation("note", n) for n in notes]
-

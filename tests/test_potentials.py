@@ -305,7 +305,7 @@ class TestMakeBuiltin:
     ])
     def test_double_well_box_must_hold_the_wells(self, params, message):
         """A box that misses a well at -|a| would declare an L that |F''| exceeds
-        on it: box = 0.7 with a = -1 gives L = 0.47, but F''(0) = -1."""
+        on it: box = 0.7 with a = -1 gives L = 0.47, but |F''(0)| = 1."""
         with pytest.raises(ValueError, match=message):
             make_builtin("double_well", params)
 
