@@ -178,6 +178,24 @@ class TestIndexSampling:
             assert own.reshape(-1, B).tolist() == [floyd_subset(n, B, alone) for _ in range(math.prod(shape))]
             assert stream_state(rng) == stream_state(alone)
 
+    @pytest.mark.parametrize("B", [1, 2, 8, 9])
+    @pytest.mark.parametrize("n", [255, 256, 257, 65535, 65536, 65537])
+    @pytest.mark.parametrize("chains", [None, 2])
+    def test_equals_floyds_algorithm_at_the_edges_of_a_column_dtype(self, n, B, chains):
+        """Where n - 1 crosses 2**8 or 2**16, the bounds of the narrow
+        column dtypes, each row is still the transcribed subset of its own
+        stream, every stream ends where the transcription leaves it, and the
+        block is int64 and C-contiguous, so ``np.take`` in the row kernels
+        never casts it."""
+        streams = [chain_rngs(n + B, r)[1] for r in range(chains or 1)]
+        block = sample_index_set(n, B, streams if chains else streams[0], (2000,))
+        assert block.dtype == np.int64 and block.flags.c_contiguous
+        for r, rng in enumerate(streams):
+            alone = chain_rngs(n + B, r)[1]
+            own = block[:, r] if chains else block
+            assert own.tolist() == [floyd_subset(n, B, alone) for _ in range(2000)]
+            assert stream_state(rng) == stream_state(alone)
+
     def test_a_block_without_a_rejected_word_takes_the_word_draw(self):
         """With no rejected word the block is drawn from 32-bit words, not by
         the rewind: the columns are numpy's bounded integers of the same
