@@ -76,6 +76,13 @@ _ANCHORED = ("svrg_ld", "sarah_ld")
 # its noise rows and subset rows stay a few MB
 _BLOCK_VALUES = 2_000_000
 _WORD = 1 << 32  # numpy draws a bound b <= 2**32 from one 32-bit word
+# A block's rows are sorted by Batcher's network on its columns, 2 ufunc passes a
+# comparator, or by numpy's row sort, one sort call a row.  On a shared 2-core box
+# (numpy 2.4, uint8 columns) the network is the faster from about 64 rows a
+# comparator: 1,200 rows at B = 8 (19 comparators), 4,000 at B = 16 (63).  It
+# serves B <= 16, where all 2**B binary columns check it (the 0-1 principle).
+_NETWORK_B = 16
+_ROWS_PER_COMPARATOR = 64
 
 
 class DivergedError(RuntimeError):
@@ -180,16 +187,21 @@ def sample_index_set(n: int, B: int, rng: np.random.Generator | list[np.random.G
 
     ``rng`` is one Generator, or a list of R, one per chain: then the
     subsets are shaped (*shape, R, B), and chain r's are the block that
-    rng[r] alone gives.  Each row draws B bounded integers, column j uniform
-    on 0..n-B+j, exactly as numpy's ``integers(0, bounds)`` draws them (see
-    :func:`_word_columns`); a column-j value already in its row is replaced
-    by n-B+j, which no earlier column can hold.  "Already in its row" is one
-    broadcast compare of column j against columns 0..j-1 over the whole
-    block, so an index costs one draw and O(B) compares, and a block holds
-    O(rows * B) values whatever n is.  Each generator fills its rows in C
-    order and each row is formed on its own, so a block equals its
-    one-subset calls bit for bit and leaves the stream where they leave it.
-    B = n takes every index and draws nothing."""
+    rng[r] alone gives.  The block is worked in a (B, rows) column layout of
+    the narrowest unsigned dtype that holds n - 1 (uint8 up to n = 256).
+    Each row draws B bounded integers, column j uniform on 0..n-B+j, exactly
+    as numpy's ``integers(0, bounds)`` draws them (see :func:`_word_columns`).
+    A column-j value already in its row is replaced by n-B+j, which no
+    earlier column can hold: "already in its row" is one broadcast compare
+    of column j against columns 0..j-1, and since n-B+j is the top of column
+    j's range, the replacement is ``maximum(column, hit * (n-B+j))``, exact
+    for every value.  The rows are then sorted, by Batcher's odd-even merge
+    network on the columns (:func:`_batcher_pairs`) where it is the faster,
+    else by numpy's row sort, and written to the int64 rows in one
+    transposed copy.  Each generator fills its rows in C order and each row
+    is formed on its own, so a block equals its one-subset calls bit for bit
+    and leaves the stream where they leave it.  B = n takes every index and
+    draws nothing."""
     if not 1 <= B <= n:
         raise ValueError(f"need 1 <= B <= n, got B={B}, n={n}")
     single = isinstance(rng, np.random.Generator)
@@ -197,47 +209,87 @@ def sample_index_set(n: int, B: int, rng: np.random.Generator | list[np.random.G
         return np.tile(np.arange(n), (*shape, 1) if single else (*shape, len(rng), 1))
     gens = [rng] if single else rng
     size = (*shape, B)
-    out = np.empty(size if single else (*shape, len(gens), B), np.int64)
-    rows = out.reshape(-1, B)  # a view: the rows are written in place
-    cols = np.empty((B, len(rows)), np.uint64)  # (B, rows): each column contiguous
+    # (B, rows): each column contiguous
+    cols = np.empty((B, math.prod(shape) * len(gens)), np.min_scalar_type(n - 1))
     if not (n <= _WORD and _word_columns(n, B, gens, size, cols)):
         # numpy's own loop: 64-bit words for n > 2**32, or a rejected word after the rewind
         bounds = np.arange(n - B + 1, n + 1)
         for r, g in enumerate(gens):
             cols[:, r::len(gens)] = g.integers(0, bounds, size=size).reshape(-1, B).T
     for j in range(1, B):
-        np.copyto(cols[j], n - B + j, where=(cols[:j] == cols[j]).any(axis=0))
-    rows[...] = cols.T
-    rows.sort(axis=-1)
+        hit = (cols[:j] == cols[j]).any(axis=0)
+        np.maximum(cols[j], hit * cols.dtype.type(n - B + j), out=cols[j])
+    out = np.empty(size if single else (*shape, len(gens), B), np.int64)
+    rows = out.reshape(-1, B)  # a view: the rows are written in place
+    if B <= _NETWORK_B and len(rows) >= _ROWS_PER_COMPARATOR * len(_batcher_pairs(B)):
+        rows[...] = _network_sorted(cols).T
+    else:
+        rows[...] = cols.T
+        rows.sort(axis=-1)
     return out
 
 
 def _word_columns(n: int, B: int, gens: list[np.random.Generator], size: tuple[int, ...],
                   cols: np.ndarray) -> bool:
-    """Fill the (B, rows) ``cols`` with the block's bounded integers, column j
-    uniform on 0..n-B+j, the values numpy's ``integers(0, bounds)`` gives;
-    or, where numpy would reject a word, restore every stream and return False.
+    """Fill the (B, rows) ``cols``, of any unsigned dtype that holds n - 1,
+    with the block's bounded integers, column j uniform on 0..n-B+j, the
+    values numpy's ``integers(0, bounds)`` gives; or, where numpy would
+    reject a word, restore every stream and return False.
 
     For a bound b <= 2**32 numpy takes one 32-bit word x of the stream and
     returns (x b) >> 32, rejecting x when (x b) mod 2**32 < (2**32 - b) mod b
     (Lemire, "Fast random integer generation in an interval", ACM TOMACS
     2019).  ``integers(0, 2**32, dtype=np.uint32)`` gives those same words in
     the same order through numpy's fast fill, so the block is one such call
-    per generator, multiplied by the bounds straight into the column layout.
-    A word is rejected with probability (2**32 mod b) / 2**32 < n / 2**32, so
-    about 1 block in 1,200 meets one at n = 64, B = 8 and 20,000 rows."""
+    per generator, multiplied by the bounds into a uint64 scratch product in
+    the column layout.  The product serves only the rejection check on its
+    low words; its high words are shifted straight into ``cols``.  A word is
+    rejected with probability (2**32 mod b) / 2**32 < n / 2**32, so about 1
+    block in 1,200 meets one at n = 64, B = 8 and 20,000 rows."""
     states = [g.bit_generator.state for g in gens]
     bounds = np.arange(n - B + 1, n + 1, dtype=np.uint64)
+    prod = np.empty(cols.shape, np.uint64)
     for r, g in enumerate(gens):  # generator r's rows are every len(gens)-th, from r
         words = g.integers(0, _WORD, size, np.uint32).reshape(-1, B)
-        np.multiply(words.T, bounds[:, None], out=cols[:, r::len(gens)])
-    low = cols.view(np.uint32)[:, ::2] if np.little_endian else cols.view(np.uint32)[:, 1::2]
+        np.multiply(words.T, bounds[:, None], out=prod[:, r::len(gens)])
+    low = prod.view(np.uint32)[:, ::2] if np.little_endian else prod.view(np.uint32)[:, 1::2]
     if (low.min(axis=1, initial=_WORD - 1) < (_WORD - bounds) % bounds).any():
         for g, state in zip(gens, states):
             g.bit_generator.state = state
         return False
-    cols >>= 32
+    np.right_shift(prod, 32, out=cols, casting="unsafe")
     return True
+
+
+@functools.cache
+def _batcher_pairs(B: int) -> tuple[tuple[int, int], ...]:
+    """The comparators (i, j), i < j, of Batcher's odd-even merge sort on B
+    wires (Batcher, "Sorting networks and their applications", AFIPS 1968),
+    in order: the network for the next power of two, less the comparators
+    that touch a wire >= B.  Those wires would hold values above every
+    other, which no comparator moves, so the rest sorts any B wires."""
+    pairs = []
+    p = 1
+    while p < B:
+        k = p
+        while k >= 1:
+            for j in range(k % p, B - k, 2 * k):
+                for i in range(min(k, B - j - k)):
+                    if (i + j) // (2 * p) == (i + j + k) // (2 * p):
+                        pairs.append((i + j, i + j + k))
+            k //= 2
+        p *= 2
+    return tuple(pairs)
+
+
+def _network_sorted(cols: np.ndarray) -> np.ndarray:
+    """The (B, rows) ``cols`` sorted along its first axis, so each row's B
+    values are in order, by :func:`_batcher_pairs`: each comparator is one
+    ``np.minimum`` and one ``np.maximum`` over two whole columns."""
+    c = list(cols)
+    for i, j in _batcher_pairs(len(c)):
+        c[i], c[j] = np.minimum(c[i], c[j]), np.maximum(c[i], c[j])
+    return np.stack(c)
 
 
 def _blocks(draw, total: int, span: int):

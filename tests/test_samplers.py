@@ -22,6 +22,9 @@ from vrld.samplers import (
     run_chain,
     run_ensemble,
     run_replicates,
+    _NETWORK_B,
+    _batcher_pairs,
+    _network_sorted,
     _word_columns,
     sample_index_set,
 )
@@ -164,6 +167,7 @@ class TestIndexSampling:
     @example((2**32, 3), (5,), 3, 0)  # the top bound's range is the whole 32-bit word
     @example((2**32 + 1, 3), (5,), None, 0)  # numpy draws 64-bit words for the bound n
     @example((3 * 2**30, 2), (2,), 3, 17)  # chain 1 alone meets a rejected word
+    @example((3 * 2**30, 5), (300,), 3, 0)  # a rewound block that the network sorts
     def test_equals_floyds_algorithm_one_index_at_a_time(self, sizes, shape, chains, seed):
         """Each row is the subset that Floyd's algorithm, transcribed one
         index at a time, draws from the row's own generator in C order, and
@@ -195,6 +199,25 @@ class TestIndexSampling:
             own = block[:, r] if chains else block
             assert own.tolist() == [floyd_subset(n, B, alone) for _ in range(2000)]
             assert stream_state(rng) == stream_state(alone)
+
+    @pytest.mark.parametrize("B", range(1, _NETWORK_B + 1))
+    def test_the_network_sorts_every_binary_column(self, B):
+        """The 0-1 principle (Knuth, TAOCP 3, 5.3.4): a comparator network
+        that sorts all 2**B columns of 0s and 1s sorts every column, so this
+        proves the network for each B the draw gives it."""
+        zero_one = (np.arange(2**B) >> np.arange(B)[:, None] & 1).astype(np.uint8)
+        assert (_network_sorted(zero_one) == np.sort(zero_one, axis=0)).all()
+
+    @pytest.mark.parametrize("B", range(1, _NETWORK_B + 2))
+    def test_the_network_equals_np_sort(self, B):
+        """On 200 random blocks of uint8 columns, with repeated values, at
+        each B the draw gives the network and at one B past it; each
+        comparator is (i, j) with i < j."""
+        rng = np.random.default_rng(B)
+        assert all(0 <= i < j < B for i, j in _batcher_pairs(B))
+        for _ in range(200):
+            cols = rng.integers(0, 2 * B, (B, 50), dtype=np.uint8)
+            assert (_network_sorted(cols) == np.sort(cols, axis=0)).all()
 
     def test_a_block_without_a_rejected_word_takes_the_word_draw(self):
         """With no rejected word the block is drawn from 32-bit words, not by
