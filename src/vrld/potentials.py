@@ -383,7 +383,6 @@ def _double_well(params: dict) -> FiniteSumObjective:
         grad_fn=grad_fn,
         identical_components=True,
         L_box=r,
-        meta={"a": a},
     )
 
 
@@ -431,7 +430,6 @@ def _gaussian_mixture(params: dict) -> FiniteSumObjective:
         value_fn=lambda x: comp_value(0, x),
         grad_fn=grad_fn,
         identical_components=True,
-        meta={"mu": mu, "sigma": sigma},
     )
 
 
@@ -508,7 +506,6 @@ def _logistic_l2(params: dict) -> FiniteSumObjective:
         b=float(row_norm2.max()) / (2.0 * lam) + lam / 2.0,
         value_fn=value_fn,
         rows_fn=rows_fn,
-        meta={"lam": lam},
     )
 
 
