@@ -462,13 +462,14 @@ class TestValidateConfig:
         ("seed = -1", [], "[run] seed must be >= 0, got -1"),
         ("seed = 99", ["--seed", "-2"], "[run] seed must be >= 0, got -2"),
         ("thin = 0", [], "[run] thin must be >= 1, got 0"),
-    ], ids=["seed", "seed-flag", "thin"])
+        ("replicates = 0", [], "[run] replicates must be >= 1, got 0"),
+    ], ids=["seed", "seed-flag", "thin", "replicates"])
     def test_a_run_key_out_of_range_is_refused_by_name(self, tmp_path, capsys, line, flags, message):
-        """A negative seed, from the file or from --seed, and a thin below 1
-        exit 2 naming the [run] key the user wrote, from validate-config and
-        from run before any directory is made."""
+        """A negative seed, from the file or from --seed, and a thin or a
+        replicate count below 1 exit 2 naming the [run] key the user wrote,
+        from validate-config and from run before any directory is made."""
         out = tmp_path / "r"
-        written = {"seed": "seed = 99", "thin": "thin = 20"}[line.split(" = ")[0]]
+        written = {"seed": "seed = 99", "thin": "thin = 20", "replicates": "replicates = 5"}[line.split(" = ")[0]]
         cfg = write_cfg(tmp_path, BASE_CFG.format(out=out).replace(written, line))
         for command in ("validate-config", "run"):
             assert main([command, "--config", str(cfg), *flags]) == 2
