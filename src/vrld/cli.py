@@ -280,7 +280,7 @@ def resolve(cfg: ExperimentConfig, command: str) -> list[Point]:
     resolved and checked before any chain runs or any file is written; a bad
     point raises ConfigError.  Points that share a [potential] section share
     its objective."""
-    for key, low in (("seed", 0), ("thin", 1)):
+    for key, low in (("seed", 0), ("thin", 1), ("replicates", 1)):
         if cfg.run[key] < low:
             raise ConfigError(f"[run] {key} must be >= {low}, got {cfg.run[key]}")
     points: list[Point] = []
