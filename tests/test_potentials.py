@@ -221,7 +221,9 @@ class TestPairContract:
 class TestRowKernelsBitwise:
     """The row kernels equal the plain expressions they replace, bit for bit:
     the quadratic's curvature-weighted gather (exactly X minus the centre mean
-    when every s_i is 1) and the logistic kernel's ``.mean`` over the batch."""
+    when every s_i is 1) and the logistic kernel's ``.mean`` over the batch,
+    for index rows in C order, as ``idx[live]`` and the row sort give them,
+    and column-major, as the network draw returns them."""
 
     n, R = 20, 6
 
@@ -231,23 +233,42 @@ class TestRowKernelsBitwise:
         IDX = np.array([np.sort(rng.choice(self.n, B, replace=False)) for _ in range(self.R)])
         return X, IDX
 
+    @staticmethod
+    def layouts(IDX):
+        return IDX, np.moveaxis(np.ascontiguousarray(IDX.T), 0, -1)
+
     @pytest.mark.parametrize("scales", ["default", "ones", "unequal"])
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("B", [1, 7, 8, 16])
+    @pytest.mark.parametrize("B", [1, 7, 8, 9, 16, 17, 127, 128, 129, 200])
     @pytest.mark.parametrize("stacked", [False, True])
     def test_quadratic_kernel(self, scales, d, B, stacked):
-        params = {"n": self.n, "d": d, "seed": d}
+        """At every B where numpy's pairwise sum changes its course, and with
+        rows that gather only -0.0 (against an X of -0.0, so a zero's sign
+        shows), a +inf, a +inf and a -inf, and a nan, beside random rows."""
+        n, rng = 450, np.random.default_rng(100 * d + B)
+        centers = rng.standard_normal((n, d))
+        centers[:200] = -0.0
+        centers[200:203, 0] = np.inf, -np.inf, np.nan
+        params = {"centers": centers}
         if scales == "ones":
-            params["scales"] = np.ones(self.n)
+            params["scales"] = np.ones(n)
         elif scales == "unequal":
-            params["scales"] = np.random.default_rng(d).uniform(0.5, 2.0, self.n)
-        obj = make_builtin("gaussian_quadratic", params)
+            params["scales"] = rng.uniform(0.5, 2.0, n)
+        with np.errstate(invalid="ignore"):  # the constants of a table that holds inf and nan
+            obj = make_builtin("gaussian_quadratic", params)
         s = obj.meta["scales"]
         sc = s[:, None] * obj.meta["centers"]
-        X, IDX = self.draw(d, B, stacked)
-        expected = (np.add.reduce(s[IDX], axis=1) / B)[:, None] * X - np.add.reduce(sc[IDX], axis=1) / B
-        got = obj.rows_kernel(X, IDX)
-        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        finite = np.arange(203, n)
+        IDX = np.sort([np.arange(B), np.r_[200, finite[:B - 1]], np.r_[201, 200, finite[:B - 2]][:B],
+                       np.r_[202, finite[:B - 1]], *(rng.choice(np.r_[:200, finite], B, replace=False)
+                                                     for _ in range(2))])
+        X = rng.standard_normal((2, len(IDX), d) if stacked else (len(IDX), d))
+        X[..., 0, :] = -0.0
+        with np.errstate(invalid="ignore"):
+            expected = (np.add.reduce(s[IDX], axis=1) / B)[:, None] * X - np.add.reduce(sc[IDX], axis=1) / B
+            for rows in self.layouts(IDX):
+                got = obj.rows_kernel(X, rows)
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("B", [1, 7, 8, 16])
@@ -263,8 +284,9 @@ class TestRowKernelsBitwise:
         A, yb = rows[IDX], y[IDX]
         sig = 1.0 / (1.0 + np.exp(np.einsum("rbd,...rd->...rb", A, X) * yb))
         expected = -((sig * yb)[..., None] * A).mean(axis=-2) + lam * X
-        got = obj.rows_kernel(X, IDX)
-        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        for rows in self.layouts(IDX):
+            got = obj.rows_kernel(X, rows)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 class TestMakeBuiltin:
