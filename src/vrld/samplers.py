@@ -32,18 +32,20 @@ both the block's noise rows (c * R * d) and its subset rows (c * R * B).  A
 block draw equals the same draws made one step at a time, so the block size
 never changes a stream.  The draw works on (B, rows) columns of the
 narrowest unsigned dtype that holds n - 1.  Its bounded integers are the
-ones numpy's ``integers(0, bounds)`` gives, made from numpy's own 32-bit
-words by Lemire's multiply-shift into a uint64 scratch product whose high
-words are shifted into those columns (:func:`_word_columns`); numpy's
+ones numpy's ``integers(0, bounds)`` gives, made from the 32-bit words
+numpy's own draw would read, cut from raw 64-bit outputs (:func:`_words`),
+by Lemire's multiply-shift into a uint64 scratch product whose high words
+are shifted into those columns (:func:`_word_columns`); numpy's
 per-element loop draws only a block in which it would reject a word (about
-1 block in 1,200 at n = 64, B = 8 and 20,000 rows) and blocks with
-n > 2**32.  Floyd's replacement is a maximum with the top of the column's
-range, the rows are sorted by Batcher's network on the columns
-(:func:`_batcher_pairs`) or, where that is the slower, by numpy's row sort,
-and one transposed copy writes the int64 rows.  An objective with identical
-components draws no subsets: its row kernel reads no index, so every step
-gets one constant valid block, the gradient counts are unchanged and the
-index stream is never read.
+1 block in 1,200 at n = 64, B = 8 and 20,000 rows), blocks with n > 2**32
+and blocks of a generator that keeps no 32-bit half (MT19937).  Floyd's
+replacement is a maximum with the top of the column's range, and the rows
+are sorted by Batcher's network on the columns (:func:`_batcher_pairs`),
+cast to int64 in one contiguous pass and returned column-major, or, where
+the network is the slower, by numpy's row sort on C-order rows.  An
+objective with identical components draws no subsets: its row kernel reads
+no index, so every step gets one constant valid block, the gradient counts
+are unchanged and the index stream is never read.
 """
 
 from __future__ import annotations
@@ -203,12 +205,14 @@ def sample_index_set(n: int, B: int, rng: np.random.Generator | list[np.random.G
     of 0 keeps the value and a hit of 1 gives n-B+j, so it is exact.  The
     rows are then sorted, by Batcher's odd-even merge network on the
     columns (:func:`_batcher_pairs`) for B <= 16 in blocks of at least 64
-    rows a comparator, where it measures the faster, else by numpy's row
-    sort, and written to the int64 rows in one transposed copy.  At n = 64,
-    B = 8 and 20,000 rows a block takes about 1.15 ms against 1.8 ms with
-    uint64 columns and the row sort; the 32-bit word fill is 0.5 ms of it.
-    Each generator fills its rows in C order and each row is formed on its
-    own, so a block equals its one-subset calls bit for bit and leaves the
+    rows a comparator, where it measures the faster, and the sorted
+    columns are cast to int64 in one contiguous pass: the rows come back
+    column-major, ``np.moveaxis(block, -1, 0)`` C-contiguous.  Else numpy's
+    row sort runs on C-order int64 rows.  At n = 64, B = 8 and 20,000 rows
+    a block takes about 0.86 ms, 0.30 of it the words, against 1.11-1.19
+    ms with numpy's 32-bit fill and a transposed write-back.  Each
+    generator fills its rows in C order and each row is formed on its own,
+    so a block equals its one-subset calls bit for bit and leaves the
     stream where they leave it.  B = n takes every index and draws
     nothing."""
     if not 1 <= B <= n:
@@ -218,24 +222,26 @@ def sample_index_set(n: int, B: int, rng: np.random.Generator | list[np.random.G
         return np.tile(np.arange(n), (*shape, 1) if single else (*shape, len(rng), 1))
     gens = [rng] if single else rng
     size = (*shape, B)
+    lead = (*shape,) if single else (*shape, len(gens))  # the output's shape, less B
     # (B, rows): each column contiguous
-    cols = np.empty((B, math.prod(shape) * len(gens)), np.min_scalar_type(n - 1))
+    cols = np.empty((B, math.prod(lead)), np.min_scalar_type(n - 1))
     if not (n <= _WORD and _word_columns(n, B, gens, size, cols)):
-        # numpy's own loop: 64-bit words for n > 2**32, or a rejected word after the rewind
+        # numpy's own loop: 64-bit words for n > 2**32, a generator without 32-bit
+        # halves, or a rejected word after the rewind
         bounds = np.arange(n - B + 1, n + 1)
         for r, g in enumerate(gens):
             cols[:, r::len(gens)] = g.integers(0, bounds, size=size).reshape(-1, B).T
     for j in range(1, B):
         hit = (cols[:j] == cols[j]).any(axis=0)
         np.maximum(cols[j], hit * cols.dtype.type(n - B + j), out=cols[j])
+    if B <= _NETWORK_B and cols.shape[1] >= _ROWS_PER_COMPARATOR * len(_batcher_pairs(B)):
+        # one contiguous cast of the sorted columns: rows with a column-major stride
+        return np.moveaxis(_network_sorted(cols).astype(np.int64).reshape(B, *lead), 0, -1)
     # allocated after the draw, so that it can take the freed uint64 product's memory
-    out = np.empty(size if single else (*shape, len(gens), B), np.int64)
+    out = np.empty((*lead, B), np.int64)
     rows = out.reshape(-1, B)  # a view: the rows are written in place
-    if B <= _NETWORK_B and len(rows) >= _ROWS_PER_COMPARATOR * len(_batcher_pairs(B)):
-        rows[...] = _network_sorted(cols).T
-    else:
-        rows[...] = cols.T
-        rows.sort(axis=-1)
+    rows[...] = cols.T
+    rows.sort(axis=-1)
     return out
 
 
@@ -244,23 +250,26 @@ def _word_columns(n: int, B: int, gens: list[np.random.Generator], size: tuple[i
     """Fill the (B, rows) ``cols``, of any unsigned dtype that holds n - 1,
     with the block's bounded integers, column j uniform on 0..n-B+j, the
     values numpy's ``integers(0, bounds)`` gives; or, where numpy would
-    reject a word, restore every stream and return False.
+    reject a word or a generator keeps no 32-bit half (MT19937), leave every
+    stream where it was and return False.
 
     For a bound b <= 2**32 numpy takes one 32-bit word x of the stream and
     returns (x b) >> 32, rejecting x when (x b) mod 2**32 < (2**32 - b) mod b
     (Lemire, "Fast random integer generation in an interval", ACM TOMACS
-    2019).  ``integers(0, 2**32, dtype=np.uint32)`` gives those same words in
-    the same order through numpy's fast fill, so the block is one such call
-    per generator, multiplied by the bounds into a uint64 scratch product in
-    the column layout.  The product serves only the rejection check on its
-    low words; its high words are shifted straight into ``cols``.  A word is
-    rejected with probability (2**32 mod b) / 2**32 < n / 2**32, so about 1
-    block in 1,200 meets one at n = 64, B = 8 and 20,000 rows."""
+    2019).  :func:`_words` gives those same words in the same order, so the
+    block is one such draw per generator, multiplied by the bounds into a
+    uint64 scratch product in the column layout.  The product serves only
+    the rejection check on its low words; its high words are shifted
+    straight into ``cols``.  A word is rejected with probability
+    (2**32 mod b) / 2**32 < n / 2**32, so about 1 block in 1,200 meets one
+    at n = 64, B = 8 and 20,000 rows."""
     states = [g.bit_generator.state for g in gens]
+    if not all("has_uint32" in state for state in states):
+        return False
     bounds = np.arange(n - B + 1, n + 1, dtype=np.uint64)
     prod = np.empty(cols.shape, np.uint64)
-    for r, g in enumerate(gens):  # generator r's rows are every len(gens)-th, from r
-        words = g.integers(0, _WORD, size, np.uint32).reshape(-1, B)
+    for r, (g, state) in enumerate(zip(gens, states)):  # generator r's rows are every len(gens)-th, from r
+        words = _words(g.bit_generator, state, math.prod(size)).reshape(-1, B)
         np.multiply(words.T, bounds[:, None], out=prod[:, r::len(gens)])
     low = prod.view(np.uint32)[:, ::2] if np.little_endian else prod.view(np.uint32)[:, 1::2]
     if (low.min(axis=1, initial=_WORD - 1) < (_WORD - bounds) % bounds).any():
@@ -269,6 +278,29 @@ def _word_columns(n: int, B: int, gens: list[np.random.Generator], size: tuple[i
         return False
     np.right_shift(prod, 32, out=cols, casting="unsafe")
     return True
+
+
+def _words(bits: np.random.BitGenerator, state: dict, count: int) -> np.ndarray:
+    """The ``count`` 32-bit words that ``integers(0, 2**32, count, np.uint32)``
+    draws from ``bits``, whose state is ``state``, leaving ``bits`` where
+    that call leaves it.  Philox, PCG64 and SFC64 cut each 64-bit output
+    into its low half, returned first, and its high half, kept pending in
+    ``has_uint32`` and ``uinteger``; so the words are a pending half, then
+    the halves of ceil(rest / 2) raw outputs, and the state ends with the
+    last output's high half in ``uinteger``, pending when rest is odd."""
+    if not count:
+        return np.empty(0, np.uint32)
+    pending = state["has_uint32"]
+    raw = bits.random_raw((count - pending + 1) // 2)
+    words = raw.astype("<u8", copy=False).view("<u4")  # the low half first on any platform
+    if pending:
+        words = np.concatenate((np.array([state["uinteger"]], np.uint32), words))
+    after = bits.state
+    after["has_uint32"] = (count - pending) % 2
+    if len(raw):
+        after["uinteger"] = int(raw[-1] >> 32)
+    bits.state = after
+    return words[:count]
 
 
 @functools.cache

@@ -26,6 +26,7 @@ from vrld.samplers import (
     _batcher_pairs,
     _network_sorted,
     _word_columns,
+    _words,
     sample_index_set,
 )
 
@@ -189,11 +190,12 @@ class TestIndexSampling:
         """Where n - 1 crosses 2**8 or 2**16, the bounds of the narrow
         column dtypes, each row is still the transcribed subset of its own
         stream, every stream ends where the transcription leaves it, and the
-        block is int64 and C-contiguous, so ``np.take`` in the row kernels
-        never casts it."""
+        block is int64 with its B columns C-contiguous, the column-major
+        layout of the network draw, so the transposed index that the
+        quadratic row kernel takes is never cast."""
         streams = [chain_rngs(n + B, r)[1] for r in range(chains or 1)]
         block = sample_index_set(n, B, streams if chains else streams[0], (2000,))
-        assert block.dtype == np.int64 and block.flags.c_contiguous
+        assert block.dtype == np.int64 and np.moveaxis(block, -1, 0).flags.c_contiguous
         for r, rng in enumerate(streams):
             alone = chain_rngs(n + B, r)[1]
             own = block[:, r] if chains else block
@@ -228,6 +230,40 @@ class TestIndexSampling:
         assert _word_columns(64, 8, [rng], (1000, 8), cols)
         assert cols.T.tolist() == ref.integers(0, np.arange(57, 65), size=(1000, 8)).tolist()
         assert stream_state(rng) == stream_state(ref)
+
+    @pytest.mark.parametrize("bits", [np.random.Philox, np.random.PCG64, np.random.SFC64])
+    @pytest.mark.parametrize("count", [0, 1, 2, 7, 160000])
+    @pytest.mark.parametrize("pending", [False, True])
+    def test_the_raw_words_are_numpys_32_bit_fill(self, bits, count, pending):
+        """The words cut from raw 64-bit outputs are those of numpy's
+        ``integers(0, 2**32, count, np.uint32)``, and the whole state ends
+        where that call leaves it, entered with a pending 32-bit half or
+        without one, its stale ``uinteger`` included."""
+        rng, ref = np.random.Generator(bits(11)), np.random.Generator(bits(11))
+        for g in (rng, ref):
+            g.integers(0, 2**32, 3 if pending else 2, np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == pending
+        words = _words(rng.bit_generator, rng.bit_generator.state, count)
+        assert words.dtype == np.uint32 and words.tolist() == ref.integers(0, 2**32, count, np.uint32).tolist()
+        assert stream_state(rng) == stream_state(ref)
+
+    @pytest.mark.parametrize("bits", [np.random.Philox, np.random.PCG64, np.random.SFC64, np.random.MT19937])
+    @pytest.mark.parametrize("chains", [None, 3])
+    def test_blocks_of_odd_word_counts_are_their_one_subset_calls(self, bits, chains):
+        """A run of blocks whose word counts are odd (B = 1, or odd B over
+        odd rows) leaves 32-bit halves pending between blocks; each block
+        still equals its one-subset calls and leaves every stream where they
+        leave it.  MT19937 keeps no pending half, so it takes numpy's loop."""
+        streams = [np.random.Generator(bits(r)) for r in range(chains or 1)]
+        alone = [np.random.Generator(bits(r)) for r in range(chains or 1)]
+        for n, B, rows in [(64, 1, 3), (64, 3, 5), (9, 1, 1), (64, 5, 1201), (64, 8, 4), (300, 7, 2001)]:
+            block = sample_index_set(n, B, streams if chains else streams[0], (rows,))
+            for r, (rng, ref) in enumerate(zip(streams, alone)):
+                own = block[:, r] if chains else block
+                assert own.tolist() == [sample_index_set(n, B, ref).tolist() for _ in range(rows)]
+                assert stream_state(rng) == stream_state(ref)
+        fresh = np.random.Generator(bits(0))
+        assert _word_columns(64, 8, [fresh], (4, 8), np.empty((8, 4), np.uint8)) == (bits is not np.random.MT19937)
 
     def test_memory_does_not_grow_with_n(self):
         """A draw holds O(rows * B) values, so n = 2**40 is as cheap as n = 64."""
