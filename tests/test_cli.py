@@ -476,6 +476,20 @@ class TestValidateConfig:
             assert capsys.readouterr().err == message + "\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", ["eta = nan", "eta = inf", "gamma = nan", "gamma = inf"])
+    def test_a_non_finite_step_or_temperature_is_refused(self, tmp_path, capsys, line):
+        """lmc checks no step cap, so only the sampler's own check stands
+        between a non-finite eta or gamma and a run that diverges at step 1
+        or fails in its diagnostics."""
+        out = tmp_path / "r"
+        written = {"eta": "eta = 0.005", "gamma": "gamma = 1.0"}[line.split(" = ")[0]]
+        text = BASE_CFG.format(out=out).replace("variant = svrg_ld", "variant = lmc").replace(written, line)
+        cfg = write_cfg(tmp_path, text)
+        for command in ("validate-config", "run"):
+            assert main([command, "--config", str(cfg), "--quiet"]) == 2
+            assert "[sampler] eta and gamma must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRunCommand:
     def test_byte_identical_rerun(self, tmp_path):

@@ -501,6 +501,10 @@ class TestNoInputIgnored:
         (dict(m=3), "must divide K=8"),
         (dict(eta=-0.1), "step size eta must be > 0"),
         (dict(eta=0.0), "step size eta must be > 0"),
+        (dict(eta=math.nan), "eta and gamma must be finite, got eta=nan"),
+        (dict(eta=math.inf), "eta and gamma must be finite, got eta=inf"),
+        (dict(gamma=math.nan), "eta and gamma must be finite, got eta=0.01, gamma=nan"),
+        (dict(gamma=math.inf), "eta and gamma must be finite, got eta=0.01, gamma=inf"),
         (dict(gamma=0.0), "gamma must be >= 1"),
         (dict(gamma=0.5), "gamma must be >= 1"),
         (dict(K=0), "total steps K must be >= 1"),
@@ -630,11 +634,21 @@ class TestEnsemble:
         b = run_ensemble(obj, "svrg_ld", 50, 8, **kw)
         assert np.array_equal(a.checkpoints[8], b.checkpoints[8])
 
-    def test_grad_accounting(self):
+    @pytest.mark.parametrize("checkpoints", [None, [12], [0], [7, 0, 7], []])
+    def test_grad_accounting(self, checkpoints):
+        """The result keeps exactly the listed steps, step K when none are
+        given and none for an empty list, each with its exact count; final
+        is step K's state either way."""
         obj = quadratic()
-        res = run_ensemble(obj, "sarah_ld", 10, 12, eta=0.001, gamma=1.0, B=4, m=4,
-                           seed=1, checkpoints=[12])
-        assert res.grad_evals[12] == grad_evals_at("sarah_ld", 12, obj.n, 4, 4)
+        kw = dict(eta=0.001, gamma=1.0, B=4, m=4, seed=1)
+        res = run_ensemble(obj, "sarah_ld", 10, 12, checkpoints=checkpoints, **kw)
+        every = run_ensemble(obj, "sarah_ld", 10, 12, checkpoints=list(range(13)), **kw)
+        wanted = sorted({12} if checkpoints is None else set(checkpoints))
+        assert sorted(res.checkpoints) == sorted(res.grad_evals) == wanted
+        for k in wanted:
+            assert res.grad_evals[k] == grad_evals_at("sarah_ld", k, obj.n, 4, 4)
+            assert_bitwise(res.checkpoints[k], every.checkpoints[k])
+        assert_bitwise(res.final, every.checkpoints[12])
 
     def test_double_well_ignores_the_subsets(self):
         """The double well's components are copies of one quartic, so its row
