@@ -4,12 +4,12 @@ Variants: full-gradient (lmc), plain minibatch (sgld), anchored
 variance-reduced (svrg_ld), and recursive variance-reduced (sarah_ld), each
 at a constant (eta, gamma) or, for svrg_ld and sarah_ld, at an
 :class:`AnnealSchedule` that lowers the step size and raises the inverse
-temperature once per epoch.  All of them run through one step loop,
-:func:`_langevin`, on an (R, d) state; the three runners, :func:`run_chain`,
-:func:`run_replicates` and :func:`run_ensemble`, only set up its streams
-and its recorder.
-
-RNG discipline, two layouts:
+temperature once per epoch.  All of them run through one chain engine,
+:func:`_langevin`, on an (R, d) state: it owns the epochs, the block
+sizes, the subset steps, the stopped chains and the stored steps.  The
+three runners, :func:`run_chain`, :func:`run_replicates` and
+:func:`run_ensemble`, only lay out its random streams, in one of two
+layouts, and package what it records:
 
 - Replicates (:func:`run_replicates`, and :func:`run_chain`, its
   one-replicate case): replicate r owns two Philox streams derived from
@@ -24,28 +24,10 @@ RNG discipline, two layouts:
   ``chain_rngs(seed)``, with noise drawn as (R, d) rows and subsets as one
   row per chain, both in blocks of steps.
 
-Both layouts draw a block's subsets in one :func:`sample_index_set` call
-(Floyd's algorithm over the block's rows, sorted; the replicates pass their
-R index streams, the ensemble its one), and size blocks by one rule: c steps
-of R chains hold c * R * max(d, n) <= ``_BLOCK_VALUES`` values, which bounds
-both the block's noise rows (c * R * d) and its subset rows (c * R * B).  A
-block draw equals the same draws made one step at a time, so the block size
-never changes a stream.  The draw works on (B, rows) columns of the
-narrowest unsigned dtype that holds n - 1.  Its bounded integers are the
-ones numpy's ``integers(0, bounds)`` gives, made from the 32-bit words
-numpy's own draw would read, cut from raw 64-bit outputs (:func:`_words`),
-by Lemire's multiply-shift into a uint64 scratch product whose high words
-are shifted into those columns (:func:`_word_columns`); numpy's
-per-element loop draws only a block in which it would reject a word (about
-1 block in 1,200 at n = 64, B = 8 and 20,000 rows), blocks with n > 2**32
-and blocks of a generator that keeps no 32-bit half (MT19937).  Floyd's
-replacement is a maximum with the top of the column's range, and the rows
-are sorted by Batcher's network on the columns (:func:`_batcher_pairs`),
-cast to int64 in one contiguous pass and returned column-major, or, where
-the network is the slower, by numpy's row sort on C-order rows.  An
-objective with identical components draws no subsets: its row kernel reads
-no index, so every step gets one constant valid block, the gradient counts
-are unchanged and the index stream is never read.
+Both layouts draw a block's subsets in one :func:`sample_index_set` call:
+the replicates pass their R index streams, the ensemble its one.  A block
+draw equals the same draws made one step at a time, so the block size
+never changes a stream.
 """
 
 from __future__ import annotations
@@ -114,6 +96,8 @@ class SamplerConfig:
     def validate(self, n: int) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if not (math.isfinite(self.eta) and math.isfinite(self.gamma)):
+            raise ValueError(f"eta and gamma must be finite, got eta={self.eta}, gamma={self.gamma}")
         if self.eta <= 0:
             raise ValueError("step size eta must be > 0")
         if self.gamma < 1.0:
@@ -209,8 +193,7 @@ def sample_index_set(n: int, B: int, rng: np.random.Generator | list[np.random.G
     columns are cast to int64 in one contiguous pass: the rows come back
     column-major, ``np.moveaxis(block, -1, 0)`` C-contiguous.  Else numpy's
     row sort runs on C-order int64 rows.  At n = 64, B = 8 and 20,000 rows
-    a block takes about 0.86 ms, 0.30 of it the words, against 1.11-1.19
-    ms with numpy's 32-bit fill and a transposed write-back.  Each
+    a block takes about 0.86 ms, 0.30 of it the words.  Each
     generator fills its rows in C order and each row is formed on its own,
     so a block equals its one-subset calls bit for bit and leaves the
     stream where they leave it.  B = n takes every index and draws
@@ -340,49 +323,62 @@ def _blocks(draw, total: int, span: int):
         yield from draw(min(span, total - start))
 
 
-def _subsets(obj: FiniteSumObjective, B: int, R: int, draw, total: int, span: int):
-    """The (R, B) index rows of a run's subset steps, ``_blocks(draw, total,
-    span)``; for identical components, whose row kernel reads no index, one
-    constant valid block for every step, so the index stream is left unread."""
-    if obj.identical_components:
-        return itertools.repeat(np.broadcast_to(np.arange(B), (R, B)))
-    return _blocks(draw, total, span)
+def _langevin(obj: FiniteSumObjective, cfg: SamplerConfig, sched: AnnealSchedule | None, X,
+              noise, subsets, rows, stored, record, diverged):
+    """The one chain engine behind every runner: cfg.K steps of cfg.variant
+    from the (R, d) state X of R chains that step together.
 
+    Epoch s is the m steps from s*m, m = cfg.m for svrg_ld and sarah_ld and
+    1 for lmc and sgld, and runs at ``_epoch_params(cfg, sched)(s)``.  The
+    runner lays out the random numbers as two block draws, ``noise(c)``, c
+    steps of (R, d) noise rows, and ``subsets(c)``, c steps of (R, B) index
+    rows, which the engine calls for blocks of c steps of R chains that
+    hold c * R * max(d, n) <= ``_BLOCK_VALUES`` values.  An objective with
+    identical components reads no index, so it gets one constant valid
+    block for every step and ``subsets`` is never called.
 
-def _langevin(obj: FiniteSumObjective, variant: str, X, K: int, m: int,
-              schedule, noise, subset, rows, stored, record, diverged):
-    """The one Langevin step loop behind every runner.
+    lmc takes the full gradient at every step and sgld a minibatch estimate
+    from ``rows(X, IDX)``, the counted row oracle; svrg_ld and sarah_ld take
+    the full gradient at each epoch start, then the anchored or the
+    recursive estimate at 2B evaluations.  That estimate needs the oracle
+    at x_k and at the anchor (svrg_ld) or x_{k-1} (sarah_ld) over one index
+    set, so it is one call on the stacked (2, R, d) pair against the step's
+    (R, B) index rows, which the row kernel gathers once.  The full gradient
+    runs through the uncounted kernel, and the engine counts its n
+    evaluations per chain.  ``record(k, X, live, grad_evals, eta, gamma)``
+    sees iterate k at each step k of ``stored``, an increasing iterable of
+    steps in 0..K: X holds the chains still stepping, ``live`` their start
+    rows, grad_evals the per-chain count of component gradients so far;
+    step 0, which no step has run yet, is recorded at (nan, nan).
 
-    X is the (R, d) state of R chains that step together.  Epoch s is the m
-    steps from s*m and runs at ``schedule(s) = (eta, gamma)``.  Each step
-    takes one ``noise()`` row shaped like X and, where its estimator needs
-    them, ``subset()`` index rows for ``rows(X, IDX)``, the counted row
-    oracle: lmc takes the full gradient at every step (m = 1) and sgld a
-    minibatch; svrg_ld and sarah_ld take the full gradient at each epoch
-    start, then the anchored or the recursive estimate at 2B evaluations.
-    That estimate needs the oracle at x_k and at the anchor (svrg_ld) or
-    x_{k-1} (sarah_ld) over one index set, so it is one call on the stacked
-    (2, R, d) pair against the step's (R, B) index rows, which the row
-    kernel gathers once.  The full gradient runs through the uncounted
-    kernel, and the loop counts its n evaluations per chain.
-    ``record(k, X, grad_evals, eta, gamma)`` sees iterate k at each step k of
-    ``stored``, an increasing iterable of steps in 1..K; grad_evals is the
-    per-chain count of component gradients so far.
-
-    A chain stops at its first iterate that is non-finite or has a non-finite
-    gradient estimate: step k + 1, or k when the estimate at iterate k is the
-    non-finite one.  ``diverged(bad, steps, last)`` hears of the chains that
-    stop in one pass, a mask over the rows of X, with their steps and last
-    finite iterates; they leave the state and the others step on.  Returns
-    the final state.
+    A chain stops at its first iterate that is non-finite or has a
+    non-finite gradient estimate: step k + 1, or k when the estimate at
+    iterate k is the non-finite one.  ``diverged(gone, steps, last)`` hears
+    of the chains that stop in one pass, by their start rows, with their
+    steps and last finite iterates; they leave the state, their rows of
+    every later draw are skipped, and the others step on.  Returns the
+    final state of the chains still stepping, and m.
     """
-    full, n = obj.full_kernel, obj.n
+    schedule = _epoch_params(cfg, sched)
+    variant, K, B, full, n = cfg.variant, cfg.K, cfg.B, obj.full_kernel, obj.n
     plain = variant == "sgld"
     recursive = variant == "sarah_ld"
+    m = cfg.m if variant in _ANCHORED else 1
+    R = len(X)
+    span = max(1, _BLOCK_VALUES // (R * max(obj.d, n)))
+    next_eps = _blocks(noise, K, span).__next__
+    if obj.identical_components:
+        next_idx = itertools.repeat(np.broadcast_to(np.arange(B), (R, B))).__next__
+    else:
+        next_idx = _blocks(subsets, K if plain else K - K // m, span).__next__
+    live = slice(None)  # the start rows of the chains still stepping
     count = 0
     ref = V_ref = X  # the anchor and its estimate, set at each epoch start
     stored = iter(stored)
     store = next(stored, None)
+    if store == 0:
+        record(0, X, live, count, math.nan, math.nan)
+        store = next(stored, None)
     # overflow is the divergence signal, checked below, not a warning condition
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(K):
@@ -390,21 +386,25 @@ def _langevin(obj: FiniteSumObjective, variant: str, X, K: int, m: int,
             if l == 0:
                 eta, gamma = schedule(s)
                 scale = math.sqrt(2.0 * eta / gamma)
-            eps = noise()
+            eps = next_eps()
+            if len(X) < R:
+                eps = eps[live]
+            if plain or l:
+                idx = next_idx()
+                if len(X) < R:
+                    idx = idx[live]
             if plain:
-                idx = subset()
                 V = rows(X, idx)
-                count += idx.shape[-1]
+                count += B
             elif l == 0:
                 V = full(X)
                 obj.add_grad_evals(n * len(X))
                 count += n
             else:
-                idx = subset()
                 # both terms of the control variate from one oracle call over one gather
                 G = rows(np.array((X, ref)), idx)
                 V = G[0] - G[1] + V_ref
-                count += 2 * idx.shape[-1]
+                count += 2 * B
             new = X - eta * V + scale * eps
             idx = None  # a subset row keeps its block alive: free it before the next draw
             # a finite sum proves every entry finite, at half the cost of isfinite;
@@ -412,8 +412,10 @@ def _langevin(obj: FiniteSumObjective, variant: str, X, K: int, m: int,
             if not math.isfinite(np.add.reduce(new, None)):
                 bad = ~np.isfinite(new).all(axis=1)
                 if bad.any():
-                    diverged(bad, np.where(np.isfinite(V[bad]).all(axis=1), k + 1, k), X[bad])
+                    start = np.arange(R)[live]
+                    diverged(start[bad], np.where(np.isfinite(V[bad]).all(axis=1), k + 1, k), X[bad])
                     keep = ~bad
+                    live = start[keep]
                     X, V, new, ref, V_ref = X[keep], V[keep], new[keep], ref[keep], V_ref[keep]
                     if not len(X):
                         break
@@ -421,15 +423,15 @@ def _langevin(obj: FiniteSumObjective, variant: str, X, K: int, m: int,
                 ref, V_ref = X, V
             X = new
             if k + 1 == store:
-                record(k + 1, X, count, eta, gamma)
+                record(k + 1, X, live, count, eta, gamma)
                 store = next(stored, None)
-    return X
+    return X, m
 
 
 def _one_chain_rows(obj: FiniteSumObjective, X, IDX):
     """The row oracle of a single chain: the checked, counted minibatch
     gradient at its one index row (a stacked control-variate pair shares it).
-    A non-finite estimate comes back as nan, for the step loop to stop at."""
+    A non-finite estimate comes back as nan, for the engine to stop at."""
     try:
         return obj.minibatch_gradient(X, IDX[0])
     except NumericalDomainError:
@@ -461,56 +463,37 @@ def _replicates(obj: FiniteSumObjective, cfg: SamplerConfig, x0, sched: AnnealSc
     replicate's noise row and index set, drawn in blocks of steps from its
     own streams."""
     cfg.validate(obj.n)
-    variant, K, B, store_every = cfg.variant, cfg.K, cfg.B, cfg.store_every
-    schedule = _epoch_params(cfg, sched)
     n, d, R = obj.n, obj.d, len(replicates)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (d,):
         raise ValueError(f"x0 must have dimension {d}")
     streams = [chain_rngs(cfg.seed, r) for r in replicates]
-    m = cfg.m if variant in _ANCHORED else 1
-    span = max(1, _BLOCK_VALUES // (R * max(d, n)))
-    noise_rows = _blocks(lambda c: np.stack([g.standard_normal((c, d)) for g, _ in streams], axis=1), K, span)
-    subsets = K if variant == "sgld" else K - K // m
-    subset_rows = _subsets(obj, B, R, lambda c: sample_index_set(n, B, [g for _, g in streams], (c,)),
-                           subsets, span)
-    steps = np.r_[0:K + 1:store_every]  # the stored steps: 0, every store_every-th, and K
-    if K % store_every:
-        steps = np.append(steps, K)
-    final = np.tile(x0, (R, 1))
+    steps = np.r_[0:cfg.K + 1:cfg.store_every]  # the stored steps: 0, every store_every-th, and K
+    if cfg.K % cfg.store_every:
+        steps = np.append(steps, cfg.K)
     iterates = np.full((steps.size, R, d), np.nan)
-    iterates[0] = final
     grad_evals = np.zeros(steps.size, dtype=np.int64)
     etas, gammas = np.full(steps.size, np.nan), np.full(steps.size, np.nan)
-    kept, stops = [steps.size] * R, [None] * R
-    live = list(range(R))  # the replicates still stepping, in state order
-    t = 0
+    # each replicate's stored steps, divergence step and final iterate: step K's, or its last finite one
+    kept, stops, final = [steps.size] * R, [None] * R, list(iterates[-1])
+    t = 0  # the stored steps recorded so far
 
-    def noise():
-        eps = next(noise_rows)
-        return eps if len(live) == R else eps[live]
-
-    def subset():
-        idx = next(subset_rows)
-        return idx if len(live) == R else idx[live]
-
-    def record(k, X, count, eta, gamma):
+    def record(k, X, live, count, eta, gamma):
         nonlocal t
-        t += 1
         iterates[t, live] = X
         grad_evals[t], etas[t], gammas[t] = count, eta, gamma
+        t += 1
 
-    def diverged(bad, at, last):
-        nonlocal live
-        gone = [r for r, b in zip(live, bad.tolist()) if b]
-        live = [r for r, b in zip(live, bad.tolist()) if not b]
-        for r, step, x in zip(gone, at.tolist(), last):
-            kept[r], stops[r], final[r] = t + 1, step, x
+    def diverged(gone, at, last):
+        for r, step, x in zip(gone.tolist(), at.tolist(), last):
+            kept[r], stops[r], final[r] = t, step, x
 
-    final[live] = _langevin(obj, variant, final, K, m, schedule, noise, subset, rows, map(int, steps[1:]),
-                            record, diverged)
+    _, m = _langevin(obj, cfg, sched, np.tile(x0, (R, 1)),
+                     lambda c: np.stack([g.standard_normal((c, d)) for g, _ in streams], axis=1),
+                     lambda c: sample_index_set(n, cfg.B, [g for _, g in streams], (c,)),
+                     rows, map(int, steps), record, diverged)
     return [
-        RunTrace(variant=variant, steps=steps[:T].copy(), iterates=iterates[:T, r].copy(),
+        RunTrace(variant=cfg.variant, steps=steps[:T].copy(), iterates=iterates[:T, r].copy(),
                  grad_evals=grad_evals[:T].copy(), etas=etas[:T].copy(), gammas=gammas[:T].copy(),
                  m=m, final_x=final[r].copy(), diverged=stops[r] is not None, diverged_step=stops[r])
         for r, T in enumerate(kept)
@@ -592,11 +575,11 @@ def run_ensemble(
     Deterministic in (seed, n_chains, shapes).  Intended for the
     replicate-heavy desk experiments; single chains keep the per-replicate
     stream rule of :func:`chain_rngs`.  ``checkpoints`` are the steps to
-    keep, integers in 0..K (default K).  Raises :class:`DivergedError` at
-    the first non-finite iterate or gradient.  The chains run at (eta,
-    gamma) or at ``sched``, not both.  Sizes and steps are checked as
-    :meth:`SamplerConfig.validate` checks them, at the schedule's epoch-0
-    (eta, gamma) when there is one.
+    keep, integers in 0..K: None keeps step K, and an empty list keeps none.
+    Raises :class:`DivergedError` at the first non-finite iterate or
+    gradient.  The chains run at (eta, gamma) or at ``sched``, not both.
+    Sizes and steps are checked as :meth:`SamplerConfig.validate` checks
+    them, at the schedule's epoch-0 (eta, gamma) when there is one.
     """
     if sched is not None and (eta is not None or gamma is not None):
         raise ValueError("the schedule supplies the step size and inverse temperature; drop eta and gamma")
@@ -607,7 +590,6 @@ def run_ensemble(
         eta, gamma = sched.eta(0), sched.gamma(0)
     cfg = SamplerConfig(variant, eta, gamma, B=B, m=m, K=K, seed=seed)
     cfg.validate(obj.n)
-    schedule = _epoch_params(cfg, sched)
     R, d, n = n_chains, obj.d, obj.n
     noise_rng, index_rng = chain_rngs(seed)
     if x0 is None:
@@ -617,28 +599,22 @@ def run_ensemble(
         X = np.tile(x0, (R, 1)) if x0.ndim == 1 else np.array(x0)
     if X.shape != (R, d):
         raise ValueError(f"x0 must broadcast to ({R}, {d})")
-    wanted = set(checkpoints) if checkpoints else {K}
+    wanted = {K} if checkpoints is None else set(checkpoints)
     bad = [k for k in dict.fromkeys(checkpoints or ()) if not (isinstance(k, numbers.Integral) and 0 <= k <= K)]
     if bad:
         raise ValueError(f"checkpoints [{', '.join(map(str, bad))}] are not integers in 0..{K}")
     out = EnsembleResult(variant=variant, K=K)
 
-    def record(k: int, X, count: int, *_) -> None:
+    def record(k: int, X, live, count: int, *_) -> None:
         out.checkpoints[k] = X.copy()
         out.grad_evals[k] = count
 
-    def diverged(bad, steps, last):
+    def diverged(gone, steps, last):
         raise DivergedError(int(steps.min()))
 
-    if 0 in wanted:
-        record(0, X, 0)
-    m = m if variant in _ANCHORED else 1
-    span = max(1, _BLOCK_VALUES // (R * max(d, n)))
-    subsets = K if variant == "sgld" else K - K // m
-    out.final = _langevin(
-        obj, variant, X, K, m, schedule,
-        _blocks(lambda c: noise_rng.standard_normal((c, R, d)), K, span).__next__,
-        _subsets(obj, B, R, lambda c: sample_index_set(n, B, index_rng, (c, R)), subsets, span).__next__,
-        obj.minibatch_gradient_rows, sorted(wanted - {0}), record, diverged,
+    out.final, _ = _langevin(
+        obj, cfg, sched, X,
+        lambda c: noise_rng.standard_normal((c, R, d)), lambda c: sample_index_set(n, B, index_rng, (c, R)),
+        obj.minibatch_gradient_rows, sorted(wanted), record, diverged,
     )
     return out
