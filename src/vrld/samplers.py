@@ -36,6 +36,7 @@ import functools
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -366,11 +367,12 @@ def _langevin(obj: FiniteSumObjective, cfg: SamplerConfig, sched: AnnealSchedule
     m = cfg.m if variant in _ANCHORED else 1
     R = len(X)
     span = max(1, _BLOCK_VALUES // (R * max(obj.d, n)))
-    next_eps = _blocks(noise, K, span).__next__
+    eps_rows = _blocks(noise, K, span)
     if obj.identical_components:
-        next_idx = itertools.repeat(np.broadcast_to(np.arange(B), (R, B))).__next__
+        idx_rows = itertools.repeat(np.broadcast_to(np.arange(B), (R, B)))
     else:
-        next_idx = _blocks(subsets, K if plain else K - K // m, span).__next__
+        idx_rows = _blocks(subsets, K if plain else K - K // m, span)
+    next_eps, next_idx = eps_rows.__next__, idx_rows.__next__
     live = slice(None)  # the start rows of the chains still stepping
     count = 0
     ref = V_ref = X  # the anchor and its estimate, set at each epoch start
@@ -387,13 +389,8 @@ def _langevin(obj: FiniteSumObjective, cfg: SamplerConfig, sched: AnnealSchedule
                 eta, gamma = schedule(s)
                 scale = math.sqrt(2.0 * eta / gamma)
             eps = next_eps()
-            if len(X) < R:
-                eps = eps[live]
-            if plain or l:
-                idx = next_idx()
-                if len(X) < R:
-                    idx = idx[live]
             if plain:
+                idx = next_idx()
                 V = rows(X, idx)
                 count += B
             elif l == 0:
@@ -401,6 +398,7 @@ def _langevin(obj: FiniteSumObjective, cfg: SamplerConfig, sched: AnnealSchedule
                 obj.add_grad_evals(n * len(X))
                 count += n
             else:
+                idx = next_idx()
                 # both terms of the control variate from one oracle call over one gather
                 G = rows(np.array((X, ref)), idx)
                 V = G[0] - G[1] + V_ref
@@ -416,6 +414,9 @@ def _langevin(obj: FiniteSumObjective, cfg: SamplerConfig, sched: AnnealSchedule
                     diverged(start[bad], np.where(np.isfinite(V[bad]).all(axis=1), k + 1, k), X[bad])
                     keep = ~bad
                     live = start[keep]
+                    # every later draw gives the rows of the chains still stepping
+                    next_eps = map(operator.itemgetter(live), eps_rows).__next__
+                    next_idx = map(operator.itemgetter(live), idx_rows).__next__
                     X, V, new, ref, V_ref = X[keep], V[keep], new[keep], ref[keep], V_ref[keep]
                     if not len(X):
                         break
