@@ -199,9 +199,12 @@ class TestVarianceIdentity:
                 assert res["gap"] <= 1e-12 * (1.0 + res["rhs"])
 
     def test_enumeration_size_guard(self):
+        """Every identity enumerates its subsets under one guard: C(16, 2)
+        is small, but the guard is on n, before any subset is made."""
         obj = make_builtin("gaussian_quadratic", {"n": 16, "d": 1, "seed": 0})
-        with pytest.raises(ValueError, match="n <= 12"):
-            dg.svrg_variance_identity_check(obj, np.zeros(1), np.ones(1), 2)
+        for check in (dg.svrg_variance_identity_check, dg.svrg_subset_mean, dg.sarah_increment_mean):
+            with pytest.raises(ValueError, match="n <= 12"):
+                check(obj, np.zeros(1), np.ones(1), 2)
 
 
 class TestGibbsQuadrature:
