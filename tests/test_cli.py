@@ -463,31 +463,50 @@ class TestValidateConfig:
         ("seed = 99", ["--seed", "-2"], "[run] seed must be >= 0, got -2"),
         ("thin = 0", [], "[run] thin must be >= 1, got 0"),
         ("replicates = 0", [], "[run] replicates must be >= 1, got 0"),
-    ], ids=["seed", "seed-flag", "thin", "replicates"])
+        ("H0 = inf", [], "[theory] H0 must be finite and >= 0, got inf"),
+        ("H0 = nan", [], "[theory] H0 must be finite and >= 0, got nan"),
+        ("H0 = -3", [], "[theory] H0 must be finite and >= 0, got -3.0"),
+        ("alpha = nan", [], "[theory] alpha must be finite, got nan"),
+    ], ids=["seed", "seed-flag", "thin", "replicates", "H0-inf", "H0-nan", "H0-negative", "alpha-nan"])
     def test_a_run_key_out_of_range_is_refused_by_name(self, tmp_path, capsys, line, flags, message):
         """A negative seed, from the file or from --seed, and a thin or a
         replicate count below 1 exit 2 naming the [run] key the user wrote,
-        from validate-config and from run before any directory is made."""
+        from validate-config and from run before any directory is made.  So
+        do a [theory] H0 that no KL can be and a non-finite alpha, which
+        reach the bound formulas as they are."""
         out = tmp_path / "r"
-        written = {"seed": "seed = 99", "thin": "thin = 20", "replicates": "replicates = 5"}[line.split(" = ")[0]]
+        written = {"seed": "seed = 99", "thin": "thin = 20", "replicates": "replicates = 5",
+                   "H0": "H0 = 8.0", "alpha": "alpha = 1.0"}[line.split(" = ")[0]]
         cfg = write_cfg(tmp_path, BASE_CFG.format(out=out).replace(written, line))
         for command in ("validate-config", "run"):
             assert main([command, "--config", str(cfg), *flags]) == 2
             assert capsys.readouterr().err == message + "\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["eta = nan", "eta = inf", "gamma = nan", "gamma = inf"])
-    def test_a_non_finite_step_or_temperature_is_refused(self, tmp_path, capsys, line):
+    @pytest.mark.parametrize("line, auto", [
+        ("eta = nan", False), ("eta = inf", False), ("gamma = nan", False), ("gamma = inf", False),
+        ("gamma = nan", True), ("gamma = inf", True), ("eps = nan", True), ("eps = inf", True),
+    ], ids=["eta = nan", "eta = inf", "gamma = nan", "gamma = inf",
+            "auto-gamma = nan", "auto-gamma = inf", "auto-eps = nan", "auto-eps = inf"])
+    def test_a_non_finite_step_or_temperature_is_refused(self, tmp_path, capsys, line, auto):
         """lmc checks no step cap, so only the sampler's own check stands
         between a non-finite eta or gamma and a run that diverges at step 1
-        or fails in its diagnostics."""
+        or fails in its diagnostics.  Auto mode feeds gamma and its target
+        eps to the theory formulas, so it refuses them by name first."""
         out = tmp_path / "r"
-        written = {"eta": "eta = 0.005", "gamma": "gamma = 1.0"}[line.split(" = ")[0]]
-        text = BASE_CFG.format(out=out).replace("variant = svrg_ld", "variant = lmc").replace(written, line)
-        cfg = write_cfg(tmp_path, text)
+        key, value = line.split(" = ")
+        text = BASE_CFG.format(out=out)
+        if auto:
+            text = text.replace("eta = 0.005", "auto = true\neps = 0.5").replace("steps = 120", "")
+            message = f"[sampler] {key} must be finite, got {value}\n"
+        else:
+            text = text.replace("variant = svrg_ld", "variant = lmc")
+            message = "[sampler] eta and gamma must be finite, got "
+        written = {"eta": "eta = 0.005", "gamma": "gamma = 1.0", "eps": "eps = 0.5"}[key]
+        cfg = write_cfg(tmp_path, text.replace(written, line))
         for command in ("validate-config", "run"):
             assert main([command, "--config", str(cfg), "--quiet"]) == 2
-            assert "[sampler] eta and gamma must be finite" in capsys.readouterr().err
+            assert capsys.readouterr().err.startswith(message)
         assert not out.exists()
 
 
