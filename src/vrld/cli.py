@@ -144,6 +144,10 @@ def resolve_sampler(
         eps = s.get("eps")
         if eps is None:
             raise ConfigError("[sampler] auto mode needs a target eps")
+        gamma = s.get("gamma", 1.0)
+        for key, value in (("gamma", gamma), ("eps", eps)):
+            if not math.isfinite(value):
+                raise ConfigError(f"[sampler] {key} must be finite, got {value}")
         if variant not in ("svrg_ld", "sarah_ld"):
             raise ConfigError("[sampler] auto mode applies to svrg_ld / sarah_ld")
         if obj.L is None:
@@ -153,7 +157,6 @@ def resolve_sampler(
         th = cfg.theory or {}
         if th.get("H0") is None:
             raise ConfigError("[theory] auto mode needs H0 (initial KL estimate)")
-        gamma = s.get("gamma", 1.0)
         lsi, alpha_notes = resolve_alpha(cfg, obj, gamma)
         notes.extend(alpha_notes)
         alpha = lsi.alpha
@@ -283,6 +286,11 @@ def resolve(cfg: ExperimentConfig, command: str) -> list[Point]:
     for key, low in (("seed", 0), ("thin", 1), ("replicates", 1)):
         if cfg.run[key] < low:
             raise ConfigError(f"[run] {key} must be >= {low}, got {cfg.run[key]}")
+    th = cfg.theory or {}
+    if th.get("H0") is not None and not 0.0 <= th["H0"] < math.inf:
+        raise ConfigError(f"[theory] H0 must be finite and >= 0, got {th['H0']}")
+    if th.get("alpha") is not None and not math.isfinite(th["alpha"]):
+        raise ConfigError(f"[theory] alpha must be finite, got {th['alpha']}")
     points: list[Point] = []
     for pcfg in _point_configs(cfg, command):
         if not points or pcfg.potential != points[-1].cfg.potential:
