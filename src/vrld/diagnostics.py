@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .potentials import _BLOCK_VALUES, FiniteSumObjective, GaussianMoments
+from .potentials import _BLOCK_VALUES, FiniteSumObjective, GaussianMoments, NumericalDomainError
 from .theory import minibatch_variance_factor
 
 __all__ = [
@@ -205,42 +205,40 @@ def suboptimality(obj: FiniteSumObjective, samples: np.ndarray) -> tuple[float, 
 # -- exact subset-enumeration identities ---------------------------------------------
 
 
-def _component_grads(obj: FiniteSumObjective, x: np.ndarray) -> np.ndarray:
-    return np.stack([obj.component_gradient(i, x) for i in range(obj.n)])
+def _component_grads(obj: FiniteSumObjective, x) -> np.ndarray:
+    """The (n, d) table of grad f_i(x): one counted row-kernel call on the
+    index rows (0), (1), ..., (n - 1), so it books n evaluations."""
+    n = obj.n
+    g = obj.minibatch_gradient_rows(np.broadcast_to(np.asarray(x, dtype=float), (n, obj.d)), np.arange(n)[:, None])
+    if not np.all(np.isfinite(g)):
+        raise NumericalDomainError("component gradient table is non-finite")
+    return g
+
+
+def _subset_means(w: np.ndarray, B: int) -> np.ndarray:
+    """The mean of the rows of the (n, d) table w over every size-B subset,
+    a (C(n, B), d) array: one gather, for n <= 12 only."""
+    n = len(w)
+    if n > 12:
+        raise ValueError("exhaustive enumeration is limited to n <= 12")
+    if not 1 <= B <= n:
+        raise ValueError(f"need 1 <= B <= n, got B={B}, n={n}")
+    return w[np.array(list(combinations(range(n), B)))].mean(axis=1)
 
 
 def svrg_subset_mean(obj: FiniteSumObjective, x, anchor, B: int) -> dict:
     """Average of the anchored estimator over all C(n, B) subsets against the
     full gradient at x (the estimator's conditional mean)."""
-    n = obj.n
-    gx = _component_grads(obj, np.asarray(x, dtype=float))
-    ga = _component_grads(obj, np.asarray(anchor, dtype=float))
-    full_anchor = ga.mean(axis=0)
-    full_x = gx.mean(axis=0)
-    acc = np.zeros(obj.d)
-    count = 0
-    for subset in combinations(range(n), B):
-        sel = list(subset)
-        acc += (gx[sel] - ga[sel]).mean(axis=0) + full_anchor
-        count += 1
-    mean = acc / count
-    return {"mean": mean, "target": full_x, "gap": float(np.linalg.norm(mean - full_x))}
+    gx, ga = _component_grads(obj, x), _component_grads(obj, anchor)
+    mean, target = _subset_means(gx - ga, B).mean(axis=0) + ga.mean(axis=0), gx.mean(axis=0)
+    return {"mean": mean, "target": target, "gap": float(np.linalg.norm(mean - target))}
 
 
 def sarah_increment_mean(obj: FiniteSumObjective, x, x_prev, B: int) -> dict:
     """Average of the recursive estimator's increment over all C(n, B) subsets
     against grad F(x) - grad F(x_prev) (the martingale increment)."""
-    n = obj.n
-    gx = _component_grads(obj, np.asarray(x, dtype=float))
-    gp = _component_grads(obj, np.asarray(x_prev, dtype=float))
-    target = gx.mean(axis=0) - gp.mean(axis=0)
-    acc = np.zeros(obj.d)
-    count = 0
-    for subset in combinations(range(n), B):
-        sel = list(subset)
-        acc += (gx[sel] - gp[sel]).mean(axis=0)
-        count += 1
-    mean = acc / count
+    gx, gp = _component_grads(obj, x), _component_grads(obj, x_prev)
+    mean, target = _subset_means(gx - gp, B).mean(axis=0), gx.mean(axis=0) - gp.mean(axis=0)
     return {"mean": mean, "target": target, "gap": float(np.linalg.norm(mean - target))}
 
 
@@ -253,20 +251,11 @@ def svrg_variance_identity_check(obj: FiniteSumObjective, x, anchor, B: int) -> 
     with w_i = grad f_i(x) - grad f_i(anchor) + grad F(anchor) - grad F(x)
     and Xi = (n - B)/(B (n - 1)).  Enumerates all C(n, B) subsets (n <= 12).
     """
-    n = obj.n
-    if n > 12:
-        raise ValueError("exhaustive enumeration is limited to n <= 12")
-    gx = _component_grads(obj, np.asarray(x, dtype=float))
-    ga = _component_grads(obj, np.asarray(anchor, dtype=float))
+    gx, ga = _component_grads(obj, x), _component_grads(obj, anchor)
     w = gx - ga + ga.mean(axis=0) - gx.mean(axis=0)
-    lhs_acc = 0.0
-    count = 0
-    for subset in combinations(range(n), B):
-        v = w[list(subset)].mean(axis=0)
-        lhs_acc += float(v @ v)
-        count += 1
-    lhs = lhs_acc / count
-    rhs = minibatch_variance_factor(n, B) * float(np.mean(np.sum(w * w, axis=1)))
+    v = _subset_means(w, B)
+    lhs = float(np.mean(np.sum(v * v, axis=1)))
+    rhs = minibatch_variance_factor(obj.n, B) * float(np.mean(np.sum(w * w, axis=1)))
     return {"lhs": lhs, "rhs": rhs, "gap": abs(lhs - rhs)}
 
 

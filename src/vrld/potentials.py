@@ -69,8 +69,9 @@ class FiniteSumObjective:
     ``grad_fn`` is that kernel over all n components, the very call a
     full-batch minibatch makes; without ``rows_fn`` the kernel loops over
     leading indices and components.  With ``identical_components`` every f_i
-    is f_0, so the row kernel is grad f_0 and reads no index; the runners then
-    draw no subsets.  ``L_box`` is the half-width r of the box [-r, r]^d
+    is f_0, so ``value_fn`` and ``grad_fn`` default to f_0's and the row
+    kernel is ``grad_fn``, which reads no index; the runners then draw no
+    subsets.  ``L_box`` is the half-width r of the box [-r, r]^d
     on which L holds, None when L holds everywhere.  ``full_kernel`` and
     ``rows_kernel`` are the two kernels without counting or checks; a step
     loop that calls ``full_kernel`` counts for itself with ``add_grad_evals``.
@@ -118,13 +119,15 @@ class FiniteSumObjective:
         self.b = b
         self.F_star = F_star
         self.x_star = None if x_star is None else np.asarray(x_star, dtype=float)
+        if identical_components:
+            # F = f_0: the value and full gradient are f_0's unless given, and the row kernel reads no index
+            value_fn = value_fn or (lambda x: component_value(0, x))
+            grad_fn = grad_fn or (lambda x: component_grad(0, x))
+            rows_fn = lambda X, IDX: grad_fn(X)
         self._value_fn = value_fn
         self._all = np.arange(n)
         self.identical_components = identical_components
-        if identical_components:
-            self.rows_kernel = lambda X, IDX: component_grad(0, X)
-        else:
-            self.rows_kernel = rows_fn if rows_fn is not None else self._component_rows
+        self.rows_kernel = rows_fn if rows_fn is not None else self._component_rows
         self.full_kernel = grad_fn if grad_fn is not None else lambda x: self._rows_at(x, self._all)
         self.meta = dict(meta or {})
         self._grad_evals = 0
@@ -394,9 +397,6 @@ def _double_well(params: dict) -> FiniteSumObjective:
 
         x_star = np.array([a, 0.0])
 
-    def grad_fn(x):
-        return comp_grad(0, x)
-
     return FiniteSumObjective(
         "double_well",
         n,
@@ -408,8 +408,6 @@ def _double_well(params: dict) -> FiniteSumObjective:
         b=b_diss,
         F_star=0.0,
         x_star=x_star,
-        value_fn=lambda x: comp_value(0, x),
-        grad_fn=grad_fn,
         identical_components=True,
         L_box=r,
     )
@@ -444,9 +442,6 @@ def _gaussian_mixture(params: dict) -> FiniteSumObjective:
         t = np.einsum("...d,d->...", x, mu) / s2
         return (x - np.tanh(t)[..., None] * mu) / s2
 
-    def grad_fn(x):
-        return comp_grad(0, x)
-
     return FiniteSumObjective(
         "gaussian_mixture",
         n,
@@ -456,8 +451,6 @@ def _gaussian_mixture(params: dict) -> FiniteSumObjective:
         L=L,
         M=1.0 / (2.0 * s2),
         b=max(mu2, s2) / (2.0 * s2),
-        value_fn=lambda x: comp_value(0, x),
-        grad_fn=grad_fn,
         identical_components=True,
     )
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from vrld import diagnostics as dg
-from vrld.potentials import GaussianMoments, make_builtin
+from vrld.potentials import GaussianMoments, NumericalDomainError, make_builtin
 from vrld.samplers import run_ensemble
 
 
@@ -197,14 +197,30 @@ class TestVarianceIdentity:
                     obj, rng.standard_normal(2), rng.standard_normal(2), B
                 )
                 assert res["gap"] <= 1e-12 * (1.0 + res["rhs"])
+        # identical components: the row kernel runs on a read-only broadcast view
+        for obj in (make_builtin("double_well", {"d": 2, "n_copies": 5}),
+                    make_builtin("gaussian_mixture", {"mu": [1.2, -0.3], "n_copies": 5})):
+            for B in range(1, 6):
+                res = dg.svrg_variance_identity_check(
+                    obj, rng.standard_normal(2), rng.standard_normal(2), B
+                )
+                assert res["gap"] <= 1e-12 * (1.0 + res["rhs"])
 
     def test_enumeration_size_guard(self):
         """Every identity enumerates its subsets under one guard: C(16, 2)
-        is small, but the guard is on n, before any subset is made."""
+        is small, but the guard is on n, before any subset is made.  A
+        gradient table that overflows is refused, not averaged into nan, and
+        so is a batch size with no subsets to average."""
         obj = make_builtin("gaussian_quadratic", {"n": 16, "d": 1, "seed": 0})
+        well = make_builtin("double_well", {"d": 2, "n_copies": 4})
         for check in (dg.svrg_variance_identity_check, dg.svrg_subset_mean, dg.sarah_increment_mean):
             with pytest.raises(ValueError, match="n <= 12"):
                 check(obj, np.zeros(1), np.ones(1), 2)
+            for B in (0, 5):
+                with pytest.raises(ValueError, match=f"need 1 <= B <= n, got B={B}, n=4"):
+                    check(well, np.zeros(2), np.ones(2), B)
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalDomainError):
+                check(well, np.full(2, 1e200), np.ones(2), 2)
 
 
 class TestGibbsQuadrature:

@@ -40,6 +40,12 @@ def heterogeneous(n=6, d=2, seed=5):
     return make_builtin("gaussian_quadratic", {"n": n, "d": d, "seed": seed, "scales": scales})
 
 
+def identical(n=6):
+    """The two built-ins with identical components, at d = 2."""
+    return (make_builtin("double_well", {"d": 2, "n_copies": n}),
+            make_builtin("gaussian_mixture", {"mu": [1.2, -0.3], "n_copies": n}))
+
+
 class TestSteps:
     def test_lmc_contraction_spot_value(self):
         """One lmc step from 1 toward the center 0 lands at 0.9 plus the
@@ -368,15 +374,21 @@ class TestVarianceReducedEstimators:
                     obj, rng.standard_normal(obj.d), rng.standard_normal(obj.d), B
                 )
                 assert res["gap"] <= 1e-12 * (1 + np.linalg.norm(res["target"]))
+        for obj in identical(n=6):
+            for B in range(1, 7):
+                res = diagnostics.svrg_subset_mean(
+                    obj, rng.standard_normal(obj.d), rng.standard_normal(obj.d), B
+                )
+                assert res["gap"] <= 1e-12 * (1 + np.linalg.norm(res["target"]))
 
     def test_recursive_increment_is_martingale(self):
-        obj = heterogeneous(n=6)
         rng = np.random.default_rng(9)
-        for B in (1, 2, 3):
-            res = diagnostics.sarah_increment_mean(
-                obj, rng.standard_normal(obj.d), rng.standard_normal(obj.d), B
-            )
-            assert res["gap"] <= 1e-12 * (1 + np.linalg.norm(res["target"]))
+        for obj in (heterogeneous(n=6), *identical(n=6)):
+            for B in (1, 2, 3):
+                res = diagnostics.sarah_increment_mean(
+                    obj, rng.standard_normal(obj.d), rng.standard_normal(obj.d), B
+                )
+                assert res["gap"] <= 1e-12 * (1 + np.linalg.norm(res["target"]))
 
     def test_anchored_estimator_exact_at_anchor(self):
         """With x at the anchor the correction vanishes for any subset."""
@@ -870,6 +882,19 @@ class TestIdenticalComponents:
         with pytest.raises(ValueError, match="identical components take no rows_fn"):
             vrld.FiniteSumObjective("f", 2, 1, lambda i, x: x[..., 0], lambda i, x: x,
                                     rows_fn=lambda X, IDX: X, identical_components=True)
+
+    def test_value_and_gradient_default_to_f_0s(self):
+        """Built without value_fn or grad_fn, identical components evaluate F
+        and grad F as f_0 and grad f_0, bit for bit.  Here f_1 = 2 f_0, so a
+        mean over the components would show."""
+        obj = vrld.FiniteSumObjective("f", 2, 2, lambda i, x: (i + 1) * np.sin(x).sum(axis=-1),
+                                      lambda i, x: (i + 1) * np.cos(x), identical_components=True)
+        X = np.random.default_rng(0).standard_normal((5, 2))
+        assert obj.value(X).tobytes() == np.sin(X).sum(axis=-1).tobytes()
+        assert obj.gradient(X).tobytes() == np.cos(X).tobytes()
+        for builtin in identical(n=3):
+            assert builtin.value(X).tobytes() == builtin.component_value(0, X).tobytes()
+            assert builtin.gradient(X).tobytes() == builtin.component_gradient(0, X).tobytes()
 
 
 # -- the replicate engine, for any sizes --------------------------------------------
