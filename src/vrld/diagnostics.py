@@ -1,7 +1,9 @@
 """Measured counterparts of the closed-form bounds: exact Gaussian moment
 oracles for the full-gradient chain on quadratics, closed-form KL and W2
 between Gaussians, empirical 1-d W2, suboptimality estimates, and the exact
-subset-enumeration identities for the stochastic-gradient estimators.
+subset-enumeration identities for the stochastic-gradient estimators.  The
+identities take a point's n component gradients in one row-kernel call and
+share one enumeration of the size-B subsets, guarded to n <= 12.
 
 KL against general targets is never estimated nonparametrically here: on
 quadratic targets the chain law is Gaussian (or near-Gaussian), so the
@@ -230,7 +232,8 @@ def svrg_subset_mean(obj: FiniteSumObjective, x, anchor, B: int) -> dict:
     """Average of the anchored estimator over all C(n, B) subsets against the
     full gradient at x (the estimator's conditional mean)."""
     gx, ga = _component_grads(obj, x), _component_grads(obj, anchor)
-    mean, target = _subset_means(gx - ga, B).mean(axis=0) + ga.mean(axis=0), gx.mean(axis=0)
+    mean = _subset_means(gx - ga, B).mean(axis=0) + ga.mean(axis=0)
+    target = gx.mean(axis=0)
     return {"mean": mean, "target": target, "gap": float(np.linalg.norm(mean - target))}
 
 
@@ -238,7 +241,8 @@ def sarah_increment_mean(obj: FiniteSumObjective, x, x_prev, B: int) -> dict:
     """Average of the recursive estimator's increment over all C(n, B) subsets
     against grad F(x) - grad F(x_prev) (the martingale increment)."""
     gx, gp = _component_grads(obj, x), _component_grads(obj, x_prev)
-    mean, target = _subset_means(gx - gp, B).mean(axis=0), gx.mean(axis=0) - gp.mean(axis=0)
+    mean = _subset_means(gx - gp, B).mean(axis=0)
+    target = gx.mean(axis=0) - gp.mean(axis=0)
     return {"mean": mean, "target": target, "gap": float(np.linalg.norm(mean - target))}
 
 

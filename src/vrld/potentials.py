@@ -120,7 +120,7 @@ class FiniteSumObjective:
         self.F_star = F_star
         self.x_star = None if x_star is None else np.asarray(x_star, dtype=float)
         if identical_components:
-            # F = f_0: the value and full gradient are f_0's unless given, and the row kernel reads no index
+            # F = f_0
             value_fn = value_fn or (lambda x: component_value(0, x))
             grad_fn = grad_fn or (lambda x: component_grad(0, x))
             rows_fn = lambda X, IDX: grad_fn(X)
