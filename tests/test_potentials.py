@@ -299,6 +299,17 @@ class TestMakeBuiltin:
         with pytest.raises(ValueError, match="unknown potential"):
             make_builtin("does_not_exist")
 
+    @pytest.mark.parametrize("name, params, key", [
+        ("double_well", {"n": 10}, "n"),
+        ("gaussian_quadratic", {"n": 4, "d": 1, "scale": [1.0, 2.0, 3.0, 4.0]}, "scale"),
+        ("logistic_l2", {"rows": [[1.0]], "labels": [1.0], "lambda": 0.3}, "lambda"),
+    ], ids=["double_well-n", "gaussian_quadratic-scale", "logistic_l2-lambda"])
+    def test_a_key_the_builder_does_not_take_is_refused(self, name, params, key):
+        """A key outside the builder's signature would be ignored, so it is
+        refused by name, with the parameters the builder does take."""
+        with pytest.raises(ValueError, match=rf"^{name} takes no {key}; its parameters are "):
+            make_builtin(name, params)
+
     def test_quadratic_complete_the_square(self):
         rng = np.random.default_rng(5)
         centers = rng.standard_normal((6, 3))
