@@ -467,13 +467,16 @@ class TestValidateConfig:
         ("H0 = nan", [], "[theory] H0 must be finite and >= 0, got nan"),
         ("H0 = -3", [], "[theory] H0 must be finite and >= 0, got -3.0"),
         ("alpha = nan", [], "[theory] alpha must be finite, got nan"),
-    ], ids=["seed", "seed-flag", "thin", "replicates", "H0-inf", "H0-nan", "H0-negative", "alpha-nan"])
+        ("alpha = -1.0", [], "[theory] alpha must be > 0, got -1.0"),
+        ("alpha = 0.0", [], "[theory] alpha must be > 0, got 0.0"),
+    ], ids=["seed", "seed-flag", "thin", "replicates", "H0-inf", "H0-nan", "H0-negative", "alpha-nan",
+            "alpha-negative", "alpha-zero"])
     def test_a_run_key_out_of_range_is_refused_by_name(self, tmp_path, capsys, line, flags, message):
         """A negative seed, from the file or from --seed, and a thin or a
         replicate count below 1 exit 2 naming the [run] key the user wrote,
         from validate-config and from run before any directory is made.  So
-        do a [theory] H0 that no KL can be and a non-finite alpha, which
-        reach the bound formulas as they are."""
+        do a [theory] H0 that no KL can be and an alpha that is not finite
+        and > 0, which reach the bound formulas as they are."""
         out = tmp_path / "r"
         written = {"seed": "seed = 99", "thin": "thin = 20", "replicates": "replicates = 5",
                    "H0": "H0 = 8.0", "alpha": "alpha = 1.0"}[line.split(" = ")[0]]
@@ -486,23 +489,29 @@ class TestValidateConfig:
     @pytest.mark.parametrize("line, auto", [
         ("eta = nan", False), ("eta = inf", False), ("gamma = nan", False), ("gamma = inf", False),
         ("gamma = nan", True), ("gamma = inf", True), ("eps = nan", True), ("eps = inf", True),
+        ("eps = -1.0", True), ("eps = 0.0", True), ("H0 = 0.0", True), ("alpha = -1.0", True),
     ], ids=["eta = nan", "eta = inf", "gamma = nan", "gamma = inf",
-            "auto-gamma = nan", "auto-gamma = inf", "auto-eps = nan", "auto-eps = inf"])
+            "auto-gamma = nan", "auto-gamma = inf", "auto-eps = nan", "auto-eps = inf",
+            "auto-eps = -1.0", "auto-eps = 0.0", "auto-H0 = 0.0", "auto-alpha = -1.0"])
     def test_a_non_finite_step_or_temperature_is_refused(self, tmp_path, capsys, line, auto):
         """lmc checks no step cap, so only the sampler's own check stands
         between a non-finite eta or gamma and a run that diverges at step 1
-        or fails in its diagnostics.  Auto mode feeds gamma and its target
-        eps to the theory formulas, so it refuses them by name first."""
+        or fails in its diagnostics.  Auto mode feeds gamma, its target eps,
+        H0 and alpha to the theory formulas, so it refuses a value they
+        cannot take by the key's name first."""
         out = tmp_path / "r"
         key, value = line.split(" = ")
         text = BASE_CFG.format(out=out)
         if auto:
             text = text.replace("eta = 0.005", "auto = true\neps = 0.5").replace("steps = 120", "")
-            message = f"[sampler] {key} must be finite, got {value}\n"
+            out_of_range = {"eps": "[sampler] eps must be > 0", "H0": "[theory] auto mode needs H0 > 0",
+                            "alpha": "[theory] alpha must be > 0"}
+            message = (out_of_range[key] if float(value) <= 0 else f"[sampler] {key} must be finite") + f", got {value}\n"
         else:
             text = text.replace("variant = svrg_ld", "variant = lmc")
             message = "[sampler] eta and gamma must be finite, got "
-        written = {"eta": "eta = 0.005", "gamma": "gamma = 1.0", "eps": "eps = 0.5"}[key]
+        written = {"eta": "eta = 0.005", "gamma": "gamma = 1.0", "eps": "eps = 0.5", "H0": "H0 = 8.0",
+                   "alpha": "alpha = 1.0"}[key]
         cfg = write_cfg(tmp_path, text.replace(written, line))
         for command in ("validate-config", "run"):
             assert main([command, "--config", str(cfg), "--quiet"]) == 2
