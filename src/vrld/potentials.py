@@ -9,6 +9,7 @@ modes refuse such an L, and a run notes each replicate that leaves the box.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -259,7 +260,8 @@ def _column_sum(G: np.ndarray) -> np.ndarray:
     return np.add(0.0, res, out=res)
 
 
-def _gaussian_quadratic(params: dict) -> FiniteSumObjective:
+def _gaussian_quadratic(n=None, d=None, seed=0, spread=1.0, zero_mean=False, scales=None,
+                        centers=None) -> FiniteSumObjective:
     """f_i(x) = s_i/2 * ||x - c_i||^2.
 
     Default scales s_i = 1 give the plain quadratic family with L = 1 and
@@ -268,20 +270,18 @@ def _gaussian_quadratic(params: dict) -> FiniteSumObjective:
     variance identities, which vanish identically when all Hessians agree).
     Documented constants: L = max s_i, M = mean(s)/2, b = (mean(s) + ||u||^2/mean(s))/2
     with u = (1/n) sum_i s_i c_i, from <grad F, x> >= mean(s)||x||^2 - <u, x>.
+    Given ``centers``, n and d are its shape; otherwise the n centers are
+    ``spread`` times seeded standard normals in R^d, shifted to mean zero
+    when ``zero_mean`` is set.
     """
-    centers = params.get("centers")
     if centers is not None:
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
         n, d = centers.shape
     else:
-        n = int(params["n"])
-        d = int(params["d"])
-        rng = np.random.default_rng(int(params.get("seed", 0)))
-        spread = float(params.get("spread", 1.0))
-        centers = spread * rng.standard_normal((n, d))
-        if params.get("zero_mean", False):
+        n, d = int(n), int(d)
+        centers = float(spread) * np.random.default_rng(int(seed)).standard_normal((n, d))
+        if zero_mean:
             centers = centers - centers.mean(axis=0)
-    scales = params.get("scales")
     if scales is None:
         s = np.ones(n)
     else:
@@ -342,7 +342,7 @@ def _gaussian_quadratic(params: dict) -> FiniteSumObjective:
     )
 
 
-def _double_well(params: dict) -> FiniteSumObjective:
+def _double_well(a=1.0, d=1, n_copies=1, box=2.0) -> FiniteSumObjective:
     """Quartic double well, replicated n_copies times as identical components.
 
     1-d: F(x) = (x^2 - a^2)^2 / 4, minima at +-a, saddle at 0, F* = 0.
@@ -355,12 +355,9 @@ def _double_well(params: dict) -> FiniteSumObjective:
     b = (a^2 + 1/2)^2 / 4 (+ nothing extra for the quadratic coordinate):
     <F'(x), x> = x^4 - a^2 x^2 >= x^2/2 - b  iff  b >= (a^2 + 1/2)^2 / 4.
     """
-    a = float(params.get("a", 1.0))
-    d = int(params.get("d", 1))
+    a, d, r = float(a), int(d), float(box)
     if d not in (1, 2):
         raise ValueError("double_well supports d in {1, 2}")
-    n = int(params.get("n_copies", 1))
-    r = float(params.get("box", 2.0))
     if not r > 0:
         raise ValueError(f"double_well needs box > 0, got {r}")
     if r < abs(a):
@@ -369,37 +366,26 @@ def _double_well(params: dict) -> FiniteSumObjective:
     L = max(3.0 * r * r - a * a, 1.0 if d == 2 else 0.0)
     b_diss = (a * a + 0.5) ** 2 / 4.0
 
-    def quartic(x1):
-        return 0.25 * (x1**2 - a * a) ** 2
+    def comp_value(i, x):
+        f = 0.25 * (x[..., 0] ** 2 - a * a) ** 2
+        return f + 0.5 * x[..., 1] ** 2 if d == 2 else f
 
-    def quartic_grad(x1):
-        return (x1**2 - a * a) * x1
-
+    # chosen once: the 1-d gradient is the step loop's whole oracle
     if d == 1:
 
-        def comp_value(i, x):
-            return quartic(x[..., 0])
-
         def comp_grad(i, x):
-            return quartic_grad(x)
-
-        x_star = np.array([a])
+            return (x**2 - a * a) * x
     else:
-
-        def comp_value(i, x):
-            return quartic(x[..., 0]) + 0.5 * x[..., 1] ** 2
 
         def comp_grad(i, x):
             g = np.empty_like(x)
-            g[..., 0] = quartic_grad(x[..., 0])
+            g[..., 0] = (x[..., 0] ** 2 - a * a) * x[..., 0]
             g[..., 1] = x[..., 1]
             return g
 
-        x_star = np.array([a, 0.0])
-
     return FiniteSumObjective(
         "double_well",
-        n,
+        int(n_copies),
         d,
         comp_value,
         comp_grad,
@@ -407,13 +393,13 @@ def _double_well(params: dict) -> FiniteSumObjective:
         M=0.5,
         b=b_diss,
         F_star=0.0,
-        x_star=x_star,
+        x_star=np.r_[a, np.zeros(d - 1)],
         identical_components=True,
         L_box=r,
     )
 
 
-def _gaussian_mixture(params: dict) -> FiniteSumObjective:
+def _gaussian_mixture(mu=(1.0,), sigma=1.0, n_copies=1) -> FiniteSumObjective:
     """Negative log density of the two-component mixture (N(+mu, s^2 I) + N(-mu, s^2 I)) / 2.
 
     F(x) = (||x||^2 + ||mu||^2) / (2 s^2) - log cosh(<mu, x> / s^2) + (d/2) log(2 pi s^2).
@@ -422,9 +408,7 @@ def _gaussian_mixture(params: dict) -> FiniteSumObjective:
     <grad F, x> >= ||x||^2/(2 s^2) - ||mu||^2/(2 s^2) gives (M, b).
     Replicated ``n_copies`` times as identical components.
     """
-    mu = np.atleast_1d(np.asarray(params.get("mu", [1.0]), dtype=float))
-    sigma = float(params.get("sigma", 1.0))
-    n = int(params.get("n_copies", 1))
+    mu, sigma = np.atleast_1d(np.asarray(mu, dtype=float)), float(sigma)
     d = mu.shape[0]
     s2 = sigma * sigma
     mu2 = float(mu @ mu)
@@ -444,7 +428,7 @@ def _gaussian_mixture(params: dict) -> FiniteSumObjective:
 
     return FiniteSumObjective(
         "gaussian_mixture",
-        n,
+        int(n_copies),
         d,
         comp_value,
         comp_grad,
@@ -467,20 +451,21 @@ def load_labeled_matrix(path) -> tuple[np.ndarray, np.ndarray]:
     return rows, labels
 
 
-def _logistic_l2(params: dict) -> FiniteSumObjective:
+def _logistic_l2(data_file=None, rows=None, labels=None, lam=0.1) -> FiniteSumObjective:
     """Regularised logistic loss over supplied rows.
 
     f_i(x) = log(1 + exp(-y_i <a_i, x>)) + lam/2 ||x||^2 with y_i in {-1, +1}.
     L = lam + max_i ||a_i||^2 / 4 (logistic Hessian bound), and
     <grad f_i, x> >= lam ||x||^2 - ||a_i|| ||x|| gives
-    M = lam / 2, b = max_i ||a_i||^2 / (2 lam).
+    M = lam / 2, b = max_i ||a_i||^2 / (2 lam).  The rows and their {0, 1}
+    labels come from ``data_file`` (see ``load_labeled_matrix``) when given.
     """
-    if "data_file" in params:
-        rows, labels = load_labeled_matrix(params["data_file"])
+    if data_file is not None:
+        rows, labels = load_labeled_matrix(data_file)
     else:
-        rows = np.atleast_2d(np.asarray(params["rows"], dtype=float))
-        labels = np.asarray(params["labels"], dtype=float)
-    lam = float(params.get("lam", params.get("lambda", 0.1)))
+        rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        labels = np.asarray(labels, dtype=float)
+    lam = float(lam)
     if lam <= 0:
         raise ValueError("logistic_l2 needs lam > 0")
     n, d = rows.shape
@@ -544,9 +529,16 @@ BUILTIN_NAMES = tuple(sorted(_BUILTINS))
 
 
 def make_builtin(name: str, params: dict | None = None) -> FiniteSumObjective:
-    """Construct one of the built-in test potentials by name."""
+    """Construct one of the built-in test potentials by name, with ``params``
+    as keyword arguments of its builder.  A builder's parameters and their
+    defaults are its signature; a key outside it is refused, not ignored."""
     try:
         builder = _BUILTINS[name]
     except KeyError:
         raise ValueError(f"unknown potential {name!r}; choose from {BUILTIN_NAMES}") from None
-    return builder(dict(params or {}))
+    params = params or {}
+    taken = inspect.signature(builder).parameters
+    for key in params:
+        if key not in taken:
+            raise ValueError(f"{name} takes no {key}; its parameters are {', '.join(taken)}")
+    return builder(**params)

@@ -1,5 +1,6 @@
 """Tests for the configuration format and the command-line surface."""
 
+import inspect
 import math
 import re
 import string
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from vrld import theory
 from vrld.cli import _metric_series, execute, main, resolve
 from vrld.config import _OPTIONAL_SECTIONS, _POTENTIALS, _REQUIRED, _SCHEMA, ConfigError, parse_config_text
-from vrld.potentials import make_builtin
+from vrld.potentials import _BUILTINS, make_builtin
 from vrld.samplers import AnnealSchedule, SamplerConfig, grad_evals_at, run_chain
 
 
@@ -234,6 +235,19 @@ class TestConfigFormat:
         with pytest.raises(ConfigError) as info:
             parse_config_text(f"[potential]\n{section}[sampler]\nvariant = lmc\n")
         assert str(info.value) == "invalid configuration:\n  " + error
+
+    def test_each_potential_key_is_a_parameter_of_its_builder(self):
+        """The [potential] table and the builders' signatures cannot drift
+        apart: each key is a parameter of its builder, data as data_file, and
+        a default the table states is the builder's own."""
+        assert sorted(_POTENTIALS) == sorted(_BUILTINS)
+        for name, keys in _POTENTIALS.items():
+            taken = inspect.signature(_BUILTINS[name]).parameters
+            for key, (_, default) in keys.items():
+                param = "data_file" if key == "data" else key
+                assert param in taken, (name, key)
+                if default is not None and default is not _REQUIRED:
+                    assert default == taken[param].default, (name, key)
 
     def test_type_errors_reported(self):
         with pytest.raises(ConfigError, match="steps"):
