@@ -148,6 +148,8 @@ def resolve_sampler(
         for key, value in (("gamma", gamma), ("eps", eps)):
             if not math.isfinite(value):
                 raise ConfigError(f"[sampler] {key} must be finite, got {value}")
+        if eps <= 0:
+            raise ConfigError(f"[sampler] eps must be > 0, got {eps}")
         if variant not in ("svrg_ld", "sarah_ld"):
             raise ConfigError("[sampler] auto mode applies to svrg_ld / sarah_ld")
         if obj.L is None:
@@ -157,6 +159,8 @@ def resolve_sampler(
         th = cfg.theory or {}
         if th.get("H0") is None:
             raise ConfigError("[theory] auto mode needs H0 (initial KL estimate)")
+        if th["H0"] <= 0:
+            raise ConfigError(f"[theory] auto mode needs H0 > 0, got {th['H0']}")
         lsi, alpha_notes = resolve_alpha(cfg, obj, gamma)
         notes.extend(alpha_notes)
         alpha = lsi.alpha
@@ -291,6 +295,8 @@ def resolve(cfg: ExperimentConfig, command: str) -> list[Point]:
         raise ConfigError(f"[theory] H0 must be finite and >= 0, got {th['H0']}")
     if th.get("alpha") is not None and not math.isfinite(th["alpha"]):
         raise ConfigError(f"[theory] alpha must be finite, got {th['alpha']}")
+    if th.get("alpha") is not None and th["alpha"] <= 0:
+        raise ConfigError(f"[theory] alpha must be > 0, got {th['alpha']}")
     points: list[Point] = []
     for pcfg in _point_configs(cfg, command):
         if not points or pcfg.potential != points[-1].cfg.potential:
@@ -720,9 +726,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, HypothesisViolation) as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
-    except samplers.DivergedError as exc:
-        print(f"diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
 
 
 if __name__ == "__main__":  # pragma: no cover
