@@ -363,6 +363,20 @@ class TestTheoryCommand:
         assert values == [f"{name} = {value!r}" for name, value in expected()]
         assert formula.startswith("formula: ") and len(formula) > len("formula: ")
 
+    @pytest.mark.parametrize("tokens", [
+        "kl_bound sarah H0=1 k=10 eta=1e-4 gamma=1 alpha=1 d=1 L=1 n=100 B=1 m=10",
+        "bias sarah eta=1e-4 gamma=1 alpha=1 d=1 L=1 n=100 B=1 m=10",
+    ], ids=["kl_bound", "bias"])
+    def test_no_query_prints_a_coarse_bias_below_the_tight_bias(self, capsys, tokens):
+        """The coarse bias caps the anchored variant's factor at 7, which its
+        B >= m gives; sarah_ld's factor 2 + Xi + 2 m Xi has no such cap, and
+        at B = 1, m = 10 it is three times larger.  No query may print a
+        coarse bias below the bias it prints."""
+        assert main(["theory", *tokens.split()]) == 0
+        printed = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines()[:-1])
+        if "bias_coarse" in printed:
+            assert float(printed["bias_coarse"]) >= float(printed["bias"])
+
     @pytest.mark.parametrize("tokens,message", [
         ("grad_complexity k=100 B=4 m=0 n=16", "need m >= 1, got m=0"),
         ("iters_for_eps eps=0.1 H0=8 gamma=1 alpha=0 eta=0.001", "need alpha, eta > 0"),
