@@ -546,6 +546,27 @@ class TestValidateConfig:
             assert capsys.readouterr().err.startswith(message)
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit, written", [
+        ([("eta = 0.005", "auto = true\neps = 1e-300"), ("steps = 120", "")], "eps = 1e-300"),
+        ([("steps = 120", "steps = 100000000000000000000")], "steps = 100000000000000000000"),
+    ], ids=["auto-eps", "steps"])
+    def test_a_step_count_no_array_can_store_is_refused_by_name(self, tmp_path, capsys, edit, written):
+        """A run stores (K // thin + 2) x replicates x d float64 values in one
+        array.  A K past the largest array (auto mode's K from a tiny eps, or
+        steps itself) is refused by the key the user wrote, from every
+        command, before any directory is made."""
+        out = tmp_path / "r"
+        text = BASE_CFG.format(out=out)
+        for old, new in edit:
+            text = text.replace(old, new)
+        cfg = write_cfg(tmp_path, text)
+        for command in ("validate-config", "run"):
+            assert main([command, "--config", str(cfg), "--quiet"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"[sampler] {written} gives K = ") and err.count("\n") == 1
+            assert err.endswith(f"exceed the largest array, {np.iinfo(np.intp).max} bytes\n")
+        assert not out.exists()
+
 
 class TestRunCommand:
     def test_byte_identical_rerun(self, tmp_path):
@@ -1147,6 +1168,10 @@ BAD_EDITS = {
     "anneal": ([("eta = 0.005\n", ""), ("gamma = 1.0\n", ""),
                 ("[run]\n", "[anneal]\neta_bar = 0.001\ngamma_bar = 1.0\nsigma = 3.0\nmu = 13.0\n\n[run]\n")],
                "[{command}] annealed configs are not supported"),
+    "steps": ([("steps = 120", "steps = 100000000000000000000")],
+              "[sampler] steps = 100000000000000000000 gives K = 100000000000000000000: its stored steps, "
+              "(K // thin + 2) x replicates x d float64 values, exceed the largest array, "
+              f"{np.iinfo(np.intp).max} bytes"),
 }
 
 
