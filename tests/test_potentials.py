@@ -1,5 +1,7 @@
 """Unit tests for the finite-sum potentials and their regularity metadata."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -308,6 +310,33 @@ class TestMakeBuiltin:
         """A key outside the builder's signature would be ignored, so it is
         refused by name, with the parameters the builder does take."""
         with pytest.raises(ValueError, match=rf"^{name} takes no {key}; its parameters are "):
+            make_builtin(name, params)
+
+    @pytest.mark.parametrize("name, params, message", [
+        ("gaussian_quadratic", {"centers": [[1.0], [-1.0]], "n": 5, "d": 3},
+         "gaussian_quadratic takes n, d from the shape of centers; drop n, d"),
+        ("gaussian_quadratic", {"centers": [[1.0], [-1.0]], "d": 1},
+         "gaussian_quadratic takes n, d from the shape of centers; drop d"),
+        ("logistic_l2", {"data_file": "rows.txt", "rows": [[1.0]], "labels": [1.0]},
+         "logistic_l2 takes rows, labels from data_file; drop rows, labels"),
+        ("logistic_l2", {"data_file": "rows.txt", "labels": [1.0]},
+         "logistic_l2 takes rows, labels from data_file; drop labels"),
+    ], ids=["quadratic-n-d", "quadratic-d", "logistic-rows-labels", "logistic-labels"])
+    def test_a_parameter_another_one_sets_is_refused(self, name, params, message):
+        """centers sets the quadratic's n and d, and data_file the logistic
+        loss's rows and labels: a second value beside it would be ignored, so
+        it is refused by name."""
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            make_builtin(name, params)
+
+    @pytest.mark.parametrize("name, params, message", [
+        ("gaussian_quadratic", {}, "gaussian_quadratic needs n, d, or centers"),
+        ("gaussian_quadratic", {"n": 4}, "gaussian_quadratic needs d, or centers"),
+        ("logistic_l2", {}, "logistic_l2 needs data_file, or rows, labels"),
+        ("logistic_l2", {"rows": [[1.0]]}, "logistic_l2 needs data_file, or labels"),
+    ], ids=["quadratic-empty", "quadratic-no-d", "logistic-empty", "logistic-no-labels"])
+    def test_a_missing_parameter_is_refused_by_name(self, name, params, message):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
             make_builtin(name, params)
 
     def test_quadratic_complete_the_square(self):
