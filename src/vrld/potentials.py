@@ -233,6 +233,15 @@ class FiniteSumObjective:
 # -- built-in potentials ------------------------------------------------------
 
 
+def _one_source(builder: str, source: str, value, parts: dict) -> None:
+    """``source``, when given (``value`` not None), sets ``parts`` (name ->
+    value): a part given beside it, or missing without it, is refused by name."""
+    wrong = ", ".join(k for k, v in parts.items() if (v is None) == (value is None))
+    if wrong:
+        raise ValueError(f"{builder} takes {', '.join(parts)} from {source}; drop {wrong}" if value is not None
+                         else f"{builder} needs {wrong}, or {source}")
+
+
 def _column_sum(G: np.ndarray) -> np.ndarray:
     """The sum over the first axis of a (B, R, k) gather, one whole (R, k)
     slab at a time, bit for bit ``np.add.reduce(G.swapaxes(0, 1), axis=1)``,
@@ -274,6 +283,7 @@ def _gaussian_quadratic(n=None, d=None, seed=0, spread=1.0, zero_mean=False, sca
     ``spread`` times seeded standard normals in R^d, shifted to mean zero
     when ``zero_mean`` is set.
     """
+    _one_source("gaussian_quadratic", "centers", centers, {"n": n, "d": d})
     if centers is not None:
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
         n, d = centers.shape
@@ -460,6 +470,7 @@ def _logistic_l2(data_file=None, rows=None, labels=None, lam=0.1) -> FiniteSumOb
     M = lam / 2, b = max_i ||a_i||^2 / (2 lam).  The rows and their {0, 1}
     labels come from ``data_file`` (see ``load_labeled_matrix``) when given.
     """
+    _one_source("logistic_l2", "data_file", data_file, {"rows": rows, "labels": labels})
     if data_file is not None:
         rows, labels = load_labeled_matrix(data_file)
     else:

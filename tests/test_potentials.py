@@ -314,9 +314,9 @@ class TestMakeBuiltin:
 
     @pytest.mark.parametrize("name, params, message", [
         ("gaussian_quadratic", {"centers": [[1.0], [-1.0]], "n": 5, "d": 3},
-         "gaussian_quadratic takes n, d from the shape of centers; drop n, d"),
+         "gaussian_quadratic takes n, d from centers; drop n, d"),
         ("gaussian_quadratic", {"centers": [[1.0], [-1.0]], "d": 1},
-         "gaussian_quadratic takes n, d from the shape of centers; drop d"),
+         "gaussian_quadratic takes n, d from centers; drop d"),
         ("logistic_l2", {"data_file": "rows.txt", "rows": [[1.0]], "labels": [1.0]},
          "logistic_l2 takes rows, labels from data_file; drop rows, labels"),
         ("logistic_l2", {"data_file": "rows.txt", "labels": [1.0]},
@@ -332,8 +332,8 @@ class TestMakeBuiltin:
     @pytest.mark.parametrize("name, params, message", [
         ("gaussian_quadratic", {}, "gaussian_quadratic needs n, d, or centers"),
         ("gaussian_quadratic", {"n": 4}, "gaussian_quadratic needs d, or centers"),
-        ("logistic_l2", {}, "logistic_l2 needs data_file, or rows, labels"),
-        ("logistic_l2", {"rows": [[1.0]]}, "logistic_l2 needs data_file, or labels"),
+        ("logistic_l2", {}, "logistic_l2 needs rows, labels, or data_file"),
+        ("logistic_l2", {"rows": [[1.0]]}, "logistic_l2 needs labels, or data_file"),
     ], ids=["quadratic-empty", "quadratic-no-d", "logistic-empty", "logistic-no-labels"])
     def test_a_missing_parameter_is_refused_by_name(self, name, params, message):
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
