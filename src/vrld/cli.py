@@ -19,7 +19,7 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -573,69 +573,66 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
 
 _ALIASES = {"α": "alpha", "γ": "gamma", "η": "eta", "ε": "eps", "η̄": "eta_bar", "λ": "lambda_dagger"}
 
-# query -> (the theory functions it calls, the names of the values they
-# return, in order, and its formula line).  A query's parameters are its
-# functions' parameters, optional where every function that takes one has a
-# default.  A function returns one value, a tuple of values, or an object
-# whose attributes the names read; an object's function is its query's only one.
-_QUERIES: dict[str, tuple[tuple, str, str]] = {
-    "xi": ((theory.minibatch_variance_factor,), "xi", "xi = (n - B) / (B * (n - 1)); xi(1, 1) = 0 by convention"),
-    "upsilon": ((theory.variance_reduction_factors,), "xi lambda upsilon",
+# query -> (the theory function it calls, the names of the values it returns,
+# in order, and its formula line).  A query's parameters are its function's,
+# optional where the function has a default.  The function returns one value,
+# a tuple of values, or an object whose attributes the names read.
+_QUERIES: dict[str, tuple[Callable, str, str]] = {
+    "xi": (theory.minibatch_variance_factor, "xi", "xi = (n - B) / (B * (n - 1)); xi(1, 1) = 0 by convention"),
+    "upsilon": (theory.variance_reduction_factors, "xi lambda upsilon",
                 "upsilon = (1 + 2 xi) + xi + 1 + 2 m xi, capped universally at 7"),
-    "step_cap": ((theory.step_size_cap,), "cap", "cap = alpha / (16 sqrt(6 or 2) L^2 m gamma)  [anchored / recursive]"),
-    "bias": ((theory.bias_term, theory.bias_term_coarse), "bias bias_coarse",
-             "bias = (32 eta gamma d L^2 / 3 alpha) * factor; coarse = 224 eta gamma d L^2 / (3 alpha)"),
-    "kl_bound": ((theory.kl_bound,), "decay bias total bias_coarse", "KL <= exp(-alpha eta k / gamma) H0 + bias"),
-    "eta_for_eps": ((theory.eta_for_eps,), "eta", "largest eta keeping the bias at eps/2"),
-    "iters_for_eps": ((theory.iterations_for_eps,), "k", "k = ceil((gamma / alpha eta) log(2 H0 / eps))"),
-    "grad_complexity": ((theory.gradient_complexity,), "count", "count = (k / m)(n + 2 B (m - 1))"),
-    "talagrand_w2": ((theory.talagrand_w2_bound,), "w2", "W2 <= sqrt(2 H / alpha)"),
-    "lsi_dissipative": ((theory.lsi_constant_dissipative,), "alpha log_alpha C1 C2",
+    "step_cap": (theory.step_size_cap, "cap", "cap = alpha / (16 sqrt(6 or 2) L^2 m gamma)  [anchored / recursive]"),
+    "bias": (theory.bias_term, "bias",
+             "bias = (32 eta gamma d L^2 / 3 alpha) * (upsilon [anchored] or 2 + xi + 2 m xi [recursive])"),
+    "bias_coarse": (theory.bias_term_coarse, "bias_coarse",
+                    "bias_coarse = 224 eta gamma d L^2 / (3 alpha): anchored bias at upsilon <= 7, which needs B >= m"),
+    "kl_bound": (theory.kl_bound, "decay bias total", "KL <= exp(-alpha eta k / gamma) H0 + bias"),
+    "eta_for_eps": (theory.eta_for_eps, "eta", "largest eta keeping the bias at eps/2"),
+    "iters_for_eps": (theory.iterations_for_eps, "k", "k = ceil((gamma / alpha eta) log(2 H0 / eps))"),
+    "grad_complexity": (theory.gradient_complexity, "count", "count = (k / m)(n + 2 B (m - 1))"),
+    "talagrand_w2": (theory.talagrand_w2_bound, "w2", "W2 <= sqrt(2 H / alpha)"),
+    "lsi_dissipative": (theory.lsi_constant_dissipative, "alpha log_alpha C1 C2",
                         "alpha = gamma C1 exp(-C2 gamma); CAVEAT: C_star defaults to 1, true value unknown"),
-    "lsi_weak_morse": ((theory.lsi_constant_weak_morse,), "alpha gamma_floor C3 bracket",
+    "lsi_weak_morse": (theory.lsi_constant_weak_morse, "alpha gamma_floor C3 bracket",
                        "alpha = C3 / gamma above the gamma floor"),
-    "gamma_opt": ((theory.inverse_temperature_for_accuracy,), "gamma",
+    "gamma_opt": (theory.inverse_temperature_for_accuracy, "gamma",
                   "gamma = max((4d/eps) log(eL/M), 16 d b / eps^2, 1, 2/M), so gibbs_bound <= eps/4: "
                   "the first term puts (d/2 gamma) log(eL/M) <= eps/8, and log(1+x) <= sqrt(x) puts "
                   "the rest <= sqrt(d b / gamma)/2 <= eps/8; replaces the published 8 d b / eps^2, "
                   "which is a factor 2 short"),
-    "gibbs_bound": ((theory.gibbs_suboptimality_bound,), "bound", "bound = (d / 2 gamma) log((eL/M)(b gamma / d + 1))"),
-    "subopt_decomp": ((theory.suboptimality_decomposition,), "bound", "bound = L W2^2 + 2 * gibbs_bound"),
-    "kl_target": ((theory.kl_target_for_suboptimality,), "kl", "kl = alpha eps / (4 L)"),
-    "opt_eta": ((theory.optimization_step_size,), "eta",
+    "gibbs_bound": (theory.gibbs_suboptimality_bound, "bound", "bound = (d / 2 gamma) log((eL/M)(b gamma / d + 1))"),
+    "subopt_decomp": (theory.suboptimality_decomposition, "bound", "bound = L W2^2 + 2 * gibbs_bound"),
+    "kl_target": (theory.kl_target_for_suboptimality, "kl", "kl = alpha eps / (4 L)"),
+    "opt_eta": (theory.optimization_step_size, "eta",
                 "eta = min(alpha / (16 sqrt(6) L^2 sqrt(n) gamma), (3/1792) alpha^2 eps / (L^2 d gamma))"),
-    "chi": ((theory.chi_constant,), "chi", "chi = max over gamma >= 1 of (d/gamma) log((eL/M)(b gamma/d + 1))"),
-    "anneal_sigma_floor": ((theory.anneal_sigma_floor,), "sigma",
+    "chi": (theory.chi_constant, "chi", "chi = max over gamma >= 1 of (d/gamma) log((eL/M)(b gamma/d + 1))"),
+    "anneal_sigma_floor": (theory.anneal_sigma_floor, "sigma",
                            "sigma = max(3, (8 L g^2 / C1^2 eta_bar)^(mu/(mu-3)), (2 / (mu C2 L^2 eta_bar^2))^(mu/(mu-2)))"),
-    "anneal_eta": ((theory.anneal_eta,), "eta_s", "eta_s = eta_bar (s + sigma)^(-1/mu)"),
-    "anneal_gamma": ((theory.anneal_gamma,), "gamma_s", "gamma_s = gamma_bar log(g (s + sigma)^(1/mu))"),
+    "anneal_eta": (theory.anneal_eta, "eta_s", "eta_s = eta_bar (s + sigma)^(-1/mu)"),
+    "anneal_gamma": (theory.anneal_gamma, "gamma_s", "gamma_s = gamma_bar log(g (s + sigma)^(1/mu))"),
 }
 
 # theory query parameters that are counts, parsed as integers
 _INT_PARAMS = frozenset(("n", "B", "m", "d", "k"))
 
 
-def _query_params(fns: tuple) -> dict[str, bool]:
-    """Each parameter of the query's functions, in order -> whether it is optional."""
-    params: dict[str, bool] = {}
-    for fn in fns:
-        for p in inspect.signature(fn).parameters.values():
-            params[p.name] = params.get(p.name, True) and p.default is not p.empty
-    return params
+def _query_params(fn: Callable) -> dict[str, bool]:
+    """Each parameter of the query's function, in order -> whether it is optional."""
+    return {p.name: p.default is not p.empty for p in inspect.signature(fn).parameters.values()}
 
 
 def cmd_theory(tokens: list[str]) -> int:
     if not tokens:
         print("available theory queries (optional parameters in brackets):")
-        for name, (fns, _, _) in sorted(_QUERIES.items()):
-            params = _query_params(fns)
+        for name, (fn, _, _) in sorted(_QUERIES.items()):
+            params = _query_params(fn)
             print(f"  {name} {' '.join(f'[{p}=..]' if params[p] else f'{p}=..' for p in params)}")
         return EXIT_OK
     name = tokens[0]
     if name not in _QUERIES:
         raise ConfigError(f"unknown theory query {name!r}; run `vrld theory` for the list")
-    fns, names, formula = _QUERIES[name]
-    params = _query_params(fns)
+    fn, names, formula = _QUERIES[name]
+    params = _query_params(fn)
     args: dict = {}
     for token in tokens[1:]:
         if token in ("svrg", "sarah", "svrg_ld", "sarah_ld"):
@@ -656,14 +653,13 @@ def cmd_theory(tokens: list[str]) -> int:
     missing = [p for p, optional in params.items() if p not in args and not optional]
     if missing:
         raise ConfigError(f"{name} needs {', '.join(missing)}")
-    keys, values = names.split(), []
+    keys = names.split()
     try:
-        for fn in fns:
-            result = fn(**{p: args[p] for p in inspect.signature(fn).parameters if p in args})
-            values += (result if isinstance(result, tuple) else [result] if isinstance(result, (int, float))
-                       else [getattr(result, key) for key in keys])
+        result = fn(**args)
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"hypothesis violation: {exc}") from exc
+    values = (result if isinstance(result, tuple) else [result] if isinstance(result, (int, float))
+              else [getattr(result, key) for key in keys])
     for key, value in zip(keys, values):
         print(f"{key} = {_fmt(value)}")
     print(f"formula: {formula}")

@@ -52,7 +52,8 @@ __all__ = [
 SVRG = "svrg_ld"
 SARAH = "sarah_ld"
 
-# The epoch-dependent bias factor for the anchored variant never exceeds this.
+# The epoch-dependent bias factor for the anchored variant never exceeds this
+# under its hypothesis B >= m: Xi <= 1/B gives 2 + 3 Xi + 2 m Xi <= 7.
 UPSILON_UNIVERSAL_CAP = 7.0
 
 
@@ -133,9 +134,11 @@ def bias_term(
 
 
 def bias_term_coarse(eta: float, gamma: float, d: int, L: float, alpha: float) -> float:
-    """Coarse anchored-variant bias 224 eta gamma d L^2 / (3 alpha), obtained
-    from the tight form by the universal cap Upsilon <= 7."""
-    return 224.0 * eta * gamma * d * L * L / (3.0 * alpha)
+    """Coarse anchored-variant bias 224 eta gamma d L^2 / (3 alpha): the tight
+    form with Upsilon at its cap 7, which needs B >= m.  It bounds neither a
+    run with B < m nor the recursive variant.  It rounds as :func:`bias_term`
+    does, so that it is never below the tight bias where Upsilon <= 7."""
+    return 32.0 * eta * gamma * d * L * L / (3.0 * alpha) * UPSILON_UNIVERSAL_CAP
 
 
 def kl_decay(H0: float, k: int, eta: float, gamma: float, alpha: float) -> float:
@@ -148,7 +151,6 @@ def kl_decay(H0: float, k: int, eta: float, gamma: float, alpha: float) -> float
 class KlBound:
     decay: float
     bias: float
-    bias_coarse: float
 
     @property
     def total(self) -> float:
@@ -177,9 +179,7 @@ def kl_bound(
     _require(H0 >= 0, "need H0 >= 0")
     for found in check_hypotheses(variant, eta, gamma, alpha, L, B, m):
         _require(found.kind != "violation", found.message)
-    bias = bias_term(variant, eta, gamma, d, L, alpha, n, B, m)
-    return KlBound(decay=kl_decay(H0, k, eta, gamma, alpha), bias=bias,
-                   bias_coarse=bias_term_coarse(eta, gamma, d, L, alpha))
+    return KlBound(decay=kl_decay(H0, k, eta, gamma, alpha), bias=bias_term(variant, eta, gamma, d, L, alpha, n, B, m))
 
 
 def eta_for_eps(
@@ -201,7 +201,7 @@ def eta_for_eps(
     _require(eps > 0, "need eps > 0")
     _require(gamma > 0 and alpha > 0 and L > 0 and d >= 1, "need gamma, alpha, L > 0 and d >= 1")
     if _check_variant(variant) == SVRG:
-        return 3.0 * alpha * eps / (448.0 * gamma * d * L * L)
+        return 3.0 * alpha * eps / (64.0 * UPSILON_UNIVERSAL_CAP * gamma * d * L * L)
     if n is None or B is None or m is None:
         raise ValueError("recursive-variant eta_for_eps needs n, B, m")
     xi = minibatch_variance_factor(n, B)
@@ -212,7 +212,7 @@ def recommended_eta(variant: str, eps: float, gamma: float, alpha: float, d: int
     """Step size for the B = m = sqrt(n) configuration: the step cap at
     m = sqrt(n) capped by the epsilon-driven value (coarse constants 448/320).
     """
-    coarse = 448.0 if _check_variant(variant) == SVRG else 320.0
+    coarse = 64.0 * UPSILON_UNIVERSAL_CAP if _check_variant(variant) == SVRG else 320.0
     return min(step_size_cap(variant, alpha, L, math.sqrt(n), gamma), 3.0 * alpha * eps / (coarse * d * L * L * gamma))
 
 

@@ -268,11 +268,14 @@ THEORY_QUERIES = [
      lambda: list(zip(("xi", "lambda", "upsilon"), theory.variance_reduction_factors(16, 4, 4)))),
     ("step_cap svrg alpha=1 L=1 m=4 gamma=1", lambda: [("cap", theory.step_size_cap("svrg", 1.0, 1.0, 4, 1.0))]),
     ("bias sarah eta=0.01 gamma=2 d=2 L=1.5 alpha=0.5 n=16 B=4 m=4",
-     lambda: [("bias", theory.bias_term("sarah", 0.01, 2.0, 2, 1.5, 0.5, 16, 4, 4)),
-              ("bias_coarse", theory.bias_term_coarse(0.01, 2.0, 2, 1.5, 0.5))]),
+     lambda: [("bias", theory.bias_term("sarah", 0.01, 2.0, 2, 1.5, 0.5, 16, 4, 4))]),
+    ("bias_coarse eta=0.01 gamma=2 d=2 L=1.5 alpha=0.5",
+     lambda: [("bias_coarse", theory.bias_term_coarse(0.01, 2.0, 2, 1.5, 0.5))]),
     ("kl_bound sarah H0=8 k=100 eta=0.001 gamma=1 alpha=1 d=2 L=1 n=16 B=4 m=4",
      lambda: [(key, getattr(theory.kl_bound("sarah", 8.0, 100, 0.001, 1.0, 1.0, 2, 1.0, 16, 4, 4), key))
-              for key in ("decay", "bias", "total", "bias_coarse")]),
+              for key in ("decay", "bias", "total")]),
+    ("bias_coarse eta=0.001 gamma=1 d=2 L=1 alpha=1",
+     lambda: [("bias_coarse", theory.bias_term_coarse(0.001, 1.0, 2, 1.0, 1.0))]),
     ("eta_for_eps sarah eps=0.1 gamma=1 alpha=1 d=2 L=1 n=16 B=4 m=4",
      lambda: [("eta", theory.eta_for_eps("sarah", 0.1, 1.0, 1.0, 2, 1.0, 16, 4, 4))]),
     ("iters_for_eps eps=0.1 H0=8 gamma=1 alpha=1 eta=0.001",

@@ -128,7 +128,17 @@ class TestKlBound:
 
     def test_coarse_bias_dominates_tight(self):
         kb = th.kl_bound("svrg_ld", k=1, **self.ARGS)
-        assert kb.bias <= kb.bias_coarse
+        assert kb.bias <= th.bias_term_coarse(0.001, 1.0, 2, 1.0, 1.0)
+
+    def test_coarse_bias_is_the_tight_bias_at_the_cap(self):
+        """At B = m = 1, Xi = 1 and Upsilon = 7 exactly: the coarse bias is the
+        anchored bias itself, bitwise, so rounding cannot put it below."""
+        rng = np.random.default_rng(28)
+        for _ in range(200):
+            eta, gamma, L, alpha = rng.uniform(1e-4, 4.0, 4)
+            d, n = int(rng.integers(1, 6)), int(rng.integers(2, 65))
+            assert th.bias_term("svrg_ld", eta, gamma, d, L, alpha, n, 1, 1) == th.bias_term_coarse(
+                eta, gamma, d, L, alpha)
 
     def test_recursive_bias_factor(self):
         xi = th.minibatch_variance_factor(16, 4)
@@ -149,8 +159,10 @@ class TestKlBound:
             eta = cap * rng.uniform(0.05, 0.95)
             kb = th.kl_bound("svrg_ld", rng.uniform(0, 10), int(rng.integers(0, 1000)),
                              eta, gamma, alpha, d, L, n, B, m)
-            for v in (kb.decay, kb.bias, kb.total, kb.bias_coarse):
+            coarse = th.bias_term_coarse(eta, gamma, d, L, alpha)
+            for v in (kb.decay, kb.bias, kb.total, coarse):
                 assert np.isfinite(v) and v >= 0.0
+            assert kb.bias <= coarse
 
     def test_recommended_eta_coarse_constants(self):
         """B = m = sqrt(n) recommendations: cap vs 448/320-constant branches."""
