@@ -18,6 +18,7 @@ import inspect
 import math
 import sys
 from dataclasses import replace
+from decimal import Decimal
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -302,6 +303,12 @@ def resolve(cfg: ExperimentConfig, command: str) -> list[Point]:
         if not points or pcfg.potential != points[-1].cfg.potential:
             obj = build_objective(pcfg)
         scfg, sched, lsi, notes = resolve_sampler(pcfg, obj)
+        # the replicates' stored steps are one array of float64 values
+        if (scfg.K // scfg.store_every + 2) * cfg.run["replicates"] * obj.d * 8 > np.iinfo(np.intp).max:
+            key = "eps" if pcfg.sampler["auto"] else "steps"
+            raise ConfigError(f"[sampler] {key} = {_fmt(pcfg.sampler[key])} gives K = {Decimal(scfg.K):.3e}: "
+                              "its stored steps, (K // thin + 2) x replicates x d float64 values, exceed the "
+                              f"largest array, {np.iinfo(np.intp).max} bytes")
         if sched is not None and command in ("compare", "sweep"):
             raise ConfigError(f"[{command}] annealed configs are not supported")
         x0 = np.zeros(obj.d) if cfg.run.get("x0") is None else np.asarray(cfg.run["x0"], dtype=float)

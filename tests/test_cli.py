@@ -1172,7 +1172,7 @@ BAD_EDITS = {
                 ("[run]\n", "[anneal]\neta_bar = 0.001\ngamma_bar = 1.0\nsigma = 3.0\nmu = 13.0\n\n[run]\n")],
                "[{command}] annealed configs are not supported"),
     "steps": ([("steps = 120", "steps = 100000000000000000000")],
-              "[sampler] steps = 100000000000000000000 gives K = 100000000000000000000: its stored steps, "
+              "[sampler] steps = 100000000000000000000 gives K = 1.000e+20: its stored steps, "
               "(K // thin + 2) x replicates x d float64 values, exceed the largest array, "
               f"{np.iinfo(np.intp).max} bytes"),
 }
