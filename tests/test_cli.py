@@ -249,6 +249,22 @@ class TestConfigFormat:
                 if default is not None and default is not _REQUIRED:
                     assert default == taken[param].default, (name, key)
 
+    @pytest.mark.parametrize("text,message", [
+        ("[sampler]\nvariant = lmc\nauto = maybe\n", "[sampler] auto: expected a boolean, got 'maybe'"),
+        ("[sampler]\nvariant = lmc\n[sampler]\nvariant = sgld\n", "line 3: duplicate section [sampler]"),
+        ("variant = lmc\n[sampler]\n", "line 1: key outside any section: 'variant = lmc'"),
+        ("[sampler]\nvariant lmc\n", "line 2: expected key = value, got 'variant lmc'"),
+    ], ids=["bad-bool", "duplicate-section", "key-outside-section", "no-equals"])
+    def test_a_malformed_line_is_refused(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(text)
+        assert message in str(info.value)
+
+    def test_a_missing_config_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "missing.cfg"
+        assert main(["validate-config", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"[Errno 2] No such file or directory: '{path}'\n"
+
     def test_type_errors_reported(self):
         with pytest.raises(ConfigError, match="steps"):
             parse_config_text("[potential]\nname = double_well\n[sampler]\nvariant = lmc\nsteps = many\n")
@@ -549,6 +565,25 @@ class TestValidateConfig:
             assert capsys.readouterr().err.startswith(message)
         assert not out.exists()
 
+    def test_weak_morse_alpha_is_noted_and_bounds_the_run(self, tmp_path, capsys):
+        """alpha_mode = weak_morse above its floor (44.2 here) gives alpha =
+        C3 / gamma.  validate-config prints its note, and run writes the note
+        into the header and draws the overlay at that alpha."""
+        out = tmp_path / "r"
+        text = BASE_CFG.format(out=out).replace("eta = 0.005", "eta = 1e-9").replace("gamma = 1.0", "gamma = 50.0")
+        text = text.replace("alpha = 1.0", "alpha_mode = weak_morse\nlambda_dagger = 1.0\nL_prime = 0.01\nC_F = 1.0")
+        cfg = write_cfg(tmp_path, text)
+        lsi = theory.lsi_constant_weak_morse(50.0, 1.0, 0.5, 1.0, 2, 0.01, 1.0)
+        note = f"alpha from weak-Morse LSI: C3={lsi.C3!r} gamma_floor={lsi.gamma_floor!r}"
+        assert main(["validate-config", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"note: {note}"
+        assert main(["run", "--config", str(cfg), "--quiet"]) == 0
+        lines = (out / "summary.csv").read_text().splitlines()
+        assert f"# note: {note}" in lines
+        rows = [l.split(",") for l in lines if l and not l.startswith("#")]
+        bias = theory.bias_term("svrg_ld", 1e-9, 50.0, 2, 1.0, lsi.alpha, 16, 4, 4)
+        assert {row[rows[0].index("bound_kl_bias")] for row in rows[1:]} == {repr(bias)}
+
     @pytest.mark.parametrize("edit, written", [
         ([("eta = 0.005", "auto = true\neps = 1e-300"), ("steps = 120", "")], "eps = 1e-300"),
         ([("steps = 120", "steps = 100000000000000000000")], "steps = 100000000000000000000"),
@@ -732,6 +767,16 @@ class TestRunCommand:
         text = text.replace("eta = 0.005", "auto = true\neps = 0.5").replace("steps = 120", "")
         assert main(["validate-config", "--config", str(write_cfg(tmp_path, text))]) == 2
         assert capsys.readouterr().err == "need alpha, L, m, gamma > 0\n"
+
+    def test_auto_mode_nudges_eta_under_the_step_cap_at_m(self, tmp_path, capsys):
+        """At n = 15 auto mode's step size is the step cap at m = sqrt(15), but
+        m = 4 > sqrt(15) resolves a smaller cap: eta is nudged just under it."""
+        text = BASE_CFG.format(out=tmp_path / "r").replace("n = 16", "n = 15")
+        text = text.replace("eta = 0.005", "auto = true\neps = 10.0").replace("steps = 120", "")
+        assert main(["validate-config", "--config", str(write_cfg(tmp_path, text))]) == 0
+        eta = theory.step_size_cap("svrg_ld", 1.0, 1.0, 4, 1.0) * (1.0 - 1e-9)
+        assert theory.recommended_eta("svrg_ld", 10.0, 1.0, 1.0, 2, 1.0, 15) > eta
+        assert f" eta={eta!r} " in capsys.readouterr().out.splitlines()[-1]
 
     def test_divergence_exit_code(self, tmp_path, capsys):
         text = BASE_CFG.format(out=tmp_path / "r")
@@ -1031,6 +1076,31 @@ class TestCompareCommand:
         assert capsys.readouterr().err == message + "\n"
         assert runs == [] and not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("text,message", [
+        (BASE_CFG, "compare needs a [compare] section"),
+        (BASE_CFG + "\n[compare]\nvariants = sgld\nthreshold = 1.0\n", "[compare] needs at least two variants"),
+        (MIXTURE_CFG.replace("replicates = 3", "replicates = 4")
+         + "\n[compare]\nvariants = lmc, sgld\nmetric = kl_surrogate\nthreshold = 0.1\n",
+         "[compare] kl_surrogate metric needs the quadratic potential family"),
+    ], ids=["no-section", "one-variant", "kl_surrogate-not-quadratic"])
+    def test_a_config_compare_cannot_run_is_refused(self, tmp_path, capsys, text, message):
+        cfg = write_cfg(tmp_path, text.format(out=tmp_path / "r"))
+        assert main(["compare", "--config", str(cfg), "--quiet"]) == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "r").exists()
+
+    def test_default_metric_is_suboptimality(self, tmp_path):
+        """Without a metric key compare counts grad evals to a suboptimality
+        threshold: the same row as metric = suboptimality written in."""
+        text = BASE_CFG.format(out=tmp_path / "r") + "\n[compare]\nvariants = sgld, svrg_ld\nthreshold = 0.5\n"
+        assert main(["compare", "--config", str(write_cfg(tmp_path, text, "a.cfg")), "--quiet"]) == 0
+        default = (tmp_path / "r" / "compare.csv").read_text()
+        text = text.replace("threshold = 0.5", "metric = suboptimality\nthreshold = 0.5")
+        assert main(["compare", "--config", str(write_cfg(tmp_path, text, "b.cfg")), "--quiet"]) == 0
+        assert default == (tmp_path / "r" / "compare.csv").read_text()
+        assert default.startswith("# metric = suboptimality, threshold = 0.5\n")
+        assert [row.split(",")[0] for row in default.splitlines()[2:]] == ["sgld", "svrg_ld"]
+
     def test_unreachable_threshold_sentinel(self, tmp_path):
         text = BASE_CFG.format(out=tmp_path / "r") + (
             "\n[compare]\nvariants = lmc, svrg_ld\nmetric = kl_surrogate\nthreshold = 1e-9\n"
@@ -1106,6 +1176,32 @@ class TestSweepCommand:
         assert f"axis {axis}" in err and bad in err
         assert not (tmp_path / "r" / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("text,message", [
+        (BASE_CFG, "sweep needs a [sweep] section"),
+        (BASE_CFG + "\n[sweep]\naxis = temperature\nvalues = 1.0\n",
+         "[sweep] axis must be eta, gamma, B, m, or n, got 'temperature'"),
+        (LOGISTIC_COMPARE_CFG.split("[compare]")[0] + "[sweep]\naxis = n\nvalues = 8\n",
+         "[sweep] n axis is not available for this potential"),
+    ], ids=["no-section", "unknown-axis", "n-axis-logistic"])
+    def test_a_config_sweep_cannot_run_is_refused(self, tmp_path, capsys, text, message):
+        data = tmp_path / "data.txt"
+        data.write_text("0.5 -1.0 1.0\n-0.2 0.3 0.0\n1.5 0.7 1.0\n-0.4 -0.9 0.0\n")
+        cfg = write_cfg(tmp_path, text.format(out=tmp_path / "r", data=data))
+        assert main(["sweep", "--config", str(cfg), "--quiet"]) == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "r").exists()
+
+    def test_a_diverging_point_stops_the_sweep_with_exit_3(self, tmp_path, capsys):
+        """The sweep writes the points before the one that diverged, names it
+        on stderr and exits 3."""
+        out = tmp_path / "r"
+        text = BASE_CFG.format(out=out).replace("[theory]\nalpha = 1.0\nH0 = 8.0\n", "")
+        cfg = write_cfg(tmp_path, text + "\n[sweep]\naxis = eta\nvalues = 0.005, 200000000.0\n")
+        assert main(["sweep", "--config", str(cfg), "--quiet"]) == 3
+        assert capsys.readouterr().err == "sweep point eta=200000000.0 diverged\n"
+        rows = (out / "sweep.csv").read_text().splitlines()[2:]
+        assert rows and {row.split(",")[1] for row in rows} == {"0.005"}
+
     def test_bad_later_value_writes_nothing(self, tmp_path, capsys):
         """Every value is resolved before the first one runs."""
         cfg = write_cfg(tmp_path, BASE_CFG.format(out=tmp_path / "r") + "\n[sweep]\naxis = eta\nvalues = 0.005, -1.0\n")
@@ -1161,6 +1257,14 @@ axis = gamma
 values = 1.0
 """
 
+# the edits that turn EVERY_COMMAND_CFG's points to auto mode, which compare and
+# sweep take [theory] for, and to an annealed schedule
+_AUTO = [("eta = 0.005", "auto = true\neps = 0.5"), ("steps = 120\n", "")]
+_ANNEAL = [("eta = 0.005\n", ""), ("gamma = 1.0\n", ""),
+           ("[run]\n", "[anneal]\neta_bar = 0.001\ngamma_bar = 1.0\nsigma = 3.0\nmu = 13.0\n\n[run]\n")]
+# the edits that set the run's variant and every compare variant's first one
+_LMC = [("variant = svrg_ld", "variant = lmc"), ("variants = svrg_ld", "variants = lmc")]
+
 # the edits that break EVERY_COMMAND_CFG, and the message each command gives
 BAD_EDITS = {
     "x0": ([("[run]\n", "[run]\nx0 = 1.0, 2.0, 3.0\n")], "x0 must have dimension 2"),
@@ -1168,9 +1272,28 @@ BAD_EDITS = {
     "B": ([("batch = 4", "batch = 32")], "[sampler] batch size must satisfy 1 <= B <= n=16, got 32"),
     "burn_in=-1": ([("[run]\n", "[run]\nburn_in = -1\n")], "[run] burn_in must lie in [0, K=120], got -1"),
     "burn_in=K+1": ([("[run]\n", "[run]\nburn_in = 121\n")], "[run] burn_in must lie in [0, K=120], got 121"),
-    "anneal": ([("eta = 0.005\n", ""), ("gamma = 1.0\n", ""),
-                ("[run]\n", "[anneal]\neta_bar = 0.001\ngamma_bar = 1.0\nsigma = 3.0\nmu = 13.0\n\n[run]\n")],
-               "[{command}] annealed configs are not supported"),
+    "anneal": (_ANNEAL, "[{command}] annealed configs are not supported"),
+    "variant": ([("variant = svrg_ld", "variant = hmc"), ("variants = svrg_ld", "variants = hmc")],
+                "[sampler] variant must be one of ('lmc', 'sgld', 'svrg_ld', 'sarah_ld')"),
+    "no-eta": ([("eta = 0.005\n", "")], "[sampler] needs eta and steps (or auto = true)"),
+    "auto-no-eps": ([("eta = 0.005", "auto = true"), ("steps = 120\n", "")], "[sampler] auto mode needs a target eps"),
+    "auto-lmc": (_AUTO + _LMC, "[sampler] auto mode applies to svrg_ld / sarah_ld"),
+    "auto-no-H0": (_AUTO + [("H0 = 8.0\n", "")], "[theory] auto mode needs H0 (initial KL estimate)"),
+    "auto-no-alpha": (_AUTO + [("alpha = 1.0\n", "")], "[theory] alpha_mode=declared needs alpha"),
+    "weak_morse-keys": (_AUTO + [("alpha = 1.0", "alpha_mode = weak_morse")],
+                        "[theory] alpha_mode=weak_morse needs lambda_dagger, L_prime, C_F"),
+    "weak_morse-floor": (_AUTO + [("alpha = 1.0",
+                                   "alpha_mode = weak_morse\nlambda_dagger = 1.0\nL_prime = 0.01\nC_F = 1.0")],
+                         "[theory] gamma=1.0 is below the weak-Morse floor 44.2368 (binding term: 4 L'^2 a^6)"),
+    "dissipative-keys": (_AUTO + [("alpha = 1.0", "alpha_mode = dissipative")],
+                         "[theory] alpha_mode=dissipative needs A_star and B_star"),
+    "dissipative-floor": (_AUTO + [("alpha = 1.0", "alpha_mode = dissipative\nA_star = 0.0\nB_star = 0.0")],
+                          "[theory] hypothesis gamma >= 2/M violated: gamma=1.0, 2/M=4.0"),
+    "alpha_mode": (_AUTO + [("alpha = 1.0", "alpha_mode = guess")], "[theory] unknown alpha_mode 'guess'"),
+    "anneal-lmc": (_ANNEAL + _LMC, "[anneal] applies to svrg_ld / sarah_ld only"),
+    "anneal-auto": ([("eta = 0.005\n", "auto = true\neps = 0.5\n")] + _ANNEAL[1:],
+                    "[anneal] and auto mode are mutually exclusive"),
+    "anneal-no-steps": (_ANNEAL + [("steps = 120\n", "")], "[sampler] needs steps"),
     "steps": ([("steps = 120", "steps = 100000000000000000000")],
               "[sampler] steps = 100000000000000000000 gives K = 1.000e+20: its stored steps, "
               "(K // thin + 2) x replicates x d float64 values, exceed the largest array, "
