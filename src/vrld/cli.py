@@ -587,7 +587,7 @@ _ALIASES = {"α": "alpha", "γ": "gamma", "η": "eta", "ε": "eps", "η̄": "eta
 _QUERIES: dict[str, tuple[Callable, str, str]] = {
     "xi": (theory.minibatch_variance_factor, "xi", "xi = (n - B) / (B * (n - 1)); xi(1, 1) = 0 by convention"),
     "upsilon": (theory.variance_reduction_factors, "xi lambda upsilon",
-                "upsilon = (1 + 2 xi) + xi + 1 + 2 m xi, capped universally at 7"),
+                "upsilon = (1 + 2 xi) + xi + 1 + 2 m xi, at most 7 where B >= m"),
     "step_cap": (theory.step_size_cap, "cap", "cap = alpha / (16 sqrt(6 or 2) L^2 m gamma)  [anchored / recursive]"),
     "bias": (theory.bias_term, "bias",
              "bias = (32 eta gamma d L^2 / 3 alpha) * (upsilon [anchored] or 2 + xi + 2 m xi [recursive])"),
